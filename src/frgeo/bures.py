@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NotUnitTraceError
+from .exceptions import NotUnitTraceError, SingularMatrixError
 from .hpsd import (
     clamp_psd,
     frobenius_inner,
@@ -152,7 +152,7 @@ def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts) -> FiberGeodesic:
     if meta["mode"] == "regularized":
         meta["endpoint_error"] = frobenius_norm(base - a0)
         if meta["endpoint_error"] > GEODESIC_ENDPOINT_TOL:
-            raise RuntimeError(
+            raise SingularMatrixError(
                 f"regularized geodesic start error {meta['endpoint_error']:.3e} exceeds {GEODESIC_ENDPOINT_TOL:.1e}"
             )
     return FiberGeodesic(a0, a1, ts, points, tuple(velocities), meta)

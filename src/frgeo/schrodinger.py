@@ -7,7 +7,8 @@ the closed-form Fisher-Rao distance between consecutive slices,
 ``(N/2) * sum_k d_FR(G_k, G_{k+1})^2``, and the Fisher term by the trapezoid
 rule. Interior slices are parametrized as ``G_i = C_i C_i* / (sum_j tr C_j
 C_j*)`` with free complex factors, which keeps every iterate PSD and exactly
-unit-mass without projections.
+unit-mass without projections. The solver descends along the closed-form
+(adjoint) gradient of the objective in those factors.
 
 The module also provides the heat-flow recovery perturbation (which both
 initializes the solver and realizes the vanishing-temperature upper bound),
@@ -57,7 +58,6 @@ class SchrodingerConfig:
     objective_tol: float = 1e-9
     step_init: float = 0.25
     step_shrink: float = 0.5
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -223,39 +223,21 @@ def _factors_to_slice(factors: np.ndarray) -> np.ndarray:
     return g / tau[..., None, None, None]
 
 
-def _param_index(n: int, d: int) -> list[tuple[int, int, int, int]]:
-    """Real-parameter enumeration of a complex factor stack: atom, row,
-    column, and real/imaginary part."""
-    return [
-        (i, r, c, part)
-        for i in range(n)
-        for r in range(d)
-        for c in range(d)
-        for part in (0, 1)
-    ]
-
-
-def _local_pieces(
-    pert_slices: np.ndarray,
-    sqrt_left: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    weights: np.ndarray,
-    epsilon: float,
-    n_steps: int,
-) -> np.ndarray:
-    """Objective terms touched by one interior slice, batched over
-    perturbations.
-
-    ``pert_slices`` has shape ``(K, P, n, d, d)`` (K interior slices, P
-    perturbed copies each); neighbors have shape ``(K, n, d, d)``.
-    """
-    sqrt_pert = _batch_psd_sqrt(pert_slices)
-    dfr_left = _batch_dfr_sq(sqrt_left[:, None], left[:, None], pert_slices)
-    dfr_right = _batch_dfr_sq(sqrt_pert, pert_slices, right[:, None])
-    kinetic = 0.5 * n_steps * (dfr_left + dfr_right)
-    fisher = _batch_fisher(pert_slices, weights)
-    return kinetic + 0.5 * epsilon**2 * (1.0 / n_steps) * fisher
+def _eig_powers(atoms: np.ndarray, *powers: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Clamped eigenvalues and spectral powers of a PSD stack ``(..., d, d)``
+    from one batched ``eigh``. Negative powers invert on the range only:
+    eigenvalues at or below ``1e-14 * lambda_max`` map to zero, which keeps
+    rank-deficient atoms on the cone boundary finite."""
+    w, v = np.linalg.eigh(atoms)
+    w = np.clip(w, 0.0, None)
+    on_range = w > 1e-14 * w.max(axis=-1, keepdims=True)
+    safe = np.where(on_range, w, 1.0)
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    out = []
+    for p in powers:
+        wp = np.where(on_range, safe**p, 0.0) if p < 0 else w**p
+        out.append((v * wp[..., None, :]) @ vh)
+    return w, out
 
 
 def _bridge_gradient(
@@ -264,48 +246,39 @@ def _bridge_gradient(
     g1_atoms: np.ndarray,
     weights: np.ndarray,
     epsilon: float,
-    fd_step: float,
 ) -> np.ndarray:
-    """Central finite differences of the objective on the factor entries,
-    batched across every interior slice and parameter at once."""
-    n_int, n, d, _ = factors.shape
-    n_steps = n_int + 1
-    params = _param_index(n, d)
-    n_par = len(params)
-    h = fd_step * max(1.0, float(np.max(np.abs(factors))))
+    """Closed-form gradient of the objective on the interior factors.
 
-    pert = np.broadcast_to(factors[:, None], (n_int, 2 * n_par, n, d, d)).copy()
-    for p, (i, r, c, part) in enumerate(params):
-        delta = h if part == 0 else 1j * h
-        pert[:, 2 * p, i, r, c] += delta
-        pert[:, 2 * p + 1, i, r, c] -= delta
-    pert_slices = _factors_to_slice(pert)
+    With ``M_k = G_k^{1/2} G_{k+1} G_k^{1/2}`` per atom, the Bures terms give
+    ``d_{G_{k+1}} d_B^2 = I - G_k^{1/2} M_k^{-1/2} G_k^{1/2}`` and
+    ``d_{G_k} d_B^2 = I - G_k^{-1/2} M_k^{1/2} G_k^{-1/2}``, chained through
+    ``f(x) = (2 arccos(1 - x/8))^2`` at ``x = 4 sum_i d_B^2``; the Fisher
+    term gives ``-w_i^2 G_i^{-2}``. ``G_i = C_i C_i* / tau`` then maps the
+    slice gradient ``H`` to ``(2 / tau) (H_i C_i - s C_i)`` with
+    ``s = sum_i Re tr(H_i G_i)``.
+    """
+    n_steps = factors.shape[0] + 1
+    interior = _factors_to_slice(factors)
+    stacked = np.concatenate([g0_atoms[None], interior, g1_atoms[None]])
+    _, (root, inv_root, inv) = _eig_powers(stacked, 0.5, -0.5, -1.0)
+    left_root = root[:-1]
+    mu, (edge_root, edge_inv_root) = _eig_powers(
+        hermitian_part(left_root @ stacked[1:] @ left_root), 0.5, -0.5
+    )
+    traces = np.real(np.trace(stacked, axis1=-2, axis2=-1))
+    db_sq = np.clip(traces[:-1] + traces[1:] - 2.0 * np.sqrt(mu).sum(axis=-1), 0.0, None)
+    half_theta = np.arccos(np.clip(1.0 - 0.5 * db_sq.sum(axis=-1), -1.0, 1.0))
+    # (N/2) * 4 * f'(x), with f'(x) = (theta/2) / sin(theta/2) -> 1 as x -> 0.
+    coef = (2.0 * n_steps / np.sinc(half_theta / np.pi))[:, None, None, None]
+    eye = np.eye(stacked.shape[-1])
+    h = np.zeros_like(stacked)
+    h[1:] += coef * (eye - left_root @ edge_inv_root @ left_root)
+    h[:-1] += coef * (eye - inv_root[:-1] @ edge_root @ inv_root[:-1])
+    h = h[1:-1] - (0.5 * epsilon**2 / n_steps) * weights[:, None, None] ** 2 * (inv[1:-1] @ inv[1:-1])
 
-    current = _factors_to_slice(factors)
-    stacked = np.concatenate([g0_atoms[None], current, g1_atoms[None]])
-    left = stacked[:-2]
-    right = stacked[2:]
-    sqrt_left = _batch_psd_sqrt(left)
-
-    pieces = _local_pieces(pert_slices, sqrt_left, left, right, weights, epsilon, n_steps)
-    plus, minus = pieces[:, 0::2], pieces[:, 1::2]
-
-    grad_flat = (plus - minus) / (2.0 * h)
-    bad = ~np.isfinite(grad_flat)
-    if np.any(bad):
-        base = _local_pieces(current[:, None], sqrt_left, left, right, weights, epsilon, n_steps)[:, 0]
-        fwd = (plus - base[:, None]) / h
-        bwd = (base[:, None] - minus) / h
-        grad_flat = np.where(bad, np.where(np.isfinite(fwd), fwd, np.where(np.isfinite(bwd), bwd, 0.0)), grad_flat)
-
-    grad = np.zeros_like(factors)
-    for p, (i, r, c, part) in enumerate(params):
-        contrib = grad_flat[:, p]
-        if part == 0:
-            grad[:, i, r, c] += contrib
-        else:
-            grad[:, i, r, c] += 1j * contrib
-    return grad
+    tau = (np.abs(factors) ** 2).sum(axis=(1, 2, 3))
+    s = np.real(np.einsum("kijl,kilj->k", h, interior))
+    return (2.0 / tau)[:, None, None, None] * (h @ factors - s[:, None, None, None] * factors)
 
 
 def solve_bridge(
@@ -321,7 +294,8 @@ def solve_bridge(
     geodesic (always a finite-objective interior competitor) unless an
     explicit ``init_path`` on the same grid is supplied (used for
     warm-started temperature sweeps). Descent is plain gradient descent on
-    the stacked factors with backtracking line search; the objective never
+    the stacked factors, along the closed-form gradient of the objective,
+    with backtracking line search; the objective never
     increases across iterations, and steps that would make an interior
     density singular price themselves out through an infinite objective.
     """
@@ -373,7 +347,7 @@ def solve_bridge(
     converged = False
     for _ in range(cfg.max_iters):
         iterations += 1
-        grad = _bridge_gradient(factors, g0_atoms, g1_atoms, weights, cfg.epsilon, cfg.fd_step)
+        grad = _bridge_gradient(factors, g0_atoms, g1_atoms, weights, cfg.epsilon)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-12 * max(1.0, abs(obj)):
             converged = True

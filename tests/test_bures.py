@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frgeo import bures
 from frgeo.bures import (
     _action_gradient,
     _forward_integrate,
@@ -10,7 +11,7 @@ from frgeo.bures import (
     dynamical_bures_solver,
     spherical_bures,
 )
-from frgeo.exceptions import NotPSDError, NotUnitTraceError
+from frgeo.exceptions import NotPSDError, NotUnitTraceError, SingularMatrixError
 from frgeo.hpsd import frobenius_inner, psd_sqrt
 from frgeo.testing import random_density, random_hermitian, random_psd, random_spd
 
@@ -140,6 +141,13 @@ class TestBuresGeodesic:
         assert geo.meta["endpoint_error"] <= 1e-6
         assert np.linalg.norm(geo.points[0] - a0) <= 1e-6
         assert np.linalg.norm(geo.points[-1] - a1) <= 1e-6
+
+    def test_regularization_error_is_precondition(self, rng, monkeypatch):
+        monkeypatch.setattr(bures, "GEODESIC_ENDPOINT_TOL", 0.0)
+        a0 = random_psd(rng, 3, rank=1)
+        a1 = random_psd(rng, 3)
+        with pytest.raises(SingularMatrixError, match="regularized geodesic start error"):
+            bures_geodesic(a0, a1, [0.0, 0.5, 1.0])
 
     def test_both_endpoints_singular(self, rng):
         a0 = random_psd(rng, 3, rank=2)

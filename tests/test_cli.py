@@ -117,6 +117,20 @@ class TestGeodesicCommand:
         assert max(speeds) - min(speeds) <= 0.02 * max(speeds)
 
 
+    def test_regularized_start_error_exit_3(self, workdir, tmp_path, monkeypatch, capsys):
+        from frgeo import bures
+
+        monkeypatch.setattr(bures, "GEODESIC_ENDPOINT_TOL", 0.0)
+        g0 = fio.load_measure(workdir["g0"])
+        singular = g0.with_atoms(np.stack([np.diag([0.5, 0.0]), np.diag([0.25, 0.25])]).astype(complex))
+        p = str(tmp_path / "singular.json")
+        fio.save_measure(p, singular)
+        out = os.path.join(workdir["dir"], "geo_s")
+        code = main(["geodesic", p, workdir["g1"], "--steps", "4", "--out", out])
+        assert code == 3
+        assert "regularized geodesic start error" in capsys.readouterr().err
+
+
 class TestHeatflowCommand:
     def test_writes_table(self, workdir):
         out = os.path.join(workdir["dir"], "flow.csv")

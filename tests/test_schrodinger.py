@@ -18,6 +18,7 @@ from frgeo.fisher_rao import (
 )
 from frgeo.measures import (
     MatrixMeasure,
+    ReferenceMeasure,
     Support,
     make_support,
     mass,
@@ -59,6 +60,18 @@ def reachable_real_spd_pair(rng, d, epsilon, spread=0.7):
         a1 = a0 + spread * 2.0 * epsilon * s
         if float(np.linalg.eigvalsh(a1).min()) > 0.02:
             return a0, a1
+
+
+def zero_weight_boundary_pair():
+    """Endpoints on two points whose second atom has zero reference weight
+    and a rank-deficient initial fiber (finite entropy, singular Bures edge)."""
+    sup = make_support(2)
+    lam = ReferenceMeasure(sup, 2, np.array([0.5, 0.0]))
+    g0 = MatrixMeasure(sup, np.stack([np.diag([0.4, 0.3]), np.diag([0.3, 0.0])]).astype(complex))
+    g1 = MatrixMeasure(
+        sup, np.stack([np.array([[0.5, 0.1], [0.1, 0.3]]), np.diag([0.1, 0.1])]).astype(complex)
+    )
+    return g0, g1, lam
 
 
 class TestConfig:
@@ -168,21 +181,17 @@ class TestRecoverySequence:
 
 
 class TestSolveBridge:
-    def test_local_gradient_matches_full_objective_fd(self, rng):
-        # The solver differentiates only the objective terms touched by each
-        # slice; cross-check against brute-force differences of the full
-        # objective.
+    @staticmethod
+    def check_gradient_against_fd(rng, g0, g1, lam):
+        # The closed-form gradient against brute-force central differences of
+        # the full objective, at random interior factors.
         from frgeo.hpsd import psd_sqrt
         from frgeo.schrodinger import _bridge_gradient, _factors_to_slice, _stack_objective
 
-        n, d, n_steps = 2, 2, 8
-        sup = make_support(n)
-        lam = uniform_reference(sup, d)
-        g0 = random_finite_entropy_measure(rng, n, d, support=sup, lam=lam)
-        g1 = random_finite_entropy_measure(rng, n, d, support=sup, lam=lam)
+        n, d, n_steps = g0.n, g0.atoms.shape[-1], 8
         eps = 0.3
         interior = [
-            random_finite_entropy_measure(rng, n, d, support=sup, lam=lam)
+            random_finite_entropy_measure(rng, n, d, support=lam.support, lam=lam)
             for _ in range(n_steps - 1)
         ]
         factors = np.stack(
@@ -194,7 +203,8 @@ class TestSolveBridge:
             kin, fis = _stack_objective(stacked, lam.weights, eps)
             return kin + fis
 
-        grad = _bridge_gradient(factors, g0.atoms, g1.atoms, lam.weights, eps, 1e-6)
+        grad = _bridge_gradient(factors, g0.atoms, g1.atoms, lam.weights, eps)
+        assert np.all(np.isfinite(grad))
         h = 1e-7
         for _ in range(20):
             k = int(rng.integers(0, n_steps - 1))
@@ -208,6 +218,22 @@ class TestSolveBridge:
             num = (full_obj(fp) - full_obj(fm)) / (2 * h)
             ana = grad[k, i, r, c].real if part == 0 else grad[k, i, r, c].imag
             assert num == pytest.approx(ana, rel=1e-4, abs=1e-8)
+
+    def test_analytic_gradient_matches_full_objective_fd(self, rng):
+        g0, g1, lam = finite_entropy_pair(rng)
+        self.check_gradient_against_fd(rng, g0, g1, lam)
+
+    def test_analytic_gradient_finite_at_zero_weight_atom(self, rng):
+        # A zero-weight atom with a rank-deficient initial fiber: the first
+        # Bures edge is singular, where a naive inverse gives NaN.
+        g0, g1, lam = zero_weight_boundary_pair()
+        self.check_gradient_against_fd(rng, g0, g1, lam)
+
+    def test_zero_weight_rank_deficient_endpoint_converges(self):
+        g0, g1, lam = zero_weight_boundary_pair()
+        res = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.2, n_steps=12))
+        assert res.converged
+        assert res.objective == pytest.approx(0.3555451069311062, rel=1e-8)
 
     def test_identical_equilibrium_endpoints(self):
         lam = uniform_reference(make_support(2), 2)

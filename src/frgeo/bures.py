@@ -26,6 +26,7 @@ from .hpsd import (
     sym_product,
     zero_floor,
 )
+from .optim import lbfgs
 
 UNIT_TRACE_TOL = 1e-9
 GEODESIC_REG_SCALE = 1e-8
@@ -52,12 +53,19 @@ class FiberGeodesic:
 
 @dataclass(frozen=True)
 class BuresActionResult:
-    """Outcome of the dynamical action minimization."""
+    """Outcome of the dynamical action minimization.
+
+    ``stop_reason`` is how the final inner descent stopped
+    (``gradient_tol``, ``stall`` or ``line_search_exhausted``) once the
+    endpoint constraint is met, and ``budget`` when the iteration or
+    multiplier-update budget ran out first; ``converged`` is exactly
+    ``stop_reason != "budget"``."""
 
     value: float
     path: FiberGeodesic
     converged: bool
     iterations: int
+    stop_reason: str
 
 
 def _cross_trace(a0: np.ndarray, a1: np.ndarray) -> float:
@@ -244,11 +252,12 @@ def dynamical_bures_solver(
 
     The path is integrated from stacked velocities with the explicit midpoint
     rule; the free endpoint is pinned by an augmented-Lagrangian penalty whose
-    squared mismatch is driven below ``endpoint_tol``. Optimization is plain
-    gradient descent with backtracking line search (adjoint gradients).
+    squared mismatch is driven below ``endpoint_tol``. Each multiplier update
+    restarts the shared L-BFGS routine (:func:`frgeo.optim.lbfgs`) on the
+    augmented Lagrangian, along adjoint gradients.
 
-    Returns the action value, the discrete path, a convergence flag and the
-    total iteration count. Singular inputs are shifted by
+    Returns the action value, the discrete path, a convergence flag, the
+    total iteration count and the stop reason. Singular inputs are shifted by
     ``1e-8 * max(tr a0, tr a1)`` before solving.
     """
     if n_steps < 8:
@@ -261,7 +270,7 @@ def dynamical_bures_solver(
         times = np.linspace(0.0, 1.0, n_steps + 1)
         zeros = np.zeros((n_steps + 1, d, d), dtype=complex)
         path = FiberGeodesic(a0, a1, times, zeros, tuple([None] * (n_steps + 1)), {"mode": "apex"})
-        return BuresActionResult(0.0, path, True, 0)
+        return BuresActionResult(0.0, path, True, 0, "gradient_tol")
     delta = 0.0
     if not (is_positive_definite(a0) and is_positive_definite(a1)):
         delta = GEODESIC_REG_SCALE * scale
@@ -274,62 +283,45 @@ def dynamical_bures_solver(
     mu = np.zeros((d, d), dtype=complex)
     beta = 100.0 / max(scale, 1e-12)
     total_iters = 0
-    converged = False
     prev_action = np.inf
 
-    def lagrangian(states, action):
+    def lagrangian(vel):
+        states, mids, action = _forward_integrate(a0, vel, dt)
         v = states[-1] - a1
-        return action + frobenius_inner(mu, v) + 0.5 * beta * frobenius_norm(v) ** 2
+        obj = action + frobenius_inner(mu, v) + 0.5 * beta * frobenius_norm(v) ** 2
+        return obj, (states, mids, action)
 
-    states, mids, action = _forward_integrate(a0, us, dt)
-    obj = lagrangian(states, action)
-    step = 1.0
+    def gradient(vel, aux):
+        states, mids, _ = aux
+        return _action_gradient(a0, vel, dt, mu + beta * (states[-1] - a1), states, mids)
 
+    obj, aux = lagrangian(us)
+    stop_reason = "budget"
     for outer in range(60):
-        # Inner loop: descend the augmented Lagrangian at fixed multiplier.
-        # Steps are seeded with the Barzilai-Borwein length and safeguarded
-        # by backtracking, which keeps the descent strictly monotone.
-        inner_tol = 1e-7 if outer < 3 else 1e-11
-        us_prev = grads_prev = None
-        recent: list[float] = [obj]
-        for _inner in range(400):
-            if total_iters >= max_iters:
-                break
-            total_iters += 1
-            v = states[-1] - a1
-            grads = _action_gradient(a0, us, dt, mu + beta * v, states, mids)
-            gnorm2 = float(np.real(np.vdot(grads, grads)))
-            if gnorm2 <= (1e-14 * max(1.0, obj)) ** 2:
-                break
-            trial = min(step * 2.0, 1e6)
-            if grads_prev is not None:
-                du = (us - us_prev).ravel()
-                dg = (grads - grads_prev).ravel()
-                denom = float(np.real(np.vdot(du, dg)))
-                if denom > 0.0:
-                    trial = float(np.clip(np.real(np.vdot(du, du)) / denom, 1e-12, 1e6))
-            us_prev, grads_prev = us, grads
-            accepted = False
-            while trial > 1e-18:
-                us_new = us - trial * grads
-                states_new, mids_new, action_new = _forward_integrate(a0, us_new, dt)
-                obj_new = lagrangian(states_new, action_new)
-                if obj_new < obj:
-                    us, states, mids, action, obj = us_new, states_new, mids_new, action_new, obj_new
-                    step = trial
-                    accepted = True
-                    break
-                trial *= 0.5
-            if not accepted:
-                break
-            recent.append(obj)
-            if len(recent) >= 6:
-                if recent[-6] - recent[-1] <= inner_tol * max(abs(recent[-1]), 1e-30):
-                    break
-                recent.pop(0)
+        # Descend the augmented Lagrangian at fixed multiplier, with fresh
+        # quasi-Newton memory since the multiplier changes the objective.
+        res = lbfgs(
+            lagrangian,
+            gradient,
+            us,
+            obj,
+            aux,
+            max_iters=min(400, max_iters - total_iters),
+            step_init=1.0,
+            step_shrink=0.5,
+            objective_tol=1e-7 if outer < 3 else 1e-11,
+            gradient_tol=1e-14,
+        )
+        us, aux = res.x, res.aux
+        states, _, action = aux
+        total_iters += res.iterations
         violation = frobenius_norm(states[-1] - a1) ** 2
-        if violation <= endpoint_tol and abs(action - prev_action) <= 1e-9 * max(1.0, abs(action)):
-            converged = True
+        if (
+            res.stop_reason != "budget"
+            and violation <= endpoint_tol
+            and abs(action - prev_action) <= 1e-9 * max(1.0, abs(action))
+        ):
+            stop_reason = res.stop_reason
             break
         if total_iters >= max_iters:
             break
@@ -337,7 +329,8 @@ def dynamical_bures_solver(
         mu = mu + beta * (states[-1] - a1)
         if violation > 0.1 * frobenius_norm(mu) ** 2 / max(beta, 1.0) ** 2 or outer >= 2:
             beta *= 3.0
-        obj = lagrangian(states, action)
+        obj, aux = lagrangian(us)
+    converged = stop_reason != "budget"
 
     times = np.linspace(0.0, 1.0, n_steps + 1)
     velocities = tuple(us[min(k, n_steps - 1)] for k in range(n_steps + 1))
@@ -349,4 +342,4 @@ def dynamical_bures_solver(
         "iterations": total_iters,
     }
     path = FiberGeodesic(a0, a1, times, states, velocities, meta)
-    return BuresActionResult(float(action), path, converged, total_iters)
+    return BuresActionResult(float(action), path, converged, total_iters, stop_reason)

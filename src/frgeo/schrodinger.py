@@ -7,7 +7,7 @@ the closed-form Fisher-Rao distance between consecutive slices,
 ``(N/2) * sum_k d_FR(G_k, G_{k+1})^2``, and the Fisher term by the trapezoid
 rule. Interior slices are parametrized as ``G_i = C_i C_i* / (sum_j tr C_j
 C_j*)`` with free complex factors, which keeps every iterate PSD and exactly
-unit-mass without projections. The solver descends along the closed-form
+unit-mass without projections. The solver runs L-BFGS along the closed-form
 (adjoint) gradient of the objective in those factors.
 
 The module also provides the heat-flow recovery perturbation (which both
@@ -44,6 +44,7 @@ from .measures import (
     mass,
     tv_distance,
 )
+from .optim import lbfgs
 
 SINGULAR_DENSITY_FLOOR = 1e-14
 
@@ -68,7 +69,10 @@ class SchrodingerConfig:
 
 @dataclass(frozen=True)
 class BridgeResult:
-    """Converged bridge path plus its objective decomposition."""
+    """Bridge path plus its objective decomposition and how the solve
+    stopped: ``gradient_tol``, ``stall`` (including a line search that fails
+    at the objective's round-off floor), ``line_search_exhausted`` or
+    ``budget``."""
 
     path: MeasurePath
     kinetic: float
@@ -76,6 +80,7 @@ class BridgeResult:
     objective: float
     converged: bool
     iterations: int
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -293,11 +298,14 @@ def solve_bridge(
     Initialization is the heat-flow recovery perturbation of the Fisher-Rao
     geodesic (always a finite-objective interior competitor) unless an
     explicit ``init_path`` on the same grid is supplied (used for
-    warm-started temperature sweeps). Descent is plain gradient descent on
-    the stacked factors, along the closed-form gradient of the objective,
-    with backtracking line search; the objective never
-    increases across iterations, and steps that would make an interior
-    density singular price themselves out through an infinite objective.
+    warm-started temperature sweeps). The shared L-BFGS routine
+    (:func:`frgeo.optim.lbfgs`) descends on the stacked factors along the
+    closed-form gradient of the objective, seeding steepest-descent steps
+    with ``cfg.step_init`` and backtracking by ``cfg.step_shrink``; the
+    objective strictly decreases across accepted steps, and steps that would
+    make an interior density singular price themselves out through an
+    infinite objective. ``converged`` is ``stop_reason`` in ``gradient_tol``
+    or ``stall``.
     """
     check_same_support(g0, g1)
     check_reference_support(g0, lam)
@@ -328,56 +336,39 @@ def solve_bridge(
     weights = lam.weights
     g0_atoms, g1_atoms = g0.atoms, g1.atoms
 
-    def objective(fac: np.ndarray) -> tuple[float, float, float]:
+    def objective(fac: np.ndarray) -> tuple[float, tuple[float, float]]:
         if not np.all(np.isfinite(fac)):
-            return math.inf, math.inf, math.inf
+            return math.inf, (math.inf, math.inf)
         stacked = np.concatenate([g0_atoms[None], _factors_to_slice(fac), g1_atoms[None]])
         if not np.all(np.isfinite(stacked)):
-            return math.inf, math.inf, math.inf
+            return math.inf, (math.inf, math.inf)
         kin, fis = _stack_objective(stacked, weights, cfg.epsilon)
-        return kin + fis, kin, fis
+        return kin + fis, (kin, fis)
 
-    obj, kin, fis = objective(factors)
+    obj, parts = objective(factors)
     if math.isinf(obj):
         raise FRGeoError("initialization has infinite objective; endpoints too degenerate")
 
-    history = [obj]
-    step = cfg.step_init
-    iterations = 0
-    converged = False
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        grad = _bridge_gradient(factors, g0_atoms, g1_atoms, weights, cfg.epsilon)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-12 * max(1.0, abs(obj)):
-            converged = True
-            break
-        accepted = False
-        trial = min(step * 2.0, 1e3)
-        while trial > 1e-16:
-            cand = factors - trial * grad
-            obj_new, kin_new, fis_new = objective(cand)
-            if obj_new < obj:
-                factors, obj, kin, fis = cand, obj_new, kin_new, fis_new
-                step = trial
-                accepted = True
-                break
-            trial *= cfg.step_shrink
-        if not accepted:
-            converged = gnorm <= 1e-6 * max(1.0, abs(obj))
-            break
-        history.append(obj)
-        if len(history) >= 11:
-            drop = history[-11] - history[-1]
-            if drop < cfg.objective_tol * max(abs(history[-11]), 1e-30):
-                converged = True
-                break
+    res = lbfgs(
+        objective,
+        lambda fac, _: _bridge_gradient(fac, g0_atoms, g1_atoms, weights, cfg.epsilon),
+        factors,
+        obj,
+        parts,
+        max_iters=cfg.max_iters,
+        step_init=cfg.step_init,
+        step_shrink=cfg.step_shrink,
+        objective_tol=cfg.objective_tol,
+        gradient_tol=1e-12,
+    )
+    kin, fis = res.aux
+    converged = res.stop_reason in ("gradient_tol", "stall")
 
-    interior = _factors_to_slice(factors)
+    interior = _factors_to_slice(res.x)
     slices = [g0] + [g0.with_atoms(interior[k]) for k in range(n_steps - 1)] + [g1]
     meta = {"spherical": True, "epsilon": cfg.epsilon, "metric": "fisher_rao"}
     path = MeasurePath(times, tuple(slices), None, meta)
-    return BridgeResult(path, kin, fis, obj, converged, iterations)
+    return BridgeResult(path, kin, fis, res.f, converged, res.iterations, res.stop_reason)
 
 
 # ---------------------------------------------------------------------------

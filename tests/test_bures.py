@@ -241,6 +241,7 @@ class TestDynamicalSolver:
         a0, a1 = random_spd(rng, 2), random_spd(rng, 2)
         res = dynamical_bures_solver(a0, a1, 8, max_iters=3)
         assert not res.converged
+        assert res.stop_reason == "budget"
         assert res.iterations <= 3
 
     def test_rejects_small_grid(self, rng):

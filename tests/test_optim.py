@@ -1,0 +1,78 @@
+import numpy as np
+import pytest
+
+from frgeo.optim import lbfgs
+
+
+def run(fun, grad, x0, **kw):
+    f0, aux0 = fun(x0)
+    opts = dict(max_iters=500, step_init=1.0, step_shrink=0.5, objective_tol=1e-9, gradient_tol=1e-10)
+    opts.update(kw)
+    return lbfgs(fun, grad, x0, f0, aux0, **opts)
+
+
+def complex_quadratic(rng, n=8, cond=1e4):
+    """``f(x) = Re <x, A x> / 2 - Re <b, x>`` with Hermitian ``A`` of the given
+    condition number; its real gradient is ``A x - b``."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = (q * np.logspace(0.0, np.log10(cond), n)) @ np.conj(q.T)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def fun(x):
+        ax = a @ x
+        return 0.5 * float(np.real(np.vdot(x, ax))) - float(np.real(np.vdot(b, x))), ax
+
+    return fun, lambda x, ax: ax - b, np.linalg.solve(a, b)
+
+
+def test_ill_conditioned_complex_quadratic_reaches_gradient_tol(rng):
+    fun, grad, x_star = complex_quadratic(rng)
+    # The tolerance sits well above the gradient norm (~5e-6) at which the
+    # decreases along the stiff directions fall below the objective's round-off.
+    res = run(fun, grad, np.zeros(8, dtype=complex), objective_tol=0.0, gradient_tol=1e-4)
+    assert res.stop_reason == "gradient_tol"
+    assert np.linalg.norm(res.grad) <= 1e-4 * max(1.0, abs(res.f))
+    assert np.abs(res.x - x_star).max() <= 1e-4 * np.abs(x_star).max()
+    # Steepest descent, at rate 1 - 2 / (1 + cond), would need ~1e5 steps.
+    assert res.iterations <= 300
+
+
+def test_every_accepted_objective_strictly_decreases():
+    # Rosenbrock's valley yields steps of negative curvature, so this also
+    # covers the curvature skip (with stale memory kept, it hits the budget).
+    def fun(x):
+        f = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+        return f, f
+
+    accepted = []
+
+    def grad(x, f):
+        accepted.append(f)
+        return np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2), 200.0 * (x[1] - x[0] ** 2)])
+
+    res = run(fun, grad, np.array([-1.2, 1.0]), objective_tol=0.0, gradient_tol=1e-9)
+    assert res.stop_reason == "gradient_tol"
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
+    assert len(accepted) > 10
+    assert all(b < a for a, b in zip(accepted, accepted[1:]))
+
+
+def test_budget(rng):
+    fun, grad, _ = complex_quadratic(rng)
+    res = run(fun, grad, np.zeros(8, dtype=complex), max_iters=2)
+    assert res.stop_reason == "budget"
+    assert res.iterations <= 2
+
+
+@pytest.mark.parametrize("objective_tol, reason", [(1e-3, "stall"), (1e-6, "line_search_exhausted")])
+def test_unresolvable_descent_follows_predicted_decrease(objective_tol, reason):
+    # The objective is quantized, so no step of |x|^2 / 2 < 1e-3 lowers it,
+    # although the gradient promises a decrease of |x|^2 / 2 = 5e-5 at t = 1.
+    def fun(x):
+        return 1.0 + np.floor(500.0 * float(x @ x)) / 1e3, None
+
+    x0 = np.array([6e-3, 8e-3])
+    res = run(fun, lambda x, _: x, x0, objective_tol=objective_tol, gradient_tol=0.0)
+    assert res.stop_reason == reason
+    assert res.f == 1.0
+    assert np.array_equal(res.x, x0)

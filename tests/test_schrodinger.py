@@ -324,7 +324,24 @@ class TestSolveBridge:
         cfg = SchrodingerConfig(epsilon=0.3, n_steps=8, max_iters=2)
         res = solve_bridge(g0, g1, lam, cfg)
         assert not res.converged
+        assert res.stop_reason == "budget"
         assert res.iterations <= 2
+
+    def test_roundoff_floor_stop_counts_as_stall(self):
+        # The CLI fixture's construction at seed 4: L-BFGS reaches the
+        # objective's round-off floor before the stall window fills, and the
+        # line search then fails at a model decrease far below
+        # objective_tol * |f|, with a gradient norm just above 1e-6.
+        rng = np.random.default_rng(4)
+        sup = make_support(2)
+        lam = uniform_reference(sup, 2)
+        g0 = random_finite_entropy_measure(rng, 2, 2, blend=0.5, support=sup, lam=lam)
+        g1 = random_finite_entropy_measure(rng, 2, 2, blend=0.5, support=sup, lam=lam)
+        res = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.5, n_steps=8))
+        assert res.converged
+        assert res.stop_reason == "stall"
+        # Plain backtracking gradient descent stopped here (its stall window).
+        assert res.objective <= 0.2789371908210176
 
 
 class TestGaussianOracle:

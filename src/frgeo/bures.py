@@ -16,15 +16,18 @@ import numpy as np
 from .exceptions import NotUnitTraceError, SingularMatrixError
 from .hpsd import (
     clamp_psd,
+    cross_trace,
+    from_spectrum,
     frobenius_inner,
     frobenius_norm,
     hermitian_part,
     is_positive_definite,
-    psd_rank,
+    psd_spectrum,
     psd_sqrt,
+    solve_sylvester_eigh,
     solve_sylvester_velocity,
+    spectral_rank,
     sym_product,
-    zero_floor,
 )
 from .optim import lbfgs
 
@@ -35,12 +38,12 @@ GEODESIC_ENDPOINT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class FiberGeodesic:
-    """Sampled path between two PSD fibers.
+    """Sampled path between two PSD fibers (or two stacks of fibers).
 
-    ``points[k]`` is the matrix at ``times[k]``; ``velocities[k]`` solves the
-    continuity equation at that sample where the point is nonsingular, and is
-    None otherwise. ``meta`` records construction details (regularization
-    shift, solver convergence, ...).
+    ``points[k]`` is the matrix (or stack) at ``times[k]``; ``velocities[k]``
+    solves the continuity equation at that sample where the point is
+    nonsingular, and is None otherwise. ``meta`` records construction details
+    (regularization shift, solver convergence, ...).
     """
 
     a0: np.ndarray
@@ -68,13 +71,14 @@ class BuresActionResult:
     stop_reason: str
 
 
-def _cross_trace(a0: np.ndarray, a1: np.ndarray) -> float:
-    """``tr sqrt(sqrt(a0) a1 sqrt(a0))`` with noise-level eigenvalues floored
-    to zero (they would otherwise enter as sqrt(noise) ~ 1e-8)."""
-    s0 = psd_sqrt(a0)
-    inner = hermitian_part(s0 @ a1 @ s0)
-    w = zero_floor(np.linalg.eigvalsh(inner))
-    return float(np.sum(np.sqrt(w)))
+def bures_distance_sq_stack(a0: np.ndarray, a1: np.ndarray, labels=None) -> np.ndarray:
+    """Squared Bures-Wasserstein distances between paired fibers of two
+    ``(..., d, d)`` stacks, one per pair; ``labels`` name the fibers in a
+    :class:`~frgeo.exceptions.NotPSDError`."""
+    tr0 = np.real(np.trace(a0, axis1=-2, axis2=-1))
+    tr1 = np.real(np.trace(a1, axis1=-2, axis2=-1))
+    a1 = clamp_psd(a1, labels=labels)
+    return np.maximum(tr0 + tr1 - 2.0 * cross_trace(psd_sqrt(a0, labels=labels), a1), 0.0)
 
 
 def bures_distance_sq(a0: np.ndarray, a1: np.ndarray) -> float:
@@ -84,10 +88,7 @@ def bures_distance_sq(a0: np.ndarray, a1: np.ndarray) -> float:
     The two trace orderings agree; this one puts ``a0`` outside. Both inputs
     must be PSD (within the clamping floor).
     """
-    tr0 = float(np.real(np.trace(a0)))
-    tr1 = float(np.real(np.trace(a1)))
-    a1 = clamp_psd(a1)
-    return max(tr0 + tr1 - 2.0 * _cross_trace(a0, a1), 0.0)
+    return float(bures_distance_sq_stack(a0, a1))
 
 
 def spherical_bures(a0: np.ndarray, a1: np.ndarray) -> float:
@@ -100,15 +101,71 @@ def spherical_bures(a0: np.ndarray, a1: np.ndarray) -> float:
     return float(np.arccos(arg))
 
 
-def optimal_transport_map(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """The Hermitian PSD map ``T`` with ``T a0 T = a1`` for definite ``a0``:
+def optimal_transport_map(w: np.ndarray, v: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """The Hermitian PSD map ``T`` with ``T a0 T = a1`` for definite
+    ``a0 = v diag(w) v*`` (per pair of a stack), given by that decomposition:
     ``T = a0^{-1/2} (a0^{1/2} a1 a0^{1/2})^{1/2} a0^{-1/2}``."""
-    w, v = np.linalg.eigh(a0)
     s = np.sqrt(np.clip(w, 0.0, None))
-    sqrt_a0 = (v * s) @ np.conj(v.T)
-    inv_sqrt_a0 = (v / s) @ np.conj(v.T)
+    sqrt_a0 = from_spectrum(v, s)
+    # Divide rather than scale by 1 / s: the regularized start amplifies
+    # that 1-ulp difference about 1e5-fold in the geodesic points.
+    inv_sqrt_a0 = (v / s[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     middle = psd_sqrt(hermitian_part(sqrt_a0 @ a1 @ sqrt_a0))
     return hermitian_part(inv_sqrt_a0 @ middle @ inv_sqrt_a0)
+
+
+def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeodesic:
+    """Geodesic samples between paired fibers of two ``(n, d, d)`` stacks,
+    each fiber as :func:`bures_geodesic` builds it: ``radial`` from a zero
+    start, ``regularized`` from a singular one, ``map`` otherwise.
+
+    ``points[k]`` is the stack at ``ts[k]``; ``velocities[k]`` is the stack
+    of fiber velocities when every fiber has one there, else None. ``meta``
+    holds the per-fiber arrays ``mode``, ``delta`` and ``endpoint_error``.
+    """
+    a0, w0, v0 = psd_spectrum(np.asarray(a0, dtype=complex), labels=labels)
+    a1 = clamp_psd(np.asarray(a1, dtype=complex), labels=labels)
+    ts = np.asarray(ts, dtype=float)
+    d = a0.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    rank = spectral_rank(w0)
+    radial = rank == 0
+    regularized = ~radial & (rank < d)
+    tr0 = np.real(np.trace(a0, axis1=-2, axis2=-1))
+    tr1 = np.real(np.trace(a1, axis1=-2, axis2=-1))
+    delta = np.where(regularized, GEODESIC_REG_SCALE * np.maximum(tr0, tr1), 0.0)
+    # Radial fibers take no map; the identity stands in as a harmless base.
+    base = np.where(radial[:, None, None], eye, a0 + delta[:, None, None] * eye)
+    # A map-mode base is a0 itself, so only shifted bases need a new eigh.
+    w_base, v_base = w0.copy(), v0.copy()
+    w_base[radial], v_base[radial] = 1.0, eye
+    w_base[regularized], v_base[regularized] = np.linalg.eigh(base[regularized])
+
+    t_map = optimal_transport_map(w_base, v_base, a1)
+    t = ts[:, None, None, None]
+    m_t = (1.0 - t) * eye + t * t_map
+    points = hermitian_part(m_t @ base @ m_t)
+    dm = t_map - eye
+    da_t = hermitian_part(dm @ base @ m_t + m_t @ base @ dm)
+    points[:, radial] = (t * t * a1)[:, radial]
+
+    w, v = np.linalg.eigh(points)
+    has_velocity = spectral_rank(w) == d
+    has_velocity[:, radial] &= (ts > 0.0)[:, None]
+    solve = has_velocity & ~radial
+    us = np.zeros_like(points)
+    us[solve] = solve_sylvester_eigh(w[solve], v[solve], da_t[solve])
+    us[:, radial] = (2.0 / np.where(ts > 0.0, ts, 1.0))[:, None, None, None] * eye
+    velocities = tuple(us[k] if has_velocity[k].all() else None for k in range(len(ts)))
+
+    endpoint_error = np.linalg.norm(base - a0, axis=(-2, -1)) * regularized
+    if np.any(endpoint_error > GEODESIC_ENDPOINT_TOL):
+        raise SingularMatrixError(
+            f"regularized geodesic start error {endpoint_error.max():.3e} exceeds {GEODESIC_ENDPOINT_TOL:.1e}"
+        )
+    mode = np.where(radial, "radial", np.where(regularized, "regularized", "map"))
+    meta = {"mode": mode, "delta": delta, "endpoint_error": endpoint_error}
+    return FiberGeodesic(a0, a1, ts, points, velocities, meta)
 
 
 def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts) -> FiberGeodesic:
@@ -120,50 +177,13 @@ def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts) -> FiberGeodesic:
     ``delta = 1e-8 * max(tr a0, tr a1)`` before applying the map; the shift
     and the resulting endpoint error are recorded in ``meta``.
     """
-    a0 = clamp_psd(np.asarray(a0, dtype=complex))
-    a1 = clamp_psd(np.asarray(a1, dtype=complex))
-    ts = np.asarray(ts, dtype=float)
-    d = a0.shape[0]
-    meta: dict = {"delta": 0.0, "mode": "map"}
-
-    if psd_rank(a0) == 0:
-        points = np.stack([t * t * a1 for t in ts])
-        velocities = tuple(
-            (2.0 / t) * np.eye(d, dtype=complex) if t > 0.0 and is_positive_definite(t * t * a1) else None
-            for t in ts
-        )
-        meta["mode"] = "radial"
-        return FiberGeodesic(a0, a1, ts, points, velocities, meta)
-
-    base = a0
-    if not is_positive_definite(a0):
-        delta = GEODESIC_REG_SCALE * max(float(np.real(np.trace(a0))), float(np.real(np.trace(a1))))
-        base = a0 + delta * np.eye(d)
-        meta["delta"] = delta
-        meta["mode"] = "regularized"
-
-    t_map = optimal_transport_map(base, a1)
-    eye = np.eye(d, dtype=complex)
-    points = []
-    velocities = []
-    for t in ts:
-        m_t = (1.0 - t) * eye + t * t_map
-        a_t = hermitian_part(m_t @ base @ m_t)
-        points.append(a_t)
-        if is_positive_definite(a_t):
-            da_t = hermitian_part((t_map - eye) @ base @ m_t + m_t @ base @ (t_map - eye))
-            velocities.append(solve_sylvester_velocity(a_t, da_t))
-        else:
-            velocities.append(None)
-    points = np.stack(points)
-
-    if meta["mode"] == "regularized":
-        meta["endpoint_error"] = frobenius_norm(base - a0)
-        if meta["endpoint_error"] > GEODESIC_ENDPOINT_TOL:
-            raise SingularMatrixError(
-                f"regularized geodesic start error {meta['endpoint_error']:.3e} exceeds {GEODESIC_ENDPOINT_TOL:.1e}"
-            )
-    return FiberGeodesic(a0, a1, ts, points, tuple(velocities), meta)
+    geo = bures_geodesic_stack(np.asarray(a0)[None], np.asarray(a1)[None], ts)
+    mode = str(geo.meta["mode"][0])
+    meta: dict = {"delta": float(geo.meta["delta"][0]), "mode": mode}
+    if mode == "regularized":
+        meta["endpoint_error"] = float(geo.meta["endpoint_error"][0])
+    velocities = tuple(None if u is None else u[0] for u in geo.velocities)
+    return FiberGeodesic(geo.a0[0], geo.a1[0], geo.times, geo.points[:, 0], velocities, meta)
 
 
 def bures_real_embedding_check(a0: np.ndarray, a1: np.ndarray) -> tuple[float, float]:
@@ -202,12 +222,6 @@ def _forward_integrate(a0: np.ndarray, us: np.ndarray, dt: float):
     return states, mids, 0.25 * dt * action
 
 
-def _herm_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``(x y + y x) / 2``, Hermitian for Hermitian inputs."""
-    xy = x @ y
-    return (xy + np.conj(xy.T)) / 2.0
-
-
 def _action_gradient(a0: np.ndarray, us: np.ndarray, dt: float, p_final: np.ndarray,
                      states: np.ndarray, mids: np.ndarray) -> np.ndarray:
     """Adjoint pass for the action plus an endpoint term with gradient
@@ -217,28 +231,14 @@ def _action_gradient(a0: np.ndarray, us: np.ndarray, dt: float, p_final: np.ndar
     p = p_final
     for k in range(n - 1, -1, -1):
         u, a, abar = us[k], states[k], mids[k]
-        q = 0.25 * dt * (u @ u) + dt * _herm_pair(p, u)
+        q = 0.25 * dt * (u @ u) + dt * sym_product(p, u)
         grads[k] = (
-            0.5 * dt * _herm_pair(abar, u)
-            + dt * _herm_pair(abar, p)
-            + 0.5 * dt * _herm_pair(a, q)
+            0.5 * dt * sym_product(abar, u)
+            + dt * sym_product(abar, p)
+            + 0.5 * dt * sym_product(a, q)
         )
-        p = p + q + 0.5 * dt * _herm_pair(q, u)
+        p = p + q + 0.5 * dt * sym_product(q, u)
     return grads
-
-
-def _initial_velocities(a0: np.ndarray, a1: np.ndarray, n_steps: int) -> np.ndarray:
-    """Velocities of the straight-line path, solved fiber by fiber.
-
-    Independent of the optimal-map construction on purpose.
-    """
-    dt = 1.0 / n_steps
-    diff = a1 - a0
-    us = np.empty((n_steps,) + a0.shape, dtype=complex)
-    for k in range(n_steps):
-        mid = a0 + (k + 0.5) * dt * diff
-        us[k] = solve_sylvester_velocity(mid, diff)
-    return us
 
 
 def dynamical_bures_solver(
@@ -277,8 +277,12 @@ def dynamical_bures_solver(
         a0 = a0 + delta * np.eye(d)
         a1 = a1 + delta * np.eye(d)
 
+    # Start from the straight line's velocities at the step midpoints,
+    # independent of the optimal-map construction on purpose.
     dt = 1.0 / n_steps
-    us = _initial_velocities(a0, a1, n_steps)
+    diff = a1 - a0
+    mids = a0 + ((np.arange(n_steps) + 0.5) * dt)[:, None, None] * diff
+    us = solve_sylvester_velocity(mids, np.broadcast_to(diff, mids.shape))
 
     mu = np.zeros((d, d), dtype=complex)
     beta = 100.0 / max(scale, 1e-12)

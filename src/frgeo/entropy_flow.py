@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotProbabilityError, SingularMatrixError
-from .hpsd import SINGULAR_FLOOR, sym_product
+from .hpsd import SINGULAR_FLOOR, eigendecomposition, from_spectrum, sym_product
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -50,45 +50,37 @@ class TangentVector:
         object.__setattr__(self, "potential", potential)
 
 
+def entropy_terms(eigs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fiber_entropies` ``(..., n)`` and :func:`fisher_information`
+    ``(...)`` of measures given by their atom eigenvalues ``(..., n, d)``."""
+    pos = weights > 0.0
+    dens = eigs[..., pos, :] / weights[pos][:, None]
+    singular = dens.min(axis=-1) <= SINGULAR_FLOOR
+    dens = np.where(singular[..., None], 1.0, dens)
+    fibers = np.zeros(eigs.shape[:-1])
+    fibers[..., pos] = np.where(singular, math.inf, -np.log(dens).sum(axis=-1))
+    fisher = (weights[pos] * ((1.0 / dens).sum(axis=-1) - eigs.shape[-1])).sum(axis=-1)
+    return fibers, np.where(singular.any(axis=-1), math.inf, fisher)
+
+
 def fiber_entropies(g: MatrixMeasure, lam: ReferenceMeasure) -> np.ndarray:
     """Per-atom ``-log det(G_i / w_i)`` where ``w_i > 0`` (``inf`` on singular
     densities), and ``0`` on the weightless atoms, which the entropy ignores."""
     check_reference_support(g, lam)
-    out = np.zeros(g.n)
-    for i, w in enumerate(lam.weights):
-        if w <= 0.0:
-            continue
-        eigs = np.linalg.eigvalsh(g.atoms[i]) / w
-        if float(eigs.min()) <= SINGULAR_FLOOR:
-            out[i] = math.inf
-        else:
-            out[i] = -float(np.sum(np.log(eigs)))
-    return out
+    return entropy_terms(np.linalg.eigvalsh(g.atoms), lam.weights)[0]
 
 
 def entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
     """Canonical entropy ``sum_i w_i * (-log det(G_i / w_i))`` over the
     positive-weight atoms; ``inf`` when any such density is singular."""
-    fibers = fiber_entropies(g, lam)
-    if np.any(np.isinf(fibers)):
-        return math.inf
-    return float(np.dot(lam.weights, fibers))
+    return float(np.dot(lam.weights, fiber_entropies(g, lam)))
 
 
 def fisher_information(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
     """Entropy production ``sum_i w_i tr[(G_i / w_i)^{-1} - I]`` over the
     positive-weight atoms; ``inf`` on singular densities."""
     check_reference_support(g, lam)
-    d = g.dim
-    total = 0.0
-    for i, w in enumerate(lam.weights):
-        if w <= 0.0:
-            continue
-        eigs = np.linalg.eigvalsh(g.atoms[i]) / w
-        if float(eigs.min()) <= SINGULAR_FLOOR:
-            return math.inf
-        total += w * (float(np.sum(1.0 / eigs)) - d)
-    return total
+    return float(entropy_terms(np.linalg.eigvalsh(g.atoms), lam.weights)[1])
 
 
 def heat_flow(g: MatrixMeasure, lam: ReferenceMeasure, t: float) -> MatrixMeasure:
@@ -165,17 +157,16 @@ def entropy_gradient_potential(g: MatrixMeasure, lam: ReferenceMeasure) -> Tange
     Its squared tangent norm equals the Fisher information.
     """
     check_reference_support(g, lam)
+    pos = np.flatnonzero(lam.weights > 0.0)
+    eigs, vecs = eigendecomposition(g.atoms[pos] / lam.weights[pos][:, None, None])
+    singular = eigs.min(axis=-1) <= SINGULAR_FLOOR
+    if singular.any():
+        i = pos[int(np.argmax(singular))]
+        raise SingularMatrixError(
+            f"density at point '{g.support.point_ids[i]}' is singular; gradient potential undefined"
+        )
     potential = np.zeros_like(g.atoms)
-    for i, w in enumerate(lam.weights):
-        if w <= 0.0:
-            continue
-        dens = g.atoms[i] / w
-        eigs, vecs = np.linalg.eigh(dens)
-        if float(eigs.min()) <= SINGULAR_FLOOR:
-            raise SingularMatrixError(
-                f"density at point '{g.support.point_ids[i]}' is singular; gradient potential undefined"
-            )
-        potential[i] = (vecs / eigs) @ np.conj(vecs.T)
+    potential[pos] = from_spectrum(vecs, 1.0 / eigs)
     return TangentVector(g, potential)
 
 
@@ -184,29 +175,21 @@ def von_neumann_entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
     ``rho_i = G_i / w_i``, with ``0 log 0 = 0``. Carries no convexity
     guarantees along the sphere geodesics (unlike the canonical entropy)."""
     check_reference_support(g, lam)
-    total = 0.0
-    for i, w in enumerate(lam.weights):
-        if w <= 0.0:
-            continue
-        eigs = np.clip(np.linalg.eigvalsh(g.atoms[i]) / w, 0.0, None)
-        pos = eigs[eigs > 0.0]
-        total += w * float(np.sum(pos * np.log(pos)))
-    return total
+    pos = lam.weights > 0.0
+    dens = np.clip(np.linalg.eigvalsh(g.atoms[pos]) / lam.weights[pos][:, None], 0.0, None)
+    xlogx = np.where(dens > 0.0, dens * np.log(np.where(dens > 0.0, dens, 1.0)), 0.0)
+    return float(np.dot(lam.weights[pos], xlogx.sum(axis=-1)))
 
 
 def flow_table(g: MatrixMeasure, lam: ReferenceMeasure, ts) -> list[tuple[float, float, float, float, float]]:
-    """Rows ``(t, entropy, fisher, mass, tv_to_equilibrium)`` along the flow."""
+    """Rows ``(t, entropy, fisher, mass, tv_to_equilibrium)`` along the flow,
+    with one eigenvalue call for the entropies and Fisher informations."""
     target = reference_identity(lam)
-    rows = []
-    for t in ts:
-        st = heat_flow(g, lam, float(t))
-        rows.append(
-            (
-                float(t),
-                entropy(st, lam),
-                fisher_information(st, lam),
-                mass(st),
-                tv_distance(st, target),
-            )
-        )
-    return rows
+    flows = [heat_flow(g, lam, float(t)) for t in ts]
+    if not flows:
+        return []
+    fibers, fishers = entropy_terms(np.linalg.eigvalsh(np.stack([st.atoms for st in flows])), lam.weights)
+    return [
+        (float(t), float(np.dot(lam.weights, f)), float(fi), mass(st), tv_distance(st, target))
+        for t, st, f, fi in zip(ts, flows, fibers, fishers)
+    ]

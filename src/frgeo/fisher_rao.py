@@ -70,10 +70,20 @@ class MeasurePath:
 def hellinger_distance_sq(g0: MatrixMeasure, g1: MatrixMeasure) -> float:
     """Four times the fiberwise sum of squared Bures distances."""
     check_same_support(g0, g1)
-    total = 0.0
-    for i in range(g0.n):
-        total += bures.bures_distance_sq(g0.atoms[i], g1.atoms[i])
-    return 4.0 * total
+    return float(_hellinger_sq([g0], [g1])[0])
+
+
+def _hellinger_sq(starts, ends) -> np.ndarray:
+    """``d_H^2`` between the paired measures of two sequences on one support,
+    in one stack call."""
+    stack = [np.stack([g.atoms for g in gs]) for gs in (starts, ends)]
+    return 4.0 * bures.bures_distance_sq_stack(*stack, starts[0].support.point_ids).sum(axis=-1)
+
+
+def fisher_rao_from_hellinger(dh_sq):
+    """Sphere distance from the squared Hellinger distance ``dh_sq`` (array
+    or scalar) by the inverted cone law ``2 arccos(1 - d_H^2 / 8)``."""
+    return 2.0 * np.arccos(np.clip(1.0 - dh_sq / 8.0, -1.0, 1.0))
 
 
 def _check_probability(g: MatrixMeasure, label: str) -> None:
@@ -86,8 +96,7 @@ def fisher_rao_distance(g0: MatrixMeasure, g1: MatrixMeasure) -> float:
     """Sphere distance ``2 arccos(1 - d_H^2 / 8)``, in ``[0, pi]``."""
     _check_probability(g0, "first measure")
     _check_probability(g1, "second measure")
-    arg = np.clip(1.0 - hellinger_distance_sq(g0, g1) / 8.0, -1.0, 1.0)
-    return float(2.0 * np.arccos(arg))
+    return float(fisher_rao_from_hellinger(hellinger_distance_sq(g0, g1)))
 
 
 def cone_scaling_check(
@@ -107,15 +116,12 @@ def cone_scaling_check(
 def _discrete_ode_residual(times, slices, velocities) -> float:
     """Max TV residual of ``(G_{k+1} - G_k)/dt = (G_k U_k)^Sym`` over steps
     with a velocity attached."""
-    worst = 0.0
-    for k in range(len(slices) - 1):
-        u = velocities[k]
-        if u is None:
-            continue
-        dt = times[k + 1] - times[k]
-        resid = (slices[k + 1].atoms - slices[k].atoms) / dt - sym_product(slices[k].atoms, u)
-        worst = max(worst, float(np.linalg.norm(resid, axis=(1, 2)).sum()))
-    return worst
+    resids = (
+        np.linalg.norm((b.atoms - a.atoms) / (t1 - t0) - sym_product(a.atoms, u), axis=(1, 2)).sum()
+        for t0, t1, a, b, u in zip(times, times[1:], slices, slices[1:], velocities)
+        if u is not None
+    )
+    return float(max(resids, default=0.0))
 
 
 def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
@@ -125,21 +131,11 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     velocities are attached whenever every fiber admits one.
     """
     check_same_support(g0, g1)
-    ts = np.asarray(ts, dtype=float)
-    fiber_paths = [bures.bures_geodesic(g0.atoms[i], g1.atoms[i], ts) for i in range(g0.n)]
-    slices = []
-    velocities = []
-    for k in range(len(ts)):
-        atoms = np.stack([fp.points[k] for fp in fiber_paths])
-        slices.append(g0.with_atoms(atoms))
-        fiber_us = [fp.velocities[k] for fp in fiber_paths]
-        velocities.append(np.stack(fiber_us) if all(u is not None for u in fiber_us) else None)
-    meta = {
-        "metric": "hellinger",
-        "fiber_deltas": [fp.meta.get("delta", 0.0) for fp in fiber_paths],
-    }
-    meta["ode_residual"] = _discrete_ode_residual(ts, slices, velocities)
-    return MeasurePath(ts, tuple(slices), tuple(velocities), meta)
+    geo = bures.bures_geodesic_stack(g0.atoms, g1.atoms, ts, g0.support.point_ids)
+    slices = tuple(g0.with_atoms(atoms) for atoms in geo.points)
+    meta = {"metric": "hellinger", "fiber_deltas": geo.meta["delta"].tolist()}
+    meta["ode_residual"] = _discrete_ode_residual(geo.times, slices, geo.velocities)
+    return MeasurePath(geo.times, slices, geo.velocities, meta)
 
 
 def _chord_parameter(theta: float, phi: float) -> float:
@@ -179,25 +175,25 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     phi = dfr / 2.0
     chord_ts = np.array([_chord_parameter(float(th), phi) for th in ts])
     chord_path = hellinger_geodesic(g0, g1, chord_ts)
-    slices = []
-    for k, theta in enumerate(ts):
-        if theta <= 0.0:
-            slices.append(g0)
-        elif theta >= 1.0:
-            slices.append(g1)
-        else:
-            g = chord_path.slices[k]
-            slices.append(g.with_atoms(g.atoms / mass(g)))
+    slices = [
+        g0 if theta <= 0.0 else g1 if theta >= 1.0 else g.with_atoms(g.atoms / mass(g))
+        for theta, g in zip(ts, chord_path.slices)
+    ]
     meta = {"metric": "fisher_rao", "spherical": True, "distance": dfr}
     return MeasurePath(ts, tuple(slices), None, meta)
 
 
-def _pair_distance(a: MatrixMeasure, b: MatrixMeasure, metric: str) -> float:
-    if metric == "hellinger":
-        return float(np.sqrt(hellinger_distance_sq(a, b)))
+def _pair_distances(starts, ends, metric: str) -> np.ndarray:
+    """Metric distances between the paired slices of two sequences taken
+    from one path."""
+    if metric not in ("hellinger", "fisher_rao"):
+        raise ValueError(f"unknown metric {metric!r}")
     if metric == "fisher_rao":
-        return fisher_rao_distance(a, b)
-    raise ValueError(f"unknown metric {metric!r}")
+        for a, b in zip(starts, ends):
+            _check_probability(a, "first measure")
+            _check_probability(b, "second measure")
+    dh_sq = _hellinger_sq(starts, ends)
+    return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 
 
 def _interpolate(a: MatrixMeasure, b: MatrixMeasure, theta: float, metric: str) -> MatrixMeasure:
@@ -222,9 +218,7 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
     n_seg = path.n_slices - 1
     if n_seg < 1:
         raise FRGeoError("need at least two slices to reparametrize")
-    lengths = np.array(
-        [_pair_distance(path.slices[k], path.slices[k + 1], metric) for k in range(n_seg)]
-    )
+    lengths = _pair_distances(path.slices[:-1], path.slices[1:], metric)
     total = float(lengths.sum())
     # Squared distances bottom out at round-off (~1e-15), so lengths below
     # ~1e-7 per segment are indistinguishable from zero.
@@ -257,13 +251,11 @@ def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
     m = path.n_slices
     if m < 2:
         raise FRGeoError("need at least two slices for a speed")
-    t = path.times
-    speeds = np.empty(m)
-    speeds[0] = _pair_distance(path.slices[0], path.slices[1], metric) / (t[1] - t[0])
-    speeds[-1] = _pair_distance(path.slices[-2], path.slices[-1], metric) / (t[-1] - t[-2])
-    for k in range(1, m - 1):
-        speeds[k] = _pair_distance(path.slices[k - 1], path.slices[k + 1], metric) / (t[k + 1] - t[k - 1])
-    return speeds
+    # Pairs (0, 1), (k - 1, k + 1) for interior k, and (m - 2, m - 1).
+    lo = np.concatenate([[0], np.arange(m - 2), [m - 2]])
+    hi = np.concatenate([[1], np.arange(2, m), [m - 1]])
+    dist = _pair_distances([path.slices[i] for i in lo], [path.slices[i] for i in hi], metric)
+    return dist / (path.times[hi] - path.times[lo])
 
 
 def velocity_speed(path: MeasurePath) -> np.ndarray | None:
@@ -271,14 +263,10 @@ def velocity_speed(path: MeasurePath) -> np.ndarray | None:
     attached; None when the path carries no velocities."""
     if path.velocities is None:
         return None
-    out = np.full(path.n_slices, np.nan)
-    for k, u in enumerate(path.velocities):
-        if u is None:
-            continue
-        atoms = path.slices[k].atoms
-        val = float(np.real(np.vdot(u, atoms @ u)))
-        out[k] = np.sqrt(max(val, 0.0))
-    return out
+    return np.array([
+        np.nan if u is None else np.sqrt(max(float(np.real(np.vdot(u, g.atoms @ u))), 0.0))
+        for g, u in zip(path.slices, path.velocities)
+    ])
 
 
 def tv_comparison_check(g0: MatrixMeasure, g1: MatrixMeasure) -> tuple[float, float, float]:

@@ -9,6 +9,11 @@ Every matrix function here runs through a single eigendecomposition backend
   inversion purposes,
 * eigenvalues below ``1e-12 * lambda_max`` count as zero in rank decisions.
 
+Every matrix function takes one ``(d, d)`` matrix or a ``(..., d, d)`` stack
+and decomposes each matrix once per call. ``labels`` (one per matrix along the
+last stack axis, such as a support's point ids) name the offending matrix in
+an error.
+
 All functions are pure and operate on immutable inputs.
 """
 
@@ -43,12 +48,16 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
 
 
-def check_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL, label: str = "matrix") -> None:
-    """Raise :class:`NotHermitianError` naming the worst offending entry."""
+def check_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL, labels=None) -> None:
+    """Raise :class:`NotHermitianError` naming the worst offending entry, and
+    the matrix holding it by its label when ``labels`` is given."""
     dev = np.abs(a - np.conj(np.swapaxes(a, -1, -2)))
     worst = float(dev.max()) if dev.size else 0.0
     if worst > atol:
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(dev)), dev.shape))
+        label = "matrix"
+        if labels is not None and len(idx) > 2:
+            label, idx = f"atom at point '{labels[idx[-3]]}'", idx[-2:]
         raise NotHermitianError(
             f"{label} is not Hermitian: entry {idx} deviates by {worst:.3e} (tolerance {atol:.1e})"
         )
@@ -71,18 +80,25 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def eigendecomposition(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
+    """Eigendecomposition of a Hermitian matrix or stack (ascending eigenvalues)."""
     w, v = np.linalg.eigh(a)
     return EigenDecomposition(w, v)
 
 
+def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``v diag(values) v*`` for each matrix of a stack."""
+    return (v * values[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+def spectral_rank(w: np.ndarray) -> np.ndarray:
+    """Ranks from ascending eigenvalues ``(..., d)``, as :func:`psd_rank` counts them."""
+    lam_max = w[..., -1:]
+    return np.where(lam_max[..., 0] > 0.0, np.count_nonzero(w > RANK_RTOL * lam_max, axis=-1), 0)
+
+
 def psd_rank(a: np.ndarray) -> int:
     """Rank of a PSD matrix, counting eigenvalues above ``1e-12 * lambda_max``."""
-    w = np.linalg.eigvalsh(a)
-    lam_max = float(w[-1])
-    if lam_max <= 0.0:
-        return 0
-    return int(np.count_nonzero(w > RANK_RTOL * lam_max))
+    return int(spectral_rank(np.linalg.eigvalsh(a)))
 
 
 def is_positive_definite(a: np.ndarray) -> bool:
@@ -90,22 +106,47 @@ def is_positive_definite(a: np.ndarray) -> bool:
     return psd_rank(a) == a.shape[-1]
 
 
-def clamp_psd(a: np.ndarray, floor: float = PSD_CLAMP_FLOOR) -> np.ndarray:
+def psd_spectrum(a: np.ndarray, floor: float = PSD_CLAMP_FLOOR, labels=None):
+    """One checked decomposition of a PSD matrix or stack: ``(clamped,
+    eigenvalues, eigenvectors)``, with eigenvalues in ``[floor, 0)`` clamped
+    to zero in both. :class:`NotPSDError` names the matrix lowest below
+    ``floor``."""
+    w, v = np.linalg.eigh(a)
+    negative = _check_psd_floor(w, floor, labels)
+    clipped = np.clip(w, 0.0, None)
+    if negative.any():
+        a = np.where(negative[..., None, None], hermitian_part(from_spectrum(v, clipped)), a)
+    return a, clipped, v
+
+
+def _check_psd_floor(w: np.ndarray, floor: float, labels) -> np.ndarray:
+    """Raise :class:`NotPSDError` naming the matrix lowest below ``floor``
+    given ascending eigenvalues ``w``; else return which matrices dip below 0."""
+    lam_min = w[..., 0] if w.size else np.zeros(w.shape[:-1])
+    worst = float(lam_min.min()) if lam_min.size else 0.0
+    if worst < floor:
+        where = "minimum eigenvalue"
+        if labels is not None and lam_min.ndim:
+            where = f"atom at point '{labels[int(np.argmin(lam_min)) % len(labels)]}' has {where}"
+        raise NotPSDError(f"{where} {worst:.3e} below PSD floor {floor:.1e}")
+    return lam_min < 0.0
+
+
+def clamp_psd(a: np.ndarray, floor: float = PSD_CLAMP_FLOOR, labels=None) -> np.ndarray:
     """Validate PSD-ness within ``floor`` and clamp slightly negative
     eigenvalues to zero.
 
     Optimizer iterates routinely drift a hair below PSD, hence the clamping
     rather than outright rejection. Raises :class:`NotPSDError` below the
-    floor.
+    floor. The check needs eigenvalues only; just the matrices that dip
+    below zero are decomposed again for the clamp.
     """
-    w, v = np.linalg.eigh(a)
-    lam_min = float(w.min()) if w.size else 0.0
-    if lam_min < floor:
-        raise NotPSDError(f"minimum eigenvalue {lam_min:.3e} below PSD floor {floor:.1e}")
-    if lam_min >= 0.0:
+    negative = _check_psd_floor(np.linalg.eigvalsh(a), floor, labels)
+    if not negative.any():
         return a
-    w = np.clip(w, 0.0, None)
-    return hermitian_part((v * w) @ np.conj(v.T))
+    a = np.array(a)
+    a[negative] = psd_spectrum(a[negative], floor)[0]
+    return a
 
 
 def zero_floor(w: np.ndarray) -> np.ndarray:
@@ -121,13 +162,30 @@ def zero_floor(w: np.ndarray) -> np.ndarray:
     return np.where(w < RANK_RTOL * lam_max, 0.0, w)
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix via its eigendecomposition."""
+def psd_sqrt(a: np.ndarray, labels=None) -> np.ndarray:
+    """Principal square root of a PSD matrix or stack via its eigendecomposition."""
+    _, w, v = psd_spectrum(a, labels=labels)
+    return hermitian_part(from_spectrum(v, np.sqrt(zero_floor(w))))
+
+
+def cross_trace(root_a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tr sqrt(root_a b root_a)`` per matrix pair, given ``root_a = a^{1/2}``,
+    with noise-level eigenvalues floored to zero (they would otherwise enter
+    as sqrt(noise) ~ 1e-8)."""
+    w = zero_floor(np.linalg.eigvalsh(hermitian_part(root_a @ b @ root_a)))
+    return np.sqrt(w).sum(axis=-1)
+
+
+def spectral_powers(a: np.ndarray, *powers: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Clamped eigenvalues and spectral powers of a PSD stack from one
+    batched ``eigh``. Negative powers invert on the range only: eigenvalues
+    at or below ``1e-14 * lambda_max`` map to zero, which keeps
+    rank-deficient matrices on the cone boundary finite."""
     w, v = np.linalg.eigh(a)
-    lam_min = float(w.min()) if w.size else 0.0
-    if lam_min < PSD_CLAMP_FLOOR:
-        raise NotPSDError(f"minimum eigenvalue {lam_min:.3e} below PSD floor {PSD_CLAMP_FLOOR:.1e}")
-    return hermitian_part((v * np.sqrt(zero_floor(w))) @ np.conj(v.T))
+    w = np.clip(w, 0.0, None)
+    on_range = w > 1e-14 * w.max(axis=-1, keepdims=True)
+    safe = np.where(on_range, w, 1.0)
+    return w, [from_spectrum(v, np.where(on_range, safe**p, 0.0) if p < 0 else w**p) for p in powers]
 
 
 def logdet(a: np.ndarray) -> float:
@@ -143,11 +201,11 @@ def logdet(a: np.ndarray) -> float:
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a positive-definite matrix through the eigen backend."""
+    """Inverse of a positive-definite matrix or stack through the eigen backend."""
     w, v = np.linalg.eigh(a)
     if float(w.min()) <= SINGULAR_FLOOR:
         raise SingularMatrixError(f"minimum eigenvalue {float(w.min()):.3e} at or below {SINGULAR_FLOOR:.1e}")
-    return hermitian_part((v / w) @ np.conj(v.T))
+    return hermitian_part(from_spectrum(v, 1.0 / w))
 
 
 def real_embedding(a: np.ndarray) -> np.ndarray:
@@ -167,7 +225,8 @@ def real_embedding(a: np.ndarray) -> np.ndarray:
 
 
 def solve_sylvester_velocity(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Solve ``(g u + u g) / 2 = xi`` for Hermitian ``u`` with ``g`` definite.
+    """Solve ``(g u + u g) / 2 = xi`` for Hermitian ``u`` with ``g`` definite
+    (per matrix of a stack).
 
     In the eigenbasis of ``g`` the solution is entrywise
     ``u_jk = 2 xi_jk / (w_j + w_k)``. Raises :class:`SingularMatrixError`
@@ -175,14 +234,19 @@ def solve_sylvester_velocity(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     uniquely defined on the kernel).
     """
     _check_same_dim(g, xi)
-    w, v = np.linalg.eigh(g)
-    if float(w.min()) <= 1e-12:
+    return solve_sylvester_eigh(*np.linalg.eigh(g), xi)
+
+
+def solve_sylvester_eigh(w: np.ndarray, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """:func:`solve_sylvester_velocity` on base points given by their
+    eigendecomposition ``(w, v)``."""
+    if w.size and float(w.min()) <= 1e-12:
         raise SingularMatrixError(
             f"base point has eigenvalue {float(w.min()):.3e} at or below 1e-12; velocity undefined on the kernel"
         )
-    xi_hat = np.conj(v.T) @ xi @ v
-    u_hat = 2.0 * xi_hat / (w[:, None] + w[None, :])
-    return hermitian_part(v @ u_hat @ np.conj(v.T))
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    u_hat = 2.0 * (vh @ xi @ v) / (w[..., :, None] + w[..., None, :])
+    return hermitian_part(v @ u_hat @ vh)
 
 
 def sym_product(x: np.ndarray, u: np.ndarray) -> np.ndarray:

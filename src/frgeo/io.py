@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import MeasureFormatError
+from .exceptions import MeasureFormatError, NotHermitianError
 from .measures import MatrixMeasure, ReferenceMeasure, Support
 
 
@@ -51,8 +51,34 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _matrix_to_pairs(a: np.ndarray) -> list:
-    return [[[float(a[r, c].real), float(a[r, c].imag)] for c in range(a.shape[1])] for r in range(a.shape[0])]
+def _matrix_texts(atoms: np.ndarray) -> list[str]:
+    """The ``_emit`` text of each atom's ``[[[re, im], ...], ...]`` matrix,
+    formatted from one ``tolist()`` of the whole ``(n, d, d)`` stack."""
+    parts = np.stack([atoms.real, atoms.imag], axis=-1)
+    finite = np.isfinite(parts).ravel()
+    if not finite.all():
+        value = float(parts.ravel()[np.argmin(finite)])
+        raise MeasureFormatError(f"cannot serialize non-finite value {value!r}")
+    d = atoms.shape[-1]
+    # The text after each number of one matrix; the last one opens the next.
+    after = ([", ", "], ["] * (d - 1) + [", ", "]], [["]) * d
+    after[-1] = "]]]\n[[["
+    # %.17g prints an integral value below 1e17 without a decimal point;
+    # %.1f prints the same digits with the ".0" that keeps it a float.
+    integral = (parts == np.round(parts)) & (np.abs(parts) < 1e17)
+    specs = np.where(integral, "%.1f", "%.17g").ravel().tolist()
+    template = "".join(map(str.__add__, specs, after * len(atoms)))
+    return ("[[[" + template % tuple(parts.ravel().tolist()))[:-4].split("\n")
+
+
+def _measure_text(g: MatrixMeasure) -> str:
+    """``_emit(measure_to_doc(g))``, byte for byte."""
+    ids = g.support.point_ids
+    atoms = ", ".join(
+        f'{{"point": {json.dumps(pid)}, "matrix": {m}}}' for pid, m in zip(ids, _matrix_texts(g.atoms))
+    )
+    support = ", ".join(json.dumps(pid) for pid in ids)
+    return f'{{"dim": {g.dim}, "support": [{support}], "atoms": [{atoms}]}}'
 
 
 def _pairs_to_matrix(rows, dim: int, where: str) -> np.ndarray:
@@ -74,13 +100,11 @@ def _pairs_to_matrix(rows, dim: int, where: str) -> np.ndarray:
 
 
 def measure_to_doc(g: MatrixMeasure) -> dict:
+    pairs = np.stack([g.atoms.real, g.atoms.imag], axis=-1).tolist()
     return {
         "dim": g.dim,
         "support": list(g.support.point_ids),
-        "atoms": [
-            {"point": pid, "matrix": _matrix_to_pairs(g.atoms[i])}
-            for i, pid in enumerate(g.support.point_ids)
-        ],
+        "atoms": [{"point": pid, "matrix": pairs[i]} for i, pid in enumerate(g.support.point_ids)],
     }
 
 
@@ -109,17 +133,12 @@ def measure_from_doc(doc: dict) -> MatrixMeasure:
             raise MeasureFormatError(f"atom point '{pid}' is not in the support")
         if pid in by_point:
             raise MeasureFormatError(f"duplicate atom for point '{pid}'")
-        m = _pairs_to_matrix(entry["matrix"], dim, where=f"atom at point '{pid}'")
-        dev = np.abs(m - m.conj().T)
-        if dev.max() > 1e-9:
-            r, c = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            raise MeasureFormatError(
-                f"atom at point '{pid}' is not Hermitian: entry ({r}, {c}) = {m[r, c]} "
-                f"vs conjugate of ({c}, {r}) = {np.conj(m[c, r])} (tolerance 1e-9)"
-            )
-        by_point[pid] = m
+        by_point[pid] = _pairs_to_matrix(entry["matrix"], dim, where=f"atom at point '{pid}'")
     atoms = np.stack([by_point[pid] for pid in support_ids])
-    return MatrixMeasure(support, atoms)
+    try:
+        return MatrixMeasure(support, atoms)
+    except NotHermitianError as exc:
+        raise MeasureFormatError(str(exc)) from exc
 
 
 def reference_to_doc(lam: ReferenceMeasure) -> dict:
@@ -146,33 +165,33 @@ def reference_from_doc(doc: dict) -> ReferenceMeasure:
 
 
 def save_measure(path: str, g: MatrixMeasure) -> None:
+    _write_line(path, _measure_text(g))
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _write_line(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_emit(measure_to_doc(g)))
+        f.write(text)
         f.write("\n")
 
 
 def load_measure(path: str) -> MatrixMeasure:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return measure_from_doc(doc)
+    return measure_from_doc(_read_json(path))
 
 
 def save_reference(path: str, lam: ReferenceMeasure) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_emit(reference_to_doc(lam)))
-        f.write("\n")
+    _write_line(path, _emit(reference_to_doc(lam)))
 
 
 def load_reference(path: str) -> ReferenceMeasure:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return reference_from_doc(doc)
+    return reference_from_doc(_read_json(path))
 
 
 def path_to_doc(times: Sequence[float], slices: Sequence[MatrixMeasure]) -> list:
@@ -184,17 +203,16 @@ def path_to_doc(times: Sequence[float], slices: Sequence[MatrixMeasure]) -> list
 
 
 def save_measure_path(path: str, times: Sequence[float], slices: Sequence[MatrixMeasure]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_emit(path_to_doc(times, slices)))
-        f.write("\n")
+    """Write ``_emit(path_to_doc(times, slices))``, built slice by slice."""
+    text = ", ".join(
+        f'{{"time": {_emit(float(t))}, "measure": {_measure_text(g)}}}'
+        for t, g in zip(times, slices, strict=True)
+    )
+    _write_line(path, f"[{text}]")
 
 
 def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise MeasureFormatError("path document must be a JSON array")
     times, slices = [], []

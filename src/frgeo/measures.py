@@ -17,7 +17,6 @@ import numpy as np
 
 from .exceptions import (
     FRGeoError,
-    NotPSDError,
     SupportMismatchError,
     ZeroAtomError,
     ZeroMassError,
@@ -57,7 +56,8 @@ class MatrixMeasure:
     """Finitely supported measure with Hermitian matrix atoms.
 
     ``atoms`` has shape ``(n, d, d)``; a zero atom is allowed. Atoms are
-    hermitized on construction (after a symmetry check at 1e-9), so that
+    hermitized on construction, after a symmetry check at 1e-9 whose
+    :class:`NotHermitianError` names the atom's point and the entry, so that
     downstream spectral calls never see asymmetric round-off.
     """
 
@@ -72,7 +72,7 @@ class MatrixMeasure:
             raise SupportMismatchError(
                 f"{atoms.shape[0]} atoms for {self.support.n} support points"
             )
-        check_hermitian(atoms, atol=ATOM_HERMITIAN_ATOL, label="atom stack")
+        check_hermitian(atoms, atol=ATOM_HERMITIAN_ATOL, labels=self.support.point_ids)
         object.__setattr__(self, "atoms", hermitian_part(atoms))
 
     @property
@@ -176,17 +176,6 @@ def atom_traces(g: MatrixMeasure) -> np.ndarray:
 def is_probability(g: MatrixMeasure, tol: float = PROBABILITY_TOL) -> bool:
     """Membership in the unit-trace-mass sphere, ``|mass - 1| <= tol``."""
     return abs(mass(g) - 1.0) <= tol
-
-
-def check_psd_atoms(g: MatrixMeasure, floor: float = -1e-10) -> None:
-    """Raise :class:`NotPSDError` if any atom dips below the PSD floor."""
-    w = np.linalg.eigvalsh(g.atoms)
-    lam_min = float(w.min())
-    if lam_min < floor:
-        i = int(np.argmin(w.min(axis=1)))
-        raise NotPSDError(
-            f"atom at point '{g.support.point_ids[i]}' has eigenvalue {lam_min:.3e} below {floor:.1e}"
-        )
 
 
 def trace_density(g: MatrixMeasure, i: int) -> np.ndarray:

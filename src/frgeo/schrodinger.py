@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy_flow import entropy, heat_flow
+from .entropy_flow import entropy, entropy_terms, heat_flow
 from .exceptions import (
     AntipodalError,
     FixedPointDivergedError,
@@ -33,9 +33,18 @@ from .exceptions import (
 from .fisher_rao import (
     MeasurePath,
     fisher_rao_distance,
+    fisher_rao_from_hellinger,
     fisher_rao_geodesic,
 )
-from .hpsd import hermitian_part, psd_sqrt, zero_floor
+from .hpsd import (
+    cross_trace,
+    eigendecomposition,
+    from_spectrum,
+    hermitian_part,
+    psd_sqrt,
+    spectral_powers,
+    zero_floor,
+)
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -45,8 +54,6 @@ from .measures import (
     tv_distance,
 )
 from .optim import lbfgs
-
-SINGULAR_DENSITY_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -111,46 +118,8 @@ class GaussianBridgeResult:
 
 
 # ---------------------------------------------------------------------------
-# Batched slice pipelines (hot path of the solver).
+# Objective and gradient on stacked slices (hot path of the solver).
 # ---------------------------------------------------------------------------
-
-
-def _batch_psd_sqrt(atoms: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(atoms)
-    s = np.sqrt(zero_floor(w))
-    return (v * s[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-
-
-def _batch_dfr_sq(sqrt_a: np.ndarray, atoms_a: np.ndarray, atoms_b: np.ndarray) -> np.ndarray:
-    """Squared Fisher-Rao distance between paired unit-mass slices.
-
-    ``sqrt_a`` are the precomputed square roots of ``atoms_a``; shapes are
-    ``(..., n, d, d)`` and the result drops the last three axes.
-    """
-    inner = sqrt_a @ atoms_b @ sqrt_a
-    inner = hermitian_part(inner)
-    w = zero_floor(np.linalg.eigvalsh(inner))
-    cross = np.sqrt(w).sum(axis=-1)
-    tra = np.real(np.trace(atoms_a, axis1=-2, axis2=-1))
-    trb = np.real(np.trace(atoms_b, axis1=-2, axis2=-1))
-    db_sq = np.clip(tra + trb - 2.0 * cross, 0.0, None)
-    dh_sq = 4.0 * db_sq.sum(axis=-1)
-    arg = np.clip(1.0 - dh_sq / 8.0, -1.0, 1.0)
-    return (2.0 * np.arccos(arg)) ** 2
-
-
-def _batch_fisher(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Fisher information of slices ``(..., n, d, d)`` (``inf`` where a
-    positive-weight density is singular)."""
-    d = atoms.shape[-1]
-    w = np.linalg.eigvalsh(atoms)
-    pos = weights > 0.0
-    dens = w[..., pos, :] / weights[pos][:, None]
-    singular = dens.min(axis=(-2, -1)) <= SINGULAR_DENSITY_FLOOR
-    with np.errstate(divide="ignore", over="ignore"):
-        traces_inv = np.where(dens > SINGULAR_DENSITY_FLOOR, 1.0 / np.maximum(dens, SINGULAR_DENSITY_FLOOR), 0.0).sum(axis=-1)
-    fisher = (weights[pos] * (traces_inv - d)).sum(axis=-1)
-    return np.where(singular, np.inf, fisher)
 
 
 def _trapezoid_weights(n_slices: int, dt: float) -> np.ndarray:
@@ -162,12 +131,16 @@ def _trapezoid_weights(n_slices: int, dt: float) -> np.ndarray:
 def _stack_objective(
     slices: np.ndarray, weights: np.ndarray, epsilon: float
 ) -> tuple[float, float]:
-    """(kinetic, fisher_term) of a stacked slice array ``(N+1, n, d, d)``."""
+    """(kinetic, fisher_term) of a stacked slice array ``(N+1, n, d, d)``;
+    one ``eigh`` of the slices serves both the roots and the Fisher term."""
     n_steps = slices.shape[0] - 1
-    sqrt_a = _batch_psd_sqrt(slices[:-1])
-    dfr_sq = _batch_dfr_sq(sqrt_a, slices[:-1], slices[1:])
+    w, v = eigendecomposition(slices)
+    roots = from_spectrum(v[:-1], np.sqrt(zero_floor(w[:-1])))
+    traces = np.real(np.trace(slices, axis1=-2, axis2=-1))
+    db_sq = np.clip(traces[:-1] + traces[1:] - 2.0 * cross_trace(roots, slices[1:]), 0.0, None)
+    dfr_sq = fisher_rao_from_hellinger(4.0 * db_sq.sum(axis=-1)) ** 2
     kinetic = 0.5 * n_steps * float(dfr_sq.sum())
-    fisher = _batch_fisher(slices, weights)
+    fisher = entropy_terms(w, weights)[1]
     tw = _trapezoid_weights(n_steps + 1, 1.0 / n_steps)
     fisher_term = 0.5 * epsilon**2 * float(np.dot(tw, fisher))
     return kinetic, fisher_term
@@ -228,23 +201,6 @@ def _factors_to_slice(factors: np.ndarray) -> np.ndarray:
     return g / tau[..., None, None, None]
 
 
-def _eig_powers(atoms: np.ndarray, *powers: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Clamped eigenvalues and spectral powers of a PSD stack ``(..., d, d)``
-    from one batched ``eigh``. Negative powers invert on the range only:
-    eigenvalues at or below ``1e-14 * lambda_max`` map to zero, which keeps
-    rank-deficient atoms on the cone boundary finite."""
-    w, v = np.linalg.eigh(atoms)
-    w = np.clip(w, 0.0, None)
-    on_range = w > 1e-14 * w.max(axis=-1, keepdims=True)
-    safe = np.where(on_range, w, 1.0)
-    vh = np.conj(np.swapaxes(v, -1, -2))
-    out = []
-    for p in powers:
-        wp = np.where(on_range, safe**p, 0.0) if p < 0 else w**p
-        out.append((v * wp[..., None, :]) @ vh)
-    return w, out
-
-
 def _bridge_gradient(
     factors: np.ndarray,
     g0_atoms: np.ndarray,
@@ -265,9 +221,9 @@ def _bridge_gradient(
     n_steps = factors.shape[0] + 1
     interior = _factors_to_slice(factors)
     stacked = np.concatenate([g0_atoms[None], interior, g1_atoms[None]])
-    _, (root, inv_root, inv) = _eig_powers(stacked, 0.5, -0.5, -1.0)
+    _, (root, inv_root, inv) = spectral_powers(stacked, 0.5, -0.5, -1.0)
     left_root = root[:-1]
-    mu, (edge_root, edge_inv_root) = _eig_powers(
+    mu, (edge_root, edge_inv_root) = spectral_powers(
         hermitian_part(left_root @ stacked[1:] @ left_root), 0.5, -0.5
     )
     traces = np.real(np.trace(stacked, axis1=-2, axis2=-1))
@@ -326,12 +282,7 @@ def solve_bridge(
             f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}"
         )
 
-    factors = np.stack(
-        [
-            np.stack([psd_sqrt(g.atoms[i]) for i in range(g.n)])
-            for g in init_path.slices[1:-1]
-        ]
-    )
+    factors = psd_sqrt(np.stack([g.atoms for g in init_path.slices[1:-1]]))
 
     weights = lam.weights
     g0_atoms, g1_atoms = g0.atoms, g1.atoms

@@ -116,6 +116,19 @@ class TestGeodesicCommand:
         # Constant-speed geodesic: the speed column is flat.
         assert max(speeds) - min(speeds) <= 0.02 * max(speeds)
 
+    def test_hellinger_mixed_fiber_modes(self, mixed_mode_pair, fiber_formulas, tmp_path):
+        from frgeo.bures import bures_geodesic
+
+        g0, g1 = mixed_mode_pair
+        p0, p1, out = str(tmp_path / "g0.json"), str(tmp_path / "g1.json"), str(tmp_path / "geo")
+        fio.save_measure(p0, g0)
+        fio.save_measure(p1, g1)
+        assert main(["geodesic", p0, p1, "--metric", "hellinger", "--steps", "4", "--out", out]) == 0
+        times, slices = fio.load_measure_path(os.path.join(out, "path.json"))
+        fiber_formulas.check_path(g0, g1, times, [g.atoms for g in slices])
+        fibers = [bures_geodesic(g0.atoms[i], g1.atoms[i], times) for i in range(g0.n)]
+        for k, g in enumerate(slices):
+            assert np.abs(g.atoms - np.stack([fp.points[k] for fp in fibers])).max() <= 1e-12
 
     def test_regularized_start_error_exit_3(self, workdir, tmp_path, monkeypatch, capsys):
         from frgeo import bures
@@ -131,6 +144,24 @@ class TestGeodesicCommand:
         assert "regularized geodesic start error" in capsys.readouterr().err
 
 
+class TestMeasureFileErrors:
+    def test_non_hermitian_file_exit_2_names_point(self, tmp_path, capsys):
+        doc = {
+            "dim": 2,
+            "support": ["ok", "skewed"],
+            "atoms": [
+                {"point": "ok", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                {"point": "skewed", "matrix": [[[1, 0], [0.5, 0.25]], [[0.5, 0], [1, 0]]]},
+            ],
+        }
+        p = str(tmp_path / "skewed.json")
+        with open(p, "w") as f:
+            json.dump(doc, f)
+        assert main(["distance", p, p]) == 2
+        err = capsys.readouterr().err
+        assert "atom at point 'skewed' is not Hermitian" in err
+
+
 class TestHeatflowCommand:
     def test_writes_table(self, workdir):
         out = os.path.join(workdir["dir"], "flow.csv")
@@ -142,6 +173,13 @@ class TestHeatflowCommand:
             lines = f.read().strip().splitlines()
         assert lines[0] == "t,entropy,fisher,mass,tv_to_equilibrium"
         assert len(lines) == 10
+
+    def test_no_steps_writes_header_only(self, workdir):
+        # --steps -1 asks for no time samples: the table is the header alone.
+        out = os.path.join(workdir["dir"], "empty.csv")
+        assert main(["heatflow", workdir["g0"], "--steps", "-1", "--out", out]) == 0
+        with open(out) as f:
+            assert f.read().strip().splitlines() == ["t,entropy,fisher,mass,tv_to_equilibrium"]
 
 
 class TestBridgeCommand:

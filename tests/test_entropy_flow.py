@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frgeo.entropy_flow import (
     TangentVector,
@@ -18,7 +20,8 @@ from frgeo.entropy_flow import (
     tangent_realization,
     von_neumann_entropy,
 )
-from frgeo.exceptions import NotProbabilityError
+from frgeo.exceptions import NotProbabilityError, SingularMatrixError
+from frgeo.hpsd import logdet, spd_inverse
 from frgeo.measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -30,7 +33,7 @@ from frgeo.measures import (
     tv_distance,
     uniform_reference,
 )
-from frgeo.testing import random_finite_entropy_measure, random_probability_measure
+from frgeo.testing import random_finite_entropy_measure, random_probability_measure, random_psd, random_spd
 
 
 def scalar_setup(value):
@@ -300,6 +303,10 @@ class TestVonNeumannDiagnostic:
 
 
 class TestFlowTable:
+    def test_no_times_no_rows(self, rng):
+        g = random_finite_entropy_measure(rng, 2, 2)
+        assert flow_table(g, uniform_reference(g.support, 2), np.linspace(0.0, 1.0, 0)) == []
+
     def test_columns_and_monotonicity(self, rng):
         g = random_finite_entropy_measure(rng, 2, 2)
         lam = uniform_reference(g.support, 2)
@@ -310,3 +317,55 @@ class TestFlowTable:
         assert all(ent[i + 1] <= ent[i] + 1e-12 for i in range(8))
         assert all(tv[i + 1] <= tv[i] + 1e-12 for i in range(8))
         assert all(r[3] == pytest.approx(1.0, abs=1e-9) for r in rows)
+
+
+class TestStackedAgainstAtoms:
+    """Entropy, Fisher information and the gradient potential run one stack
+    call over all atoms; here they meet their per-atom definitions."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), d=st.integers(1, 3))
+    def test_match_per_atom_definitions(self, seed, n, d):
+        gen = np.random.default_rng(seed)
+        sup = make_support(n)
+        # Zero, rank-deficient and definite atoms; some of them weightless.
+        # A rank-deficient atom keeps its kernel on the trailing coordinates,
+        # where every eigen routine returns an exact zero: a round-off
+        # eigenvalue of a generic singular matrix can land on either side of
+        # the absolute 1e-14 singular floor, differently per routine.
+        atoms = np.zeros((n, d, d), dtype=complex)
+        for i, k in enumerate(gen.integers(0, 3, n)):
+            if k == 2:
+                atoms[i] = random_spd(gen, d)
+            elif k == 1 and d > 1:
+                atoms[i, : d - 1, : d - 1] = random_psd(gen, d - 1)
+        w = gen.uniform(0.1, 1.0, n) * (gen.random(n) < 0.7)
+        w[int(gen.integers(0, n))] = 1.0
+        lam = ReferenceMeasure(sup, d, w / (d * w.sum()))
+        g = MatrixMeasure(sup, atoms)
+
+        fibers, fisher, potential, singular = np.zeros(n), 0.0, np.zeros_like(g.atoms), []
+        for i, wi in enumerate(lam.weights):
+            if wi == 0.0:
+                continue
+            dens = g.atoms[i] / wi
+            try:
+                fibers[i] = -logdet(dens)
+            except SingularMatrixError:
+                fibers[i] = math.inf
+                singular.append(sup.point_ids[i])
+                continue
+            potential[i] = spd_inverse(dens)
+            fisher += wi * (np.real(np.trace(potential[i])) - d)
+
+        assert fiber_entropies(g, lam) == pytest.approx(fibers, rel=1e-12, abs=1e-12)
+        if singular:
+            assert entropy(g, lam) == math.inf
+            assert fisher_information(g, lam) == math.inf
+            with pytest.raises(SingularMatrixError, match=f"'{singular[0]}'"):
+                entropy_gradient_potential(g, lam)
+        else:
+            assert entropy(g, lam) == pytest.approx(float(np.dot(lam.weights, fibers)), rel=1e-12, abs=1e-12)
+            assert fisher_information(g, lam) == pytest.approx(fisher, rel=1e-12, abs=1e-12)
+            got = entropy_gradient_potential(g, lam).potential
+            assert np.abs(got - potential).max() <= 1e-12 * max(1.0, np.abs(potential).max())

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frgeo.bures import bures_distance_sq
+from frgeo.bures import bures_distance_sq, bures_geodesic
 from frgeo.exceptions import (
     AntipodalError,
     FRGeoError,
     NotProbabilityError,
+    NotPSDError,
     SupportMismatchError,
     ZeroLengthError,
 )
@@ -36,6 +39,7 @@ from frgeo.testing import (
     random_density,
     random_measure,
     random_probability_measure,
+    random_psd,
 )
 
 
@@ -199,6 +203,76 @@ class TestHellingerGeodesic:
         assert "ode_residual" in path.meta
         # Left-endpoint forward differences of a smooth path: O(dt).
         assert path.meta["ode_residual"] <= 0.5 * np.sqrt(hellinger_distance_sq(g0, g1))
+
+
+class TestStackedAgainstFibers:
+    """The measure-level functions run one stack call over all atoms; these
+    pin them to the per-fiber functions and to closed forms built from numpy
+    primitives."""
+
+    def test_mixed_mode_hellinger_geodesic(self, mixed_mode_pair, fiber_formulas):
+        g0, g1 = mixed_mode_pair
+        ts = np.linspace(0.0, 1.0, 6)
+        path = hellinger_geodesic(g0, g1, ts)
+        fiber_formulas.check_path(
+            g0, g1, ts, [g.atoms for g in path.slices], path.velocities, path.meta["fiber_deltas"]
+        )
+        fibers = [bures_geodesic(g0.atoms[i], g1.atoms[i], ts) for i in range(g0.n)]
+        assert [fp.meta["mode"] for fp in fibers] == ["radial", "regularized", "map"]
+        assert path.meta["fiber_deltas"] == pytest.approx([fp.meta["delta"] for fp in fibers], rel=1e-12, abs=0.0)
+        for k in range(len(ts)):
+            points = np.stack([fp.points[k] for fp in fibers])
+            assert np.abs(path.slices[k].atoms - points).max() <= 1e-12
+            fiber_us = [fp.velocities[k] for fp in fibers]
+            if any(u is None for u in fiber_us):
+                assert path.velocities[k] is None
+            else:
+                us = np.stack(fiber_us)
+                assert np.abs(path.velocities[k] - us).max() <= 1e-12 * max(1.0, np.abs(us).max())
+        # The zero start has no velocity at t = 0, the rank-deficient end none at t = 1.
+        assert path.velocities[0] is None and path.velocities[-1] is None
+        assert all(u is not None for u in path.velocities[1:-1])
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), d=st.integers(1, 3))
+    def test_hellinger_is_four_times_fiber_sum(self, seed, n, d, fiber_formulas):
+        gen = np.random.default_rng(seed)
+        sup = make_support(n)
+        # Atoms of every rank, the zero atom included.
+        g0, g1 = (
+            MatrixMeasure(sup, np.stack([random_psd(gen, d, rank=int(gen.integers(0, d + 1))) for _ in range(n)]))
+            for _ in range(2)
+        )
+        dh_sq = hellinger_distance_sq(g0, g1)
+        fiber_sum = sum(bures_distance_sq(g0.atoms[i], g1.atoms[i]) for i in range(n))
+        assert dh_sq == pytest.approx(4.0 * fiber_sum, rel=1e-12, abs=1e-300)
+        # Two routes to a small distance cancel in tr a0 + tr a1 - 2 F
+        # differently, so they agree to round-off of the masses there.
+        formula_sum = sum(fiber_formulas.bures_sq(g0.atoms[i], g1.atoms[i]) for i in range(n))
+        assert dh_sq == pytest.approx(4.0 * formula_sum, rel=1e-12, abs=4e-13 * (mass(g0) + mass(g1)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        data=st.data(),
+        dip_exponent=st.floats(-9.5, 0.0),
+    )
+    def test_not_psd_names_the_atom(self, seed, n, d, data, dip_exponent):
+        gen = np.random.default_rng(seed)
+        sup = make_support(n)
+        atoms = [np.stack([random_psd(gen, d) for _ in range(n)]) for _ in range(2)]
+        which = data.draw(st.integers(0, 1), label="which")
+        i = data.draw(st.integers(0, n - 1), label="atom")
+        bad = atoms[which][i]
+        atoms[which][i] = bad - (np.linalg.eigvalsh(bad)[0] + 10.0**dip_exponent) * np.eye(d)
+        g0, g1 = (MatrixMeasure(sup, a) for a in atoms)
+        label = f"'{sup.point_ids[i]}'"
+        with pytest.raises(NotPSDError, match=label):
+            hellinger_distance_sq(g0, g1)
+        with pytest.raises(NotPSDError, match=label):
+            hellinger_geodesic(g0, g1, [0.0, 0.5, 1.0])
 
 
 class TestFisherRaoGeodesic:

@@ -11,6 +11,7 @@ from frgeo.exceptions import (
 )
 from frgeo.hpsd import (
     check_hermitian,
+    clamp_psd,
     eigendecomposition,
     frobenius_inner,
     frobenius_norm,
@@ -218,3 +219,32 @@ class TestHelpers:
         a = random_psd(rng, 4, rank=2)
         assert psd_rank(a) == 2
         assert psd_rank(np.zeros((3, 3))) == 0
+
+
+class TestStacks:
+    def test_stack_matches_per_matrix(self, rng):
+        eye = np.eye(3)
+        # Rank-deficient atoms pushed a hair below zero exercise the clamp.
+        psd = np.stack([random_psd(rng, 3, rank=r) for r in (0, 1, 2, 3)]) - 1e-12 * eye
+        spd = np.stack([random_spd(rng, 3) for _ in range(4)])
+        xi = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        for fn, args in (
+            (psd_sqrt, (psd + 1e-12 * eye,)),
+            (clamp_psd, (psd,)),
+            (spd_inverse, (spd,)),
+            (solve_sylvester_velocity, (spd, xi)),
+        ):
+            stacked = fn(*args)
+            for i in range(4):
+                single = fn(*(a[i] for a in args))
+                assert np.abs(stacked[i] - single).max() <= 1e-13 * max(1.0, np.abs(single).max())
+
+    def test_errors_name_the_labelled_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-6]), np.eye(2)]).astype(complex)
+        with pytest.raises(NotPSDError, match="atom at point 'b'"):
+            psd_sqrt(stack, labels=("a", "b", "c"))
+        with pytest.raises(NotPSDError, match="atom at point 'b'"):
+            clamp_psd(stack[None], labels=("a", "b", "c"))
+        stack[2, 0, 1] = 0.5
+        with pytest.raises(NotHermitianError, match=r"atom at point 'c' is not Hermitian: entry \(0, 1\)"):
+            check_hermitian(stack, labels=("a", "b", "c"))

@@ -10,6 +10,7 @@ from frgeo import io as fio
 from frgeo.exceptions import (
     FRGeoError,
     MeasureFormatError,
+    NotHermitianError,
     SupportMismatchError,
     ZeroAtomError,
     ZeroMassError,
@@ -212,6 +213,63 @@ class TestMeasureFiles:
             json.dump(doc, f)
         with pytest.raises(MeasureFormatError, match=r"\(0, 1\)"):
             fio.load_measure(p)
+
+    def test_non_hermitian_error_is_the_measure_error(self, tmp_path):
+        bad = [[[1, 0], [0.5, 0.25]], [[0.5, 0], [1, 0]]]
+        doc = {
+            "dim": 2,
+            "support": ["a", "b"],
+            "atoms": [{"point": "a", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, {"point": "b", "matrix": bad}],
+        }
+        p = os.path.join(tmp_path, "bad.json")
+        with open(p, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(MeasureFormatError) as from_file:
+            fio.load_measure(p)
+        atoms = np.array([np.eye(2), [[complex(*e) for e in row] for row in bad]])
+        with pytest.raises(NotHermitianError) as from_measure:
+            MatrixMeasure(Support(("a", "b")), atoms)
+        assert str(from_file.value) == str(from_measure.value)
+        assert "atom at point 'b'" in str(from_file.value) and "(0, 1)" in str(from_file.value)
+
+    def test_writers_match_recursive_emit_bytes(self, tmp_path):
+        from types import SimpleNamespace
+
+        from frgeo.io import _emit, measure_to_doc, path_to_doc
+
+        values = [-0.0, 0.0, 1.0, -3.0, 2.0**52, 1e16, 99999999999999984.0, 1e17, 0.1, 1e-5,
+                  5e-324, -2.5e-310, 1e308, -1e308]
+        gen = np.random.default_rng(3)
+        p = os.path.join(tmp_path, "out.json")
+        for d in (1, 2, 3):
+            atoms = gen.choice(values, (4, d, d)) + 1j * gen.choice(values, (4, d, d))
+            # MatrixMeasure hermitizes through (a + a*) / 2, which overflows at
+            # 1e308; the writers read only these three fields.
+            g = SimpleNamespace(support=make_support(4), dim=d, atoms=atoms)
+            fio.save_measure(p, g)
+            with open(p) as f:
+                assert f.read() == _emit(measure_to_doc(g)) + "\n"
+            times = [0.0, 0.5, 1.0]
+            fio.save_measure_path(p, times, [g] * 3)
+            with open(p) as f:
+                assert f.read() == _emit(path_to_doc(times, [g] * 3)) + "\n"
+
+    def test_writers_reject_non_finite(self, rng, tmp_path):
+        from types import SimpleNamespace
+
+        from frgeo.io import _emit, measure_to_doc
+
+        g = random_measure(rng, 2, 2)
+        atoms = g.atoms.copy()
+        atoms[1, 0, 1] = complex(0.5, np.inf)
+        g = SimpleNamespace(support=g.support, dim=g.dim, atoms=atoms)
+        with pytest.raises(MeasureFormatError) as reference:
+            _emit(measure_to_doc(g))
+        p = os.path.join(tmp_path, "out.json")
+        for write in (lambda: fio.save_measure(p, g), lambda: fio.save_measure_path(p, [0.0], [g])):
+            with pytest.raises(MeasureFormatError) as err:
+                write()
+            assert str(err.value) == str(reference.value)
 
     def test_rejects_missing_atom(self, tmp_path):
         doc = {"dim": 1, "support": ["p1", "p2"], "atoms": [{"point": "p1", "matrix": [[[1, 0]]]}]}

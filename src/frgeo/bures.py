@@ -9,7 +9,7 @@ the optimal-map construction so the two routes cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .hpsd import (
     is_positive_definite,
     psd_spectrum,
     psd_sqrt,
+    real_embedding,
     solve_sylvester_eigh,
     solve_sylvester_velocity,
     spectral_rank,
@@ -114,15 +115,9 @@ def optimal_transport_map(w: np.ndarray, v: np.ndarray, a1: np.ndarray) -> np.nd
     return hermitian_part(inv_sqrt_a0 @ middle @ inv_sqrt_a0)
 
 
-def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeodesic:
-    """Geodesic samples between paired fibers of two ``(n, d, d)`` stacks,
-    each fiber as :func:`bures_geodesic` builds it: ``radial`` from a zero
-    start, ``regularized`` from a singular one, ``map`` otherwise.
-
-    ``points[k]`` is the stack at ``ts[k]``; ``velocities[k]`` is the stack
-    of fiber velocities when every fiber has one there, else None. ``meta``
-    holds the per-fiber arrays ``mode``, ``delta`` and ``endpoint_error``.
-    """
+def _geodesic_points(a0: np.ndarray, a1: np.ndarray, ts, labels):
+    """The points of :func:`bures_geodesic_stack` (``velocities`` None) plus
+    the fibers' bases, optimal maps and ``M_t``, which the velocity step needs."""
     a0, w0, v0 = psd_spectrum(np.asarray(a0, dtype=complex), labels=labels)
     a1 = clamp_psd(np.asarray(a1, dtype=complex), labels=labels)
     ts = np.asarray(ts, dtype=float)
@@ -136,6 +131,11 @@ def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> Fib
     delta = np.where(regularized, GEODESIC_REG_SCALE * np.maximum(tr0, tr1), 0.0)
     # Radial fibers take no map; the identity stands in as a harmless base.
     base = np.where(radial[:, None, None], eye, a0 + delta[:, None, None] * eye)
+    endpoint_error = np.linalg.norm(base - a0, axis=(-2, -1)) * regularized
+    if np.any(endpoint_error > GEODESIC_ENDPOINT_TOL):
+        raise SingularMatrixError(
+            f"regularized geodesic start error {endpoint_error.max():.3e} exceeds {GEODESIC_ENDPOINT_TOL:.1e}"
+        )
     # A map-mode base is a0 itself, so only shifted bases need a new eigh.
     w_base, v_base = w0.copy(), v0.copy()
     w_base[radial], v_base[radial] = 1.0, eye
@@ -145,27 +145,42 @@ def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> Fib
     t = ts[:, None, None, None]
     m_t = (1.0 - t) * eye + t * t_map
     points = hermitian_part(m_t @ base @ m_t)
+    points[:, radial] = (t * t * a1)[:, radial]
+    mode = np.where(radial, "radial", np.where(regularized, "regularized", "map"))
+    meta = {"mode": mode, "delta": delta, "endpoint_error": endpoint_error}
+    return FiberGeodesic(a0, a1, ts, points, None, meta), base, t_map, m_t
+
+
+def bures_geodesic_points(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> np.ndarray:
+    """The points ``(len(ts), n, d, d)`` of :func:`bures_geodesic_stack`,
+    without its velocity step."""
+    return _geodesic_points(a0, a1, ts, labels)[0].points
+
+
+def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeodesic:
+    """Geodesic samples between paired fibers of two ``(n, d, d)`` stacks,
+    each fiber as :func:`bures_geodesic` builds it: ``radial`` from a zero
+    start, ``regularized`` from a singular one, ``map`` otherwise.
+
+    ``points[k]`` is the stack at ``ts[k]``; ``velocities[k]`` is the stack
+    of fiber velocities when every fiber has one there, else None. ``meta``
+    holds the per-fiber arrays ``mode``, ``delta`` and ``endpoint_error``.
+    """
+    geo, base, t_map, m_t = _geodesic_points(a0, a1, ts, labels)
+    ts, points = geo.times, geo.points
+    radial = geo.meta["mode"] == "radial"
+    eye = np.eye(points.shape[-1], dtype=complex)
     dm = t_map - eye
     da_t = hermitian_part(dm @ base @ m_t + m_t @ base @ dm)
-    points[:, radial] = (t * t * a1)[:, radial]
-
     w, v = np.linalg.eigh(points)
-    has_velocity = spectral_rank(w) == d
+    has_velocity = spectral_rank(w) == points.shape[-1]
     has_velocity[:, radial] &= (ts > 0.0)[:, None]
     solve = has_velocity & ~radial
     us = np.zeros_like(points)
     us[solve] = solve_sylvester_eigh(w[solve], v[solve], da_t[solve])
     us[:, radial] = (2.0 / np.where(ts > 0.0, ts, 1.0))[:, None, None, None] * eye
     velocities = tuple(us[k] if has_velocity[k].all() else None for k in range(len(ts)))
-
-    endpoint_error = np.linalg.norm(base - a0, axis=(-2, -1)) * regularized
-    if np.any(endpoint_error > GEODESIC_ENDPOINT_TOL):
-        raise SingularMatrixError(
-            f"regularized geodesic start error {endpoint_error.max():.3e} exceeds {GEODESIC_ENDPOINT_TOL:.1e}"
-        )
-    mode = np.where(radial, "radial", np.where(regularized, "regularized", "map"))
-    meta = {"mode": mode, "delta": delta, "endpoint_error": endpoint_error}
-    return FiberGeodesic(a0, a1, ts, points, velocities, meta)
+    return replace(geo, velocities=velocities)
 
 
 def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts) -> FiberGeodesic:
@@ -189,8 +204,6 @@ def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts) -> FiberGeodesic:
 def bures_real_embedding_check(a0: np.ndarray, a1: np.ndarray) -> tuple[float, float]:
     """Both sides of the real-embedding identity:
     ``(d_B^2 of the 2d x 2d real images, 2 * d_B^2 of the originals)``."""
-    from .hpsd import real_embedding
-
     lhs = bures_distance_sq(real_embedding(np.asarray(a0, dtype=complex)), real_embedding(np.asarray(a1, dtype=complex)))
     rhs = 2.0 * bures_distance_sq(a0, a1)
     return lhs, rhs

@@ -161,8 +161,9 @@ def _cmd_bridge(args) -> int:
     print(f"kinetic = {result.kinetic!r}")
     print(f"fisher_term = {result.fisher_term!r}")
     print(f"converged = {result.converged} after {result.iterations} iterations")
+    print(f"stop_reason = {result.stop_reason}")
     if not result.converged:
-        raise NoConvergenceError(f"bridge stopped after {result.iterations} iterations without converging")
+        raise NoConvergenceError(f"bridge did not converge in {result.iterations} iterations ({result.stop_reason})")
     return EXIT_OK
 
 

@@ -155,7 +155,8 @@ def _chord_parameter(theta: float, phi: float) -> float:
 def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """Constant-speed sphere geodesic between unit-mass measures.
 
-    Computes the Hellinger geodesic, normalizes each slice back to the
+    Takes the points of the Hellinger geodesic (the fiberwise Bures
+    geodesics, without their velocities), normalizes each slice back to the
     sphere and reparametrizes with the exact cone-chord formula, so that
     ``d_FR(G_s, G_t) = |s - t| d_FR(G_0, G_1)``. Raises
     :class:`AntipodalError` within ``1e-6`` of the diameter ``pi``, where the
@@ -174,10 +175,11 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
         return MeasurePath(ts, slices, None, {"metric": "fisher_rao", "spherical": True})
     phi = dfr / 2.0
     chord_ts = np.array([_chord_parameter(float(th), phi) for th in ts])
-    chord_path = hellinger_geodesic(g0, g1, chord_ts)
+    chord = bures.bures_geodesic_points(g0.atoms, g1.atoms, chord_ts, g0.support.point_ids)
+    masses = np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)
     slices = [
-        g0 if theta <= 0.0 else g1 if theta >= 1.0 else g.with_atoms(g.atoms / mass(g))
-        for theta, g in zip(ts, chord_path.slices)
+        g0 if theta <= 0.0 else g1 if theta >= 1.0 else g0.with_atoms(atoms / m)
+        for theta, atoms, m in zip(ts, chord, masses)
     ]
     meta = {"metric": "fisher_rao", "spherical": True, "distance": dfr}
     return MeasurePath(ts, tuple(slices), None, meta)

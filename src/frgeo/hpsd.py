@@ -176,16 +176,17 @@ def cross_trace(root_a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(w).sum(axis=-1)
 
 
-def spectral_powers(a: np.ndarray, *powers: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Clamped eigenvalues and spectral powers of a PSD stack from one
-    batched ``eigh``. Negative powers invert on the range only: eigenvalues
-    at or below ``1e-14 * lambda_max`` map to zero, which keeps
-    rank-deficient matrices on the cone boundary finite."""
-    w, v = np.linalg.eigh(a)
+def spectral_powers(w: np.ndarray, v: np.ndarray, *powers: float) -> list[np.ndarray]:
+    """Spectral powers of a PSD matrix or stack given by its eigendecomposition
+    ``(w, v)``, as :func:`solve_sylvester_eigh` takes it. Positive powers act
+    on the :func:`zero_floor` eigenvalues, the convention of :func:`psd_sqrt`.
+    Negative powers invert on the range only: eigenvalues at or below
+    ``1e-14 * lambda_max`` map to zero, which keeps rank-deficient matrices
+    on the cone boundary finite."""
     w = np.clip(w, 0.0, None)
     on_range = w > 1e-14 * w.max(axis=-1, keepdims=True)
     safe = np.where(on_range, w, 1.0)
-    return w, [from_spectrum(v, np.where(on_range, safe**p, 0.0) if p < 0 else w**p) for p in powers]
+    return [from_spectrum(v, np.where(on_range, safe**p, 0.0) if p < 0 else zero_floor(w) ** p) for p in powers]
 
 
 def logdet(a: np.ndarray) -> float:

@@ -169,10 +169,6 @@ def mass(g: MatrixMeasure) -> float:
     return float(np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum())
 
 
-def atom_traces(g: MatrixMeasure) -> np.ndarray:
-    return np.real(np.trace(g.atoms, axis1=1, axis2=2))
-
-
 def is_probability(g: MatrixMeasure, tol: float = PROBABILITY_TOL) -> bool:
     """Membership in the unit-trace-mass sphere, ``|mass - 1| <= tol``."""
     return abs(mass(g) - 1.0) <= tol

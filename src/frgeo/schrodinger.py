@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +38,8 @@ from .fisher_rao import (
     fisher_rao_geodesic,
 )
 from .hpsd import (
-    cross_trace,
+    EigenDecomposition,
     eigendecomposition,
-    from_spectrum,
     hermitian_part,
     psd_sqrt,
     spectral_powers,
@@ -122,28 +122,39 @@ class GaussianBridgeResult:
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_weights(n_slices: int, dt: float) -> np.ndarray:
-    w = np.full(n_slices, dt)
-    w[0] = w[-1] = dt / 2.0
-    return w
+class _Forward(NamedTuple):
+    """One evaluation of the discrete objective on stacked slices
+    ``(N+1, n, d, d)``, with the spectral pieces its gradient reuses."""
+
+    kinetic: float
+    fisher_term: float
+    slices: np.ndarray
+    eig: EigenDecomposition  # of every slice
+    roots: np.ndarray  # G_k^{1/2} for k < N
+    edge_eig: EigenDecomposition  # of M_k = G_k^{1/2} G_{k+1} G_k^{1/2}
+    dfr: np.ndarray  # d_FR(G_k, G_{k+1})
 
 
-def _stack_objective(
-    slices: np.ndarray, weights: np.ndarray, epsilon: float
-) -> tuple[float, float]:
-    """(kinetic, fisher_term) of a stacked slice array ``(N+1, n, d, d)``;
-    one ``eigh`` of the slices serves both the roots and the Fisher term."""
+def _stack_objective(slices: np.ndarray, weights: np.ndarray, epsilon: float) -> _Forward:
+    """The discrete objective of stacked slices ``(N+1, n, d, d)``, with the
+    spectral pieces its gradient reuses: one batched ``eigh`` of the slices
+    gives the roots and the Fisher term, and one of the edge matrices
+    ``M_k`` gives ``d_B^2`` through ``tr M_k^{1/2}``. Roots and edge sums
+    take the :func:`zero_floor` eigenvalues."""
     n_steps = slices.shape[0] - 1
-    w, v = eigendecomposition(slices)
-    roots = from_spectrum(v[:-1], np.sqrt(zero_floor(w[:-1])))
+    eig = eigendecomposition(slices)
+    roots = spectral_powers(eig.eigenvalues[:-1], eig.eigenvectors[:-1], 0.5)[0]
+    edge_eig = eigendecomposition(hermitian_part(roots @ slices[1:] @ roots))
     traces = np.real(np.trace(slices, axis1=-2, axis2=-1))
-    db_sq = np.clip(traces[:-1] + traces[1:] - 2.0 * cross_trace(roots, slices[1:]), 0.0, None)
-    dfr_sq = fisher_rao_from_hellinger(4.0 * db_sq.sum(axis=-1)) ** 2
-    kinetic = 0.5 * n_steps * float(dfr_sq.sum())
-    fisher = entropy_terms(w, weights)[1]
-    tw = _trapezoid_weights(n_steps + 1, 1.0 / n_steps)
+    cross = np.sqrt(zero_floor(edge_eig.eigenvalues)).sum(axis=-1)  # tr M_k^{1/2}
+    db_sq = np.clip(traces[:-1] + traces[1:] - 2.0 * cross, 0.0, None)
+    dfr = fisher_rao_from_hellinger(4.0 * db_sq.sum(axis=-1))
+    kinetic = 0.5 * n_steps * float((dfr**2).sum())
+    fisher = entropy_terms(eig.eigenvalues, weights)[1]
+    tw = np.full(n_steps + 1, 1.0 / n_steps)  # trapezoid rule
+    tw[[0, -1]] /= 2.0
     fisher_term = 0.5 * epsilon**2 * float(np.dot(tw, fisher))
-    return kinetic, fisher_term
+    return _Forward(kinetic, fisher_term, slices, eig, roots, edge_eig, dfr)
 
 
 def discrete_objective(
@@ -161,8 +172,8 @@ def discrete_objective(
         m = mass(g)
         if abs(m - 1.0) > 1e-8:
             raise FRGeoError(f"slice {k} has mass {m!r}; objective requires sphere slices")
-    stacked = np.stack([g.atoms for g in path.slices])
-    return _stack_objective(stacked, lam.weights, epsilon)
+    fwd = _stack_objective(np.stack([g.atoms for g in path.slices]), lam.weights, epsilon)
+    return fwd.kinetic, fwd.fisher_term
 
 
 def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) -> MeasurePath:
@@ -202,13 +213,11 @@ def _factors_to_slice(factors: np.ndarray) -> np.ndarray:
 
 
 def _bridge_gradient(
-    factors: np.ndarray,
-    g0_atoms: np.ndarray,
-    g1_atoms: np.ndarray,
-    weights: np.ndarray,
-    epsilon: float,
+    factors: np.ndarray, fwd: _Forward, weights: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    """Closed-form gradient of the objective on the interior factors.
+    """Closed-form gradient of the objective on the interior factors, built
+    from the pieces of the objective evaluation ``fwd`` at ``factors``
+    without a further decomposition.
 
     With ``M_k = G_k^{1/2} G_{k+1} G_k^{1/2}`` per atom, the Bures terms give
     ``d_{G_{k+1}} d_B^2 = I - G_k^{1/2} M_k^{-1/2} G_k^{1/2}`` and
@@ -216,29 +225,25 @@ def _bridge_gradient(
     ``f(x) = (2 arccos(1 - x/8))^2`` at ``x = 4 sum_i d_B^2``; the Fisher
     term gives ``-w_i^2 G_i^{-2}``. ``G_i = C_i C_i* / tau`` then maps the
     slice gradient ``H`` to ``(2 / tau) (H_i C_i - s C_i)`` with
-    ``s = sum_i Re tr(H_i G_i)``.
+    ``s = sum_i Re tr(H_i G_i)``. Negative powers invert on the range only
+    (:func:`~frgeo.hpsd.spectral_powers`).
     """
     n_steps = factors.shape[0] + 1
-    interior = _factors_to_slice(factors)
-    stacked = np.concatenate([g0_atoms[None], interior, g1_atoms[None]])
-    _, (root, inv_root, inv) = spectral_powers(stacked, 0.5, -0.5, -1.0)
-    left_root = root[:-1]
-    mu, (edge_root, edge_inv_root) = spectral_powers(
-        hermitian_part(left_root @ stacked[1:] @ left_root), 0.5, -0.5
-    )
-    traces = np.real(np.trace(stacked, axis1=-2, axis2=-1))
-    db_sq = np.clip(traces[:-1] + traces[1:] - 2.0 * np.sqrt(mu).sum(axis=-1), 0.0, None)
-    half_theta = np.arccos(np.clip(1.0 - 0.5 * db_sq.sum(axis=-1), -1.0, 1.0))
+    (w, v), (mu, u) = fwd.eig, fwd.edge_eig
+    inv_root, inv = spectral_powers(w[1:-1], v[1:-1], -0.5, -1.0)
+    edge_root = spectral_powers(mu[1:], u[1:], 0.5)[0]
+    edge_inv_root = spectral_powers(mu[:-1], u[:-1], -0.5)[0]
     # (N/2) * 4 * f'(x), with f'(x) = (theta/2) / sin(theta/2) -> 1 as x -> 0.
-    coef = (2.0 * n_steps / np.sinc(half_theta / np.pi))[:, None, None, None]
-    eye = np.eye(stacked.shape[-1])
-    h = np.zeros_like(stacked)
-    h[1:] += coef * (eye - left_root @ edge_inv_root @ left_root)
-    h[:-1] += coef * (eye - inv_root[:-1] @ edge_root @ inv_root[:-1])
-    h = h[1:-1] - (0.5 * epsilon**2 / n_steps) * weights[:, None, None] ** 2 * (inv[1:-1] @ inv[1:-1])
-
+    coef = (2.0 * n_steps / np.sinc(fwd.dfr / (2.0 * np.pi)))[:, None, None, None]
+    eye = np.eye(factors.shape[-1])
+    left = fwd.roots[:-1]
+    h = (
+        coef[:-1] * (eye - left @ edge_inv_root @ left)
+        + coef[1:] * (eye - inv_root @ edge_root @ inv_root)
+        - (0.5 * epsilon**2 / n_steps) * weights[:, None, None] ** 2 * (inv @ inv)
+    )
     tau = (np.abs(factors) ** 2).sum(axis=(1, 2, 3))
-    s = np.real(np.einsum("kijl,kilj->k", h, interior))
+    s = np.real(np.einsum("kijl,kilj->k", h, fwd.slices[1:-1]))
     return (2.0 / tau)[:, None, None, None] * (h @ factors - s[:, None, None, None] * factors)
 
 
@@ -278,48 +283,39 @@ def solve_bridge(
         geodesic = fisher_rao_geodesic(g0, g1, times)
         init_path = recovery_sequence(geodesic, lam, cfg.epsilon)
     elif init_path.n_slices != n_steps + 1:
-        raise FRGeoError(
-            f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}"
-        )
-
+        raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
     factors = psd_sqrt(np.stack([g.atoms for g in init_path.slices[1:-1]]))
 
-    weights = lam.weights
-    g0_atoms, g1_atoms = g0.atoms, g1.atoms
-
-    def objective(fac: np.ndarray) -> tuple[float, tuple[float, float]]:
+    def objective(fac: np.ndarray) -> tuple[float, _Forward | None]:
         if not np.all(np.isfinite(fac)):
-            return math.inf, (math.inf, math.inf)
-        stacked = np.concatenate([g0_atoms[None], _factors_to_slice(fac), g1_atoms[None]])
+            return math.inf, None
+        stacked = np.concatenate([g0.atoms[None], _factors_to_slice(fac), g1.atoms[None]])
         if not np.all(np.isfinite(stacked)):
-            return math.inf, (math.inf, math.inf)
-        kin, fis = _stack_objective(stacked, weights, cfg.epsilon)
-        return kin + fis, (kin, fis)
+            return math.inf, None
+        fwd = _stack_objective(stacked, lam.weights, cfg.epsilon)
+        return fwd.kinetic + fwd.fisher_term, fwd
 
-    obj, parts = objective(factors)
+    obj, fwd = objective(factors)
     if math.isinf(obj):
         raise FRGeoError("initialization has infinite objective; endpoints too degenerate")
 
     res = lbfgs(
         objective,
-        lambda fac, _: _bridge_gradient(fac, g0_atoms, g1_atoms, weights, cfg.epsilon),
+        lambda fac, fwd: _bridge_gradient(fac, fwd, lam.weights, cfg.epsilon),
         factors,
         obj,
-        parts,
+        fwd,
         max_iters=cfg.max_iters,
         step_init=cfg.step_init,
         step_shrink=cfg.step_shrink,
         objective_tol=cfg.objective_tol,
         gradient_tol=1e-12,
     )
-    kin, fis = res.aux
+    fwd = res.aux
+    slices = [g0, *(g0.with_atoms(atoms) for atoms in fwd.slices[1:-1]), g1]
+    path = MeasurePath(times, slices, None, {"spherical": True, "epsilon": cfg.epsilon, "metric": "fisher_rao"})
     converged = res.stop_reason in ("gradient_tol", "stall")
-
-    interior = _factors_to_slice(res.x)
-    slices = [g0] + [g0.with_atoms(interior[k]) for k in range(n_steps - 1)] + [g1]
-    meta = {"spherical": True, "epsilon": cfg.epsilon, "metric": "fisher_rao"}
-    path = MeasurePath(times, tuple(slices), None, meta)
-    return BridgeResult(path, kin, fis, res.f, converged, res.iterations, res.stop_reason)
+    return BridgeResult(path, fwd.kinetic, fwd.fisher_term, res.f, converged, res.iterations, res.stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +351,11 @@ def gaussian_bridge_oracle(
     fallback whenever an extrapolated iterate would leave the SPD cone).
     The interpolant is ``A_t = ([B0 + 2 eps t I]^{-1} + [C1 + 2 eps (1-t) I]^{-1})^{-1}``.
     """
-    a0 = np.asarray(a0)
-    a1 = np.asarray(a1)
-    if np.iscomplexobj(a0) or np.iscomplexobj(a1):
-        if np.abs(np.imag(a0)).max() > 1e-12 or np.abs(np.imag(a1)).max() > 1e-12:
-            raise FRGeoError("the Gaussian oracle handles real SPD matrices only")
-        a0, a1 = np.real(a0), np.real(a1)
-    a0 = np.asarray(a0, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    a0 = (a0 + a0.T) / 2.0
-    a1 = (a1 + a1.T) / 2.0
+    a0, a1 = np.asarray(a0), np.asarray(a1)
+    if max(np.abs(np.imag(a0)).max(), np.abs(np.imag(a1)).max()) > 1e-12:
+        raise FRGeoError("the Gaussian oracle handles real SPD matrices only")
+    a0, a1 = (np.asarray(np.real(a), dtype=float) for a in (a0, a1))
+    a0, a1 = (a0 + a0.T) / 2.0, (a1 + a1.T) / 2.0
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     d = a0.shape[0]
@@ -384,15 +375,11 @@ def gaussian_bridge_oracle(
         return x[: d * d].reshape(d, d), x[d * d :].reshape(d, d)
 
     def is_spd_pair(x) -> bool:
-        b0, c1 = unpack(x)
-        return (
-            float(np.linalg.eigvalsh((b0 + b0.T) / 2.0).min()) > 0.0
-            and float(np.linalg.eigvalsh((c1 + c1.T) / 2.0).min()) > 0.0
-        )
+        pair = np.stack(unpack(x))
+        return float(np.linalg.eigvalsh((pair + np.swapaxes(pair, -1, -2)) / 2.0).min()) > 0.0
 
     x = pack(a0, a1)
     last_plain: np.ndarray | None = None
-    xs: list[np.ndarray] = []
     rs: list[np.ndarray] = []
     gs: list[np.ndarray] = []
     depth = 4
@@ -408,7 +395,6 @@ def gaussian_bridge_oracle(
                 raise
             # An extrapolated candidate left the feasible region: retry plain.
             x = last_plain
-            xs.clear()
             rs.clear()
             gs.clear()
             continue
@@ -418,11 +404,9 @@ def gaussian_bridge_oracle(
             x = g
             converged = True
             break
-        xs.append(x.copy())
         gs.append(g.copy())
         rs.append(r.copy())
         if len(rs) > depth:
-            xs.pop(0)
             gs.pop(0)
             rs.pop(0)
         candidate = g

@@ -203,6 +203,9 @@ class TestBridgeCommand:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "objective" in stdout and "converged = True" in stdout
+        lines = stdout.splitlines()
+        converged_at = next(k for k, line in enumerate(lines) if line.startswith("converged = "))
+        assert lines[converged_at + 1] in ("stop_reason = gradient_tol", "stop_reason = stall")
         times, slices = fio.load_measure_path(os.path.join(out, "path.json"))
         assert len(times) == 9
         with open(os.path.join(out, "slices.csv")) as f:
@@ -226,7 +229,10 @@ class TestBridgeCommand:
             ]
         )
         assert code == 4
-        assert "converged = False" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "converged = False" in captured.out
+        assert "stop_reason = budget" in captured.out
+        assert "did not converge in 1 iterations (budget)" in captured.err
 
     def test_infinite_entropy_exit_3(self, rng, tmp_path, workdir):
         sup = make_support(2)

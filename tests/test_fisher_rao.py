@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frgeo import bures
 from frgeo.bures import bures_distance_sq, bures_geodesic
 from frgeo.exceptions import (
     AntipodalError,
     FRGeoError,
     NotProbabilityError,
     NotPSDError,
+    SingularMatrixError,
     SupportMismatchError,
     ZeroLengthError,
 )
 from frgeo.fisher_rao import (
     MeasurePath,
+    _chord_parameter,
     cone_scaling_check,
     constant_speed_reparametrize,
     fisher_rao_distance,
@@ -309,6 +312,25 @@ class TestFisherRaoGeodesic:
         for s in path.slices:
             assert abs(mass(s) - 1.0) <= 1e-8
             assert np.linalg.eigvalsh(s.atoms).min() >= -1e-10
+
+    def test_slices_are_normalized_hellinger_chord_slices(self, mixed_mode_pair):
+        # Radial, regularized and map fibers: the sphere slices are exactly
+        # the Hellinger geodesic's chord slices scaled back to unit mass.
+        g0, g1 = (g.with_atoms(g.atoms / mass(g)) for g in mixed_mode_pair)
+        ts = np.linspace(0.0, 1.0, 9)
+        path = fisher_rao_geodesic(g0, g1, ts)
+        phi = fisher_rao_distance(g0, g1) / 2.0
+        chord = hellinger_geodesic(g0, g1, [_chord_parameter(t, phi) for t in ts])
+        assert path.velocities is None
+        assert path.slices[0] is g0 and path.slices[-1] is g1
+        for s, g in zip(path.slices[1:-1], chord.slices[1:-1]):
+            assert np.array_equal(s.atoms, g.atoms / mass(g))
+
+    def test_regularization_error_is_precondition(self, mixed_mode_pair, monkeypatch):
+        monkeypatch.setattr(bures, "GEODESIC_ENDPOINT_TOL", 0.0)
+        g0, g1 = (g.with_atoms(g.atoms / mass(g)) for g in mixed_mode_pair)
+        with pytest.raises(SingularMatrixError, match="regularized geodesic start error"):
+            fisher_rao_geodesic(g0, g1, [0.0, 0.5, 1.0])
 
     def test_constant_speed_between_all_samples(self, rng):
         sup = make_support(2)

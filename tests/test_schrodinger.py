@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,12 +199,15 @@ class TestSolveBridge:
             [np.stack([psd_sqrt(g.atoms[i]) for i in range(n)]) for g in interior]
         )
 
-        def full_obj(fac):
+        def forward(fac):
             stacked = np.concatenate([g0.atoms[None], _factors_to_slice(fac), g1.atoms[None]])
-            kin, fis = _stack_objective(stacked, lam.weights, eps)
-            return kin + fis
+            return _stack_objective(stacked, lam.weights, eps)
 
-        grad = _bridge_gradient(factors, g0.atoms, g1.atoms, lam.weights, eps)
+        def full_obj(fac):
+            fwd = forward(fac)
+            return fwd.kinetic + fwd.fisher_term
+
+        grad = _bridge_gradient(factors, forward(factors), lam.weights, eps)
         assert np.all(np.isfinite(grad))
         h = 1e-7
         for _ in range(20):
@@ -235,6 +239,37 @@ class TestSolveBridge:
         assert res.converged
         assert res.objective == pytest.approx(0.3555451069311062, rel=1e-8)
 
+    def test_gradient_reuses_the_objective_decompositions(self, monkeypatch):
+        from frgeo.hpsd import psd_sqrt
+        from frgeo.schrodinger import _bridge_gradient, _factors_to_slice, _stack_objective
+
+        g0, g1, lam = zero_weight_boundary_pair()
+        n_steps = 12
+        path = recovery_sequence(fisher_rao_geodesic(g0, g1, np.linspace(0, 1, n_steps + 1)), lam, 0.2)
+        factors = psd_sqrt(np.stack([g.atoms for g in path.slices[1:-1]]))
+        stacked = np.concatenate([g0.atoms[None], _factors_to_slice(factors), g1.atoms[None]])
+
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        fwd = _stack_objective(stacked, lam.weights, 0.2)
+        assert shapes == [(n_steps + 1, 2, 2, 2), (n_steps, 2, 2, 2)]
+        shapes.clear()
+        grad = _bridge_gradient(factors, fwd, lam.weights, 0.2)
+        assert shapes == []
+        assert np.all(np.isfinite(grad))
+
+        # The boundary solve stays clear of numpy's invalid-value and
+        # division warnings (the range-only inverse powers).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.2, n_steps=n_steps))
+        assert res.converged
+
     def test_identical_equilibrium_endpoints(self):
         lam = uniform_reference(make_support(2), 2)
         eq = reference_identity(lam)
@@ -249,6 +284,7 @@ class TestSolveBridge:
         cfg = SchrodingerConfig(epsilon=0.3, n_steps=8, max_iters=150)
         res = solve_bridge(g0, g1, lam, cfg)
         assert res.objective == pytest.approx(res.kinetic + res.fisher_term, abs=1e-12)
+        assert sum(discrete_objective(res.path, lam, cfg.epsilon)) == pytest.approx(res.objective, rel=1e-12)
         assert tv_distance(res.path.slices[0], g0) <= 1e-10
         assert tv_distance(res.path.slices[-1], g1) <= 1e-10
 

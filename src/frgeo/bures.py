@@ -1,28 +1,27 @@
 """Bures-Wasserstein geometry on single Hermitian-PSD fibers.
 
 Provides the closed-form squared distance, its spherical (unit-trace)
-companion, geodesics through the optimal linear map, the complex-to-real
-embedding identity, and a dynamical solver that minimizes the kinetic action
-over discretized paths. The dynamical solver is deliberately independent of
-the optimal-map construction so the two routes cross-check each other.
+companion, geodesics in polar form ``Y_t Y_t*`` (exact on the cone boundary),
+the complex-to-real embedding identity, and a dynamical solver that minimizes
+the kinetic action over discretized paths. The dynamical solver is
+deliberately independent of the polar construction so the two routes
+cross-check each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NotUnitTraceError, SingularMatrixError
+from .exceptions import NotUnitTraceError
 from .hpsd import (
     clamp_psd,
     cross_trace,
-    from_spectrum,
     frobenius_inner,
     frobenius_norm,
     hermitian_part,
     is_positive_definite,
-    psd_spectrum,
     psd_sqrt,
     real_embedding,
     solve_sylvester_eigh,
@@ -34,7 +33,6 @@ from .optim import lbfgs
 
 UNIT_TRACE_TOL = 1e-9
 GEODESIC_REG_SCALE = 1e-8
-GEODESIC_ENDPOINT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,8 @@ class FiberGeodesic:
 
     ``points[k]`` is the matrix (or stack) at ``times[k]``; ``velocities[k]``
     solves the continuity equation at that sample where the point is
-    nonsingular, and is None otherwise. ``meta`` records construction details
-    (regularization shift, solver convergence, ...).
+    nonsingular, and is None otherwise. ``meta`` records solver details
+    (regularization shift, convergence, ...); closed-form paths leave it empty.
     """
 
     a0: np.ndarray
@@ -102,103 +100,55 @@ def spherical_bures(a0: np.ndarray, a1: np.ndarray) -> float:
     return float(np.arccos(arg))
 
 
-def optimal_transport_map(w: np.ndarray, v: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """The Hermitian PSD map ``T`` with ``T a0 T = a1`` for definite
-    ``a0 = v diag(w) v*`` (per pair of a stack), given by that decomposition:
-    ``T = a0^{-1/2} (a0^{1/2} a1 a0^{1/2})^{1/2} a0^{-1/2}``."""
-    s = np.sqrt(np.clip(w, 0.0, None))
-    sqrt_a0 = from_spectrum(v, s)
-    # Divide rather than scale by 1 / s: the regularized start amplifies
-    # that 1-ulp difference about 1e5-fold in the geodesic points.
-    inv_sqrt_a0 = (v / s[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    middle = psd_sqrt(hermitian_part(sqrt_a0 @ a1 @ sqrt_a0))
-    return hermitian_part(inv_sqrt_a0 @ middle @ inv_sqrt_a0)
-
-
-def _geodesic_points(a0: np.ndarray, a1: np.ndarray, ts, labels):
-    """The points of :func:`bures_geodesic_stack` (``velocities`` None) plus
-    the fibers' bases, optimal maps and ``M_t``, which the velocity step needs."""
-    a0, w0, v0 = psd_spectrum(np.asarray(a0, dtype=complex), labels=labels)
-    a1 = clamp_psd(np.asarray(a1, dtype=complex), labels=labels)
-    ts = np.asarray(ts, dtype=float)
-    d = a0.shape[-1]
-    eye = np.eye(d, dtype=complex)
-    rank = spectral_rank(w0)
-    radial = rank == 0
-    regularized = ~radial & (rank < d)
-    tr0 = np.real(np.trace(a0, axis1=-2, axis2=-1))
-    tr1 = np.real(np.trace(a1, axis1=-2, axis2=-1))
-    delta = np.where(regularized, GEODESIC_REG_SCALE * np.maximum(tr0, tr1), 0.0)
-    # Radial fibers take no map; the identity stands in as a harmless base.
-    base = np.where(radial[:, None, None], eye, a0 + delta[:, None, None] * eye)
-    endpoint_error = np.linalg.norm(base - a0, axis=(-2, -1)) * regularized
-    if np.any(endpoint_error > GEODESIC_ENDPOINT_TOL):
-        raise SingularMatrixError(
-            f"regularized geodesic start error {endpoint_error.max():.3e} exceeds {GEODESIC_ENDPOINT_TOL:.1e}"
-        )
-    # A map-mode base is a0 itself, so only shifted bases need a new eigh.
-    w_base, v_base = w0.copy(), v0.copy()
-    w_base[radial], v_base[radial] = 1.0, eye
-    w_base[regularized], v_base[regularized] = np.linalg.eigh(base[regularized])
-
-    t_map = optimal_transport_map(w_base, v_base, a1)
-    t = ts[:, None, None, None]
-    m_t = (1.0 - t) * eye + t * t_map
-    points = hermitian_part(m_t @ base @ m_t)
-    points[:, radial] = (t * t * a1)[:, radial]
-    mode = np.where(radial, "radial", np.where(regularized, "regularized", "map"))
-    meta = {"mode": mode, "delta": delta, "endpoint_error": endpoint_error}
-    return FiberGeodesic(a0, a1, ts, points, None, meta), base, t_map, m_t
+def _geodesic_factors(a0: np.ndarray, a1: np.ndarray, ts, labels):
+    """Points of :func:`bures_geodesic_stack` with their factors ``Y_t`` and
+    the factor velocity ``Y_1 - a0^{1/2}``."""
+    r0 = psd_sqrt(a0, labels=labels)
+    r1 = psd_sqrt(a1, labels=labels)
+    p, _, qh = np.linalg.svd(r1 @ r0)
+    y1 = r1 @ p @ qh
+    t = np.asarray(ts, dtype=float)[:, None, None, None]
+    y_t = (1.0 - t) * r0 + t * y1
+    return hermitian_part(y_t @ np.conj(np.swapaxes(y_t, -1, -2))), y_t, y1 - r0
 
 
 def bures_geodesic_points(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> np.ndarray:
     """The points ``(len(ts), n, d, d)`` of :func:`bures_geodesic_stack`,
     without its velocity step."""
-    return _geodesic_points(a0, a1, ts, labels)[0].points
+    return _geodesic_factors(np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex), ts, labels)[0]
 
 
 def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeodesic:
     """Geodesic samples between paired fibers of two ``(n, d, d)`` stacks,
-    each fiber as :func:`bures_geodesic` builds it: ``radial`` from a zero
-    start, ``regularized`` from a singular one, ``map`` otherwise.
+    each fiber as :func:`bures_geodesic` builds it.
 
     ``points[k]`` is the stack at ``ts[k]``; ``velocities[k]`` is the stack
-    of fiber velocities when every fiber has one there, else None. ``meta``
-    holds the per-fiber arrays ``mode``, ``delta`` and ``endpoint_error``.
+    of fiber velocities when every fiber point there is definite, else None.
     """
-    geo, base, t_map, m_t = _geodesic_points(a0, a1, ts, labels)
-    ts, points = geo.times, geo.points
-    radial = geo.meta["mode"] == "radial"
-    eye = np.eye(points.shape[-1], dtype=complex)
-    dm = t_map - eye
-    da_t = hermitian_part(dm @ base @ m_t + m_t @ base @ dm)
+    a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
+    points, y_t, dy = _geodesic_factors(a0, a1, ts, labels)
+    rates = 2.0 * hermitian_part(dy @ np.conj(np.swapaxes(y_t, -1, -2)))
     w, v = np.linalg.eigh(points)
-    has_velocity = spectral_rank(w) == points.shape[-1]
-    has_velocity[:, radial] &= (ts > 0.0)[:, None]
-    solve = has_velocity & ~radial
+    definite = np.all(spectral_rank(w) == points.shape[-1], axis=-1)
     us = np.zeros_like(points)
-    us[solve] = solve_sylvester_eigh(w[solve], v[solve], da_t[solve])
-    us[:, radial] = (2.0 / np.where(ts > 0.0, ts, 1.0))[:, None, None, None] * eye
-    velocities = tuple(us[k] if has_velocity[k].all() else None for k in range(len(ts)))
-    return replace(geo, velocities=velocities)
+    us[definite] = solve_sylvester_eigh(w[definite], v[definite], rates[definite])
+    velocities = tuple(u if ok else None for u, ok in zip(us, definite))
+    return FiberGeodesic(a0, a1, np.asarray(ts, dtype=float), points, velocities)
 
 
 def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts) -> FiberGeodesic:
     """Geodesic samples between PSD fibers.
 
-    For definite ``a0`` the path is ``a_t = M_t a0 M_t`` with
-    ``M_t = (1 - t) I + t T``. A zero start gives the radial path
-    ``a_t = t^2 a1``. A singular nonzero start is shifted by
-    ``delta = 1e-8 * max(tr a0, tr a1)`` before applying the map; the shift
-    and the resulting endpoint error are recorded in ``meta``.
+    The path is ``a_t = Y_t Y_t*`` with ``Y_t = (1 - t) a0^{1/2} + t a1^{1/2} U``,
+    where ``U`` is the unitary polar factor of ``a1^{1/2} a0^{1/2}`` (one
+    batched SVD). This holds for singular ``a0`` as well, so the endpoints
+    and the mass interpolation are exact on the cone boundary; for definite
+    ``a0`` it is the optimal-map path ``M_t a0 M_t``. Velocities solve
+    ``(a_t u + u a_t) / 2 = d a_t / dt`` where ``a_t`` is definite.
     """
     geo = bures_geodesic_stack(np.asarray(a0)[None], np.asarray(a1)[None], ts)
-    mode = str(geo.meta["mode"][0])
-    meta: dict = {"delta": float(geo.meta["delta"][0]), "mode": mode}
-    if mode == "regularized":
-        meta["endpoint_error"] = float(geo.meta["endpoint_error"][0])
     velocities = tuple(None if u is None else u[0] for u in geo.velocities)
-    return FiberGeodesic(geo.a0[0], geo.a1[0], geo.times, geo.points[:, 0], velocities, meta)
+    return FiberGeodesic(geo.a0[0], geo.a1[0], geo.times, geo.points[:, 0], velocities)
 
 
 def bures_real_embedding_check(a0: np.ndarray, a1: np.ndarray) -> tuple[float, float]:
@@ -291,7 +241,7 @@ def dynamical_bures_solver(
         a1 = a1 + delta * np.eye(d)
 
     # Start from the straight line's velocities at the step midpoints,
-    # independent of the optimal-map construction on purpose.
+    # independent of the polar construction on purpose.
     dt = 1.0 / n_steps
     diff = a1 - a0
     mids = a0 + ((np.arange(n_steps) + 0.5) * dt)[:, None, None] * diff

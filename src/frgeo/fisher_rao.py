@@ -133,8 +133,7 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     check_same_support(g0, g1)
     geo = bures.bures_geodesic_stack(g0.atoms, g1.atoms, ts, g0.support.point_ids)
     slices = tuple(g0.with_atoms(atoms) for atoms in geo.points)
-    meta = {"metric": "hellinger", "fiber_deltas": geo.meta["delta"].tolist()}
-    meta["ode_residual"] = _discrete_ode_residual(geo.times, slices, geo.velocities)
+    meta = {"metric": "hellinger", "ode_residual": _discrete_ode_residual(geo.times, slices, geo.velocities)}
     return MeasurePath(geo.times, slices, geo.velocities, meta)
 
 

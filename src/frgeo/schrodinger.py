@@ -186,11 +186,18 @@ def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) 
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    for label, g in (("initial", path.slices[0]), ("final", path.slices[-1])):
+    _check_endpoint_entropies(path.slices[0], path.slices[-1], lam)
+    return path if epsilon == 0.0 else _heat_flow_perturbation(path, lam, epsilon)
+
+
+def _check_endpoint_entropies(g0: MatrixMeasure, g1: MatrixMeasure, lam: ReferenceMeasure) -> None:
+    for label, g in (("initial", g0), ("final", g1)):
         if math.isinf(entropy(g, lam)):
             raise InfiniteEndpointEntropyError(f"{label} endpoint has infinite entropy")
-    if epsilon == 0.0:
-        return path
+
+
+def _heat_flow_perturbation(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) -> MeasurePath:
+    """:func:`recovery_sequence` for ``epsilon > 0``, without its endpoint checks."""
     slices = []
     for t, g in zip(path.times, path.slices):
         h = epsilon * min(float(t), 1.0 - float(t))
@@ -270,20 +277,19 @@ def solve_bridge(
     """
     check_same_support(g0, g1)
     check_reference_support(g0, lam)
-    for label, g in (("initial", g0), ("final", g1)):
-        if math.isinf(entropy(g, lam)):
-            raise InfiniteEndpointEntropyError(f"{label} endpoint has infinite entropy")
-    dfr = fisher_rao_distance(g0, g1)
-    if dfr >= np.pi - 1e-6:
-        raise AntipodalError(f"endpoints at distance {dfr!r} >= pi - 1e-6")
+    _check_endpoint_entropies(g0, g1, lam)
 
     n_steps = cfg.n_steps
     times = np.linspace(0.0, 1.0, n_steps + 1)
     if init_path is None:
-        geodesic = fisher_rao_geodesic(g0, g1, times)
-        init_path = recovery_sequence(geodesic, lam, cfg.epsilon)
-    elif init_path.n_slices != n_steps + 1:
-        raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
+        # The geodesic makes the antipodal check, with the same tolerance.
+        init_path = _heat_flow_perturbation(fisher_rao_geodesic(g0, g1, times), lam, cfg.epsilon)
+    else:
+        dfr = fisher_rao_distance(g0, g1)
+        if dfr >= np.pi - 1e-6:
+            raise AntipodalError(f"endpoints at distance {dfr!r} >= pi - 1e-6")
+        if init_path.n_slices != n_steps + 1:
+            raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
     factors = psd_sqrt(np.stack([g.atoms for g in init_path.slices[1:-1]]))
 
     def objective(fac: np.ndarray) -> tuple[float, _Forward | None]:

@@ -135,14 +135,20 @@ def _group_bures(rng: np.random.Generator) -> list[str]:
         schatten1 = float(np.sum(np.abs(np.linalg.eigvalsh(a1 - a0))))
         bad.expect(s01 <= sq_diff + 1e-9 and sq_diff <= schatten1 + 1e-9, "root/trace-norm chain")
 
+        # Exact trace interpolation from a0 and from a0 with its smallest
+        # eigenvalue set to zero (a start on the cone boundary).
         ts = np.linspace(0.0, 1.0, 5)
-        geo = bures.bures_geodesic(a0, a1, ts)
-        expected = ts * np.real(np.trace(a1)) + (1 - ts) * np.real(np.trace(a0)) - ts * (1 - ts) * s01
-        traces = np.real(np.trace(geo.points, axis1=1, axis2=2))
-        bad.expect(
-            np.max(np.abs(traces - expected)) <= 1e-6 * max(1.0, float(np.max(np.abs(expected)))),
-            "geodesic trace interpolation",
-        )
+        w, v = np.linalg.eigh(a0)
+        w[0] = 0.0
+        for start in (a0, hpsd.hermitian_part((v * w) @ np.conj(v.T))):
+            geo = bures.bures_geodesic(start, a1, ts)
+            s_sq = bures.bures_distance_sq(start, a1)
+            expected = ts * np.real(np.trace(a1)) + (1 - ts) * np.real(np.trace(start)) - ts * (1 - ts) * s_sq
+            traces = np.real(np.trace(geo.points, axis1=1, axis2=2))
+            bad.expect(
+                np.max(np.abs(traces - expected)) <= 1e-13 * max(1.0, float(np.max(np.abs(expected)))),
+                "geodesic trace interpolation",
+            )
 
         lhs, rhs = bures.bures_real_embedding_check(a0, a1)
         bad.expect(abs(lhs - rhs) <= 1e-9 * max(1.0, rhs), "real-embedding identity")

@@ -9,9 +9,9 @@ def rng():
 
 @pytest.fixture
 def mixed_mode_pair():
-    """Two measures on three points whose fiber geodesics take every mode:
-    a zero start (radial), a rank-deficient start with a rank-deficient end
-    (regularized, no velocity at t = 1) and a definite pair (map)."""
+    """Two measures on three points whose fibers cover the start cases of the
+    Bures geodesic: a zero start, a rank-1 start with a rank-2 end (singular
+    at every t, so no velocity anywhere) and a definite pair."""
     from frgeo.measures import MatrixMeasure, make_support
     from frgeo.testing import random_psd, random_spd
 
@@ -39,61 +39,72 @@ def bures_sq_formula(a0, a1):
     return max(float(np.real(np.trace(a0) + np.trace(a1))) - 2.0 * fidelity, 0.0)
 
 
+def _is_definite(a):
+    w = np.linalg.eigvalsh(a)
+    return w[0] > 1e-12 * w[-1]
+
+
+def _map_path(a0, a1, ts):
+    """``M_t a0 M_t`` and its time derivative for definite ``a0``, with
+    ``M_t = (1 - t) I + t T`` and ``T`` the PSD solution of ``T a0 T = a1``."""
+    eye = np.eye(a0.shape[0])
+    root = _psd_root(a0)
+    inv_root = np.linalg.inv(root)
+    t_map = inv_root @ _psd_root(root @ a1 @ root) @ inv_root
+    m = (1.0 - ts) * eye + ts * t_map
+    return m @ a0 @ m, (t_map - eye) @ a0 @ m + m @ a0 @ (t_map - eye)
+
+
 def fiber_geodesic_formula(a0, a1, ts):
     """Points and time derivatives of the Bures geodesic from ``a0`` to
-    ``a1`` at ``ts`` by the closed forms, plus the start shift ``delta``.
+    ``a1`` at ``ts`` by closed forms, or None when both ends are singular
+    and the start is nonzero.
 
-    A zero start gives ``t^2 a1``. Otherwise the path is ``M_t B M_t`` with
-    ``M_t = (1 - t) I + t T``, where ``B`` is ``a0`` shifted by
-    ``1e-8 max(tr a0, tr a1)`` when singular and ``T`` is the PSD solution
-    of ``T B T = a1``.
+    A zero start gives ``t^2 a1``, a definite start the optimal-map path
+    ``M_t a0 M_t``, and a singular start with a definite end that path run
+    backwards from ``a1`` (the geodesic is unique once one end is definite).
     """
     ts = np.asarray(ts, dtype=float)[:, None, None]
     if not np.any(a0):
-        return ts * ts * a1, 2.0 * ts * a1, 0.0
-    d = a0.shape[0]
-    eye = np.eye(d)
-    w = np.linalg.eigvalsh(a0)
-    delta = 0.0 if w[0] > 1e-12 * w[-1] else 1e-8 * max(np.trace(a0).real, np.trace(a1).real)
-    b = a0 + delta * eye
-    root_b = _psd_root(b)
-    inv_root_b = np.linalg.inv(root_b)
-    t_map = inv_root_b @ _psd_root(root_b @ a1 @ root_b) @ inv_root_b
-    m = (1.0 - ts) * eye + ts * t_map
-    return m @ b @ m, (t_map - eye) @ b @ m + m @ b @ (t_map - eye), delta
+        return ts * ts * a1, 2.0 * ts * a1
+    if _is_definite(a0):
+        return _map_path(a0, a1, ts)
+    if _is_definite(a1):
+        points, rates = _map_path(a1, a0, 1.0 - ts)
+        return points, -rates
+    return None
 
 
-# The shifted start of a regularized fiber has condition number about
-# tr / delta = 1e8, and its transport map is accurate only to about that
-# multiple of machine epsilon; definite and radial fibers meet 1e-12.
-REGULARIZED_FIBER_TOL = 1e-7
-
-
-def check_path_follows_fiber_formulas(g0, g1, ts, points, velocities=None, deltas=None):
+def check_path_follows_fiber_formulas(g0, g1, ts, points, velocities=None):
     """Assert that a measure path (``points[k]`` the atom stack at ``ts[k]``)
-    runs every fiber along :func:`fiber_geodesic_formula`, that ``deltas``
-    are the fiber start shifts, and that a velocity stack is attached
-    exactly where every fiber point is definite and solves the continuity
-    equation ``(a u + u a) / 2 = da/dt`` fiber by fiber."""
-    d = g0.dim
-    formulas = [fiber_geodesic_formula(g0.atoms[i], g1.atoms[i], ts) for i in range(g0.n)]
-    ref_points = np.stack([f[0] for f in formulas], axis=1)
-    ref_rates = np.stack([f[1] for f in formulas], axis=1)
-    tol = np.array([REGULARIZED_FIBER_TOL if f[2] > 0.0 else 1e-12 for f in formulas])
-    scale = np.maximum(1.0, np.abs(np.concatenate([ref_points, ref_rates])).max(axis=(0, 2, 3)))
-    assert np.all(np.abs(np.asarray(points) - ref_points).max(axis=(0, 2, 3)) <= tol * scale)
-    if deltas is not None:
-        assert deltas == pytest.approx([f[2] for f in formulas], rel=1e-12, abs=0.0)
-    if velocities is None:
-        return
-    for k, u in enumerate(velocities):
-        w = np.linalg.eigvalsh(ref_points[k])
-        definite = np.all(w > 1e-12 * np.maximum(w[:, -1:], 1e-300), axis=1)
-        assert (u is not None) == bool(definite.all()), f"velocity attachment at t = {ts[k]}"
-        if u is not None:
-            a = ref_points[k]
-            resid = np.abs((a @ u + u @ a) / 2.0 - ref_rates[k]).max(axis=(1, 2))
-            assert np.all(resid <= tol * scale), f"continuity residual {resid} at t = {ts[k]}"
+    runs every fiber along :func:`fiber_geodesic_formula` within 1e-12, or,
+    for a fiber without a closed form, along a geodesic:
+    ``d_B^2(a0, a_t) = t^2 d^2`` and ``d_B^2(a_t, a1) = (1 - t)^2 d^2``.
+    A velocity stack must be attached exactly where every fiber point is
+    definite, and solve the continuity equation ``(a u + u a) / 2 = da/dt``
+    on every fiber with a closed form."""
+    points = np.asarray(points)
+    for i in range(g0.n):
+        a0, a1, path = g0.atoms[i], g1.atoms[i], points[:, i]
+        formula = fiber_geodesic_formula(a0, a1, ts)
+        if formula is None:
+            d_sq = bures_sq_formula(a0, a1)
+            scale = max(1.0, float(np.real(np.trace(a0) + np.trace(a1))))
+            for t, a_t in zip(ts, path):
+                assert abs(bures_sq_formula(a0, a_t) - t * t * d_sq) <= 1e-12 * scale, f"fiber {i} at t = {t}"
+                assert abs(bures_sq_formula(a_t, a1) - (1 - t) ** 2 * d_sq) <= 1e-12 * scale, f"fiber {i} at t = {t}"
+            continue
+        ref_points, ref_rates = formula
+        scale = max(1.0, float(np.abs(np.concatenate([ref_points, ref_rates])).max()))
+        assert np.abs(path - ref_points).max() <= 1e-12 * scale, f"fiber {i}"
+        for k, u in enumerate(velocities or ()):
+            if u is not None:
+                a = ref_points[k]
+                resid = np.abs((a @ u[i] + u[i] @ a) / 2.0 - ref_rates[k]).max()
+                assert resid <= 1e-12 * scale, f"fiber {i} continuity residual {resid} at t = {ts[k]}"
+    for k, u in enumerate(velocities or ()):
+        definite = all(_is_definite(a) for a in points[k])
+        assert (u is not None) == definite, f"velocity attachment at t = {ts[k]}"
 
 
 @pytest.fixture(scope="session")

@@ -215,8 +215,16 @@ def test_criterion_08_geodesic_structure():
         masses = path_masses(hgeo)
         assert np.all(masses >= 1.0 - 2.0 * ts * (1.0 - ts) - 1e-9)
         exact = mass_interpolation_values(g0, g1, ts)
-        assert np.max(np.abs(masses - exact)) <= 1e-6 * max(1.0, float(np.max(np.abs(exact))))
-    _report("criterion-08 geodesic structure", "midpoints, mass bound, exact interpolation")
+        assert np.max(np.abs(masses - exact)) <= 1e-14 * max(1.0, float(np.max(np.abs(exact))))
+        # The same exact interpolation from a rank-deficient start: g0 with
+        # each atom's smallest eigenvalue set to zero.
+        w, v = np.linalg.eigh(g0.atoms)
+        w[:, 0] = 0.0
+        gs = g0.with_atoms(hermitian_part((v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))))
+        masses = path_masses(hellinger_geodesic(gs, g1, ts))
+        exact = mass_interpolation_values(gs, g1, ts)
+        assert np.max(np.abs(masses - exact)) <= 1e-14 * max(1.0, float(np.max(np.abs(exact))))
+    _report("criterion-08 geodesic structure", "midpoints, mass bound, exact interpolation to 1e-14 from definite and rank-deficient starts")
 
 
 def test_criterion_09_heat_flow_and_entropy():

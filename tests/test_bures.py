@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from frgeo import bures
 from frgeo.bures import (
     _action_gradient,
     _forward_integrate,
@@ -11,7 +10,7 @@ from frgeo.bures import (
     dynamical_bures_solver,
     spherical_bures,
 )
-from frgeo.exceptions import NotPSDError, NotUnitTraceError, SingularMatrixError
+from frgeo.exceptions import NotPSDError, NotUnitTraceError
 from frgeo.hpsd import frobenius_inner, psd_sqrt
 from frgeo.testing import random_density, random_hermitian, random_psd, random_spd
 
@@ -119,12 +118,16 @@ class TestBuresGeodesic:
         for _ in range(50):
             d = int(rng.integers(1, 5))
             a0, a1 = random_psd(rng, d), random_psd(rng, d)
-            d_sq = bures_distance_sq(a0, a1)
-            ts = np.linspace(0.0, 1.0, 7)
-            geo = bures_geodesic(a0, a1, ts)
-            traces = np.real(np.trace(geo.points, axis1=1, axis2=2))
-            expected = ts * np.real(np.trace(a1)) + (1 - ts) * np.real(np.trace(a0)) - ts * (1 - ts) * d_sq
-            assert np.max(np.abs(traces - expected)) <= 1e-6 * max(1.0, np.max(np.abs(expected)))
+            # Also from a0 with its smallest eigenvalue set to zero.
+            w, v = np.linalg.eigh(a0)
+            w[0] = 0.0
+            for start in (a0, (v * w) @ np.conj(v.T)):
+                d_sq = bures_distance_sq(start, a1)
+                ts = np.linspace(0.0, 1.0, 7)
+                geo = bures_geodesic(start, a1, ts)
+                traces = np.real(np.trace(geo.points, axis1=1, axis2=2))
+                expected = ts * np.real(np.trace(a1)) + (1 - ts) * np.real(np.trace(start)) - ts * (1 - ts) * d_sq
+                assert np.max(np.abs(traces - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
 
     def test_points_stay_psd(self, rng):
         a0, a1 = random_psd(rng, 3, rank=2), random_psd(rng, 3)
@@ -132,33 +135,25 @@ class TestBuresGeodesic:
         for p in geo.points:
             assert np.linalg.eigvalsh(p).min() >= -1e-10
 
-    def test_singular_start_regularized(self, rng):
+    def test_singular_start_exact_endpoints(self, rng):
         a0 = random_psd(rng, 3, rank=1)
         a1 = random_psd(rng, 3)
         geo = bures_geodesic(a0, a1, [0.0, 0.5, 1.0])
-        assert geo.meta["mode"] == "regularized"
-        assert geo.meta["delta"] > 0.0
-        assert geo.meta["endpoint_error"] <= 1e-6
-        assert np.linalg.norm(geo.points[0] - a0) <= 1e-6
-        assert np.linalg.norm(geo.points[-1] - a1) <= 1e-6
-
-    def test_regularization_error_is_precondition(self, rng, monkeypatch):
-        monkeypatch.setattr(bures, "GEODESIC_ENDPOINT_TOL", 0.0)
-        a0 = random_psd(rng, 3, rank=1)
-        a1 = random_psd(rng, 3)
-        with pytest.raises(SingularMatrixError, match="regularized geodesic start error"):
-            bures_geodesic(a0, a1, [0.0, 0.5, 1.0])
+        assert geo.meta == {}
+        assert np.linalg.norm(geo.points[0] - a0) <= 1e-13 * np.linalg.norm(a0)
+        assert np.linalg.norm(geo.points[-1] - a1) <= 1e-13 * np.linalg.norm(a1)
+        # The start is on the cone boundary, so it has no velocity.
+        assert geo.velocities[0] is None and geo.velocities[1] is not None
 
     def test_both_endpoints_singular(self, rng):
         a0 = random_psd(rng, 3, rank=2)
         a1 = random_psd(rng, 3, rank=1)
         dist = np.sqrt(bures_distance_sq(a0, a1))
         geo = bures_geodesic(a0, a1, [0.0, 0.5, 1.0])
-        assert np.linalg.norm(geo.points[0] - a0) <= 1e-6
-        assert np.linalg.norm(geo.points[-1] - a1) <= 1e-6
-        # Still a constant-speed path within the regularization tolerance.
+        assert np.linalg.norm(geo.points[0] - a0) <= 1e-13 * np.linalg.norm(a0)
+        assert np.linalg.norm(geo.points[-1] - a1) <= 1e-13 * np.linalg.norm(a1)
         mid = np.sqrt(bures_distance_sq(a0, geo.points[1]))
-        assert mid == pytest.approx(dist / 2.0, rel=1e-4, abs=1e-6)
+        assert mid == pytest.approx(dist / 2.0, rel=1e-11)
 
     def test_velocities_solve_continuity_equation(self, rng):
         a0, a1 = random_spd(rng, 2), random_spd(rng, 2)

@@ -130,18 +130,25 @@ class TestGeodesicCommand:
         for k, g in enumerate(slices):
             assert np.abs(g.atoms - np.stack([fp.points[k] for fp in fibers])).max() <= 1e-12
 
-    def test_regularized_start_error_exit_3(self, workdir, tmp_path, monkeypatch, capsys):
-        from frgeo import bures
+    def test_singular_start_at_large_scale_exit_0(self, fiber_formulas, tmp_path):
+        # The geodesic from a singular start is exact at every scale; this
+        # one-point pair used to exit 3 through a start-shift error bound.
+        from frgeo.fisher_rao import mass_interpolation_values
 
-        monkeypatch.setattr(bures, "GEODESIC_ENDPOINT_TOL", 0.0)
-        g0 = fio.load_measure(workdir["g0"])
-        singular = g0.with_atoms(np.stack([np.diag([0.5, 0.0]), np.diag([0.25, 0.25])]).astype(complex))
-        p = str(tmp_path / "singular.json")
-        fio.save_measure(p, singular)
-        out = os.path.join(workdir["dir"], "geo_s")
-        code = main(["geodesic", p, workdir["g1"], "--steps", "4", "--out", out])
-        assert code == 3
-        assert "regularized geodesic start error" in capsys.readouterr().err
+        sup = make_support(1)
+        g0 = MatrixMeasure(sup, np.diag([50.0, 0.0])[None].astype(complex))
+        g1 = MatrixMeasure(sup, 50.0 * np.eye(2, dtype=complex)[None])
+        p0, p1, out = str(tmp_path / "g0.json"), str(tmp_path / "g1.json"), str(tmp_path / "geo")
+        fio.save_measure(p0, g0)
+        fio.save_measure(p1, g1)
+        assert main(["geodesic", p0, p1, "--metric", "hellinger", "--steps", "8", "--out", out]) == 0
+        times, slices = fio.load_measure_path(os.path.join(out, "path.json"))
+        masses = np.array([np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum() for g in slices])
+        expected = mass_interpolation_values(g0, g1, times)
+        assert np.abs(masses - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.abs(slices[0].atoms - g0.atoms).max() <= 1e-14 * 50.0
+        assert np.abs(slices[-1].atoms - g1.atoms).max() <= 1e-14 * 50.0
+        fiber_formulas.check_path(g0, g1, times, [g.atoms for g in slices])
 
 
 class TestMeasureFileErrors:

@@ -355,6 +355,38 @@ class TestSolveBridge:
         with pytest.raises((AntipodalError, InfiniteEndpointEntropyError)):
             solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.1, n_steps=8))
 
+    def test_antipodal_finite_entropy_rejected_cold_and_warm(self):
+        # Finite-entropy endpoints within 1e-6 of the diameter pi.
+        sup = make_support(2)
+        lam = uniform_reference(sup, 1)
+        a = 2e-14
+        g0 = MatrixMeasure(sup, np.array([[[1.0 - a]], [[a]]], dtype=complex))
+        g1 = MatrixMeasure(sup, np.array([[[a]], [[1.0 - a]]], dtype=complex))
+        assert np.isfinite(entropy(g0, lam)) and np.pi - fisher_rao_distance(g0, g1) < 1e-6
+        cfg = SchrodingerConfig(epsilon=0.1, n_steps=8)
+        with pytest.raises(AntipodalError):
+            solve_bridge(g0, g1, lam, cfg)
+        init = MeasurePath(np.linspace(0.0, 1.0, 9), tuple([g0] * 8 + [g1]), None, {})
+        with pytest.raises(AntipodalError):
+            solve_bridge(g0, g1, lam, cfg, init_path=init)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_endpoint_checks_run_once(self, rng, monkeypatch, warm):
+        from frgeo import fisher_rao, schrodinger
+
+        g0, g1, lam = finite_entropy_pair(rng)
+        cfg = SchrodingerConfig(epsilon=0.3, n_steps=8, max_iters=5)
+        init = solve_bridge(g0, g1, lam, cfg).path if warm else None
+        calls = []
+        for module, name in ((schrodinger, "entropy"), (schrodinger, "fisher_rao_distance"), (fisher_rao, "fisher_rao_distance")):
+            def counted(*args, _original=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        solve_bridge(g0, g1, lam, cfg, init_path=init)
+        assert sorted(calls) == ["entropy", "entropy", "fisher_rao_distance"]
+
     def test_non_convergence_flagged(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)
         cfg = SchrodingerConfig(epsilon=0.3, n_steps=8, max_iters=2)

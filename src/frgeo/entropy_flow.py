@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotProbabilityError, SingularMatrixError
-from .hpsd import SINGULAR_FLOOR, eigendecomposition, from_spectrum, sym_product
+from .hpsd import eigendecomposition, from_spectrum, sym_product, zero_floor
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -55,7 +55,7 @@ def entropy_terms(eigs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     ``(...)`` of measures given by their atom eigenvalues ``(..., n, d)``."""
     pos = weights > 0.0
     dens = eigs[..., pos, :] / weights[pos][:, None]
-    singular = dens.min(axis=-1) <= SINGULAR_FLOOR
+    singular = zero_floor(dens)[..., 0] == 0.0
     dens = np.where(singular[..., None], 1.0, dens)
     fibers = np.zeros(eigs.shape[:-1])
     fibers[..., pos] = np.where(singular, math.inf, -np.log(dens).sum(axis=-1))
@@ -121,7 +121,7 @@ def fr_gradient_entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> MatrixMeasur
     """Sphere gradient of the entropy: the signed measure with atoms
     ``G_i - w_i I`` (total trace zero)."""
     check_reference_support(g, lam)
-    if not is_probability(g, tol=1e-8):
+    if not is_probability(g):
         raise NotProbabilityError(f"measure has mass {mass(g)!r}, expected 1")
     return g.with_atoms(g.atoms - reference_identity(lam).atoms)
 
@@ -136,18 +136,12 @@ def tangent_realization(v: TangentVector) -> np.ndarray:
 def tangent_norm_sq(v: TangentVector) -> float:
     """Squared sphere tangent norm
     ``sum_i G_i U_i : U_i - (sum_i G_i : U_i)^2`` (nonnegative at unit mass)."""
-    _check_base_probability(v)
+    if not is_probability(v.base):
+        raise NotProbabilityError(f"tangent base has mass {mass(v.base)!r}, expected 1")
     atoms = v.base.atoms
     energy = float(np.real(np.vdot(v.potential, atoms @ v.potential)))
     mean = float(np.real(np.vdot(atoms, v.potential)))
     return max(energy - mean * mean, 0.0)
-
-
-def _check_base_probability(v: TangentVector) -> None:
-    if not is_probability(v.base, tol=1e-8):
-        raise NotProbabilityError(
-            f"tangent base has mass {mass(v.base)!r}, expected 1"
-        )
 
 
 def entropy_gradient_potential(g: MatrixMeasure, lam: ReferenceMeasure) -> TangentVector:
@@ -159,7 +153,7 @@ def entropy_gradient_potential(g: MatrixMeasure, lam: ReferenceMeasure) -> Tange
     check_reference_support(g, lam)
     pos = np.flatnonzero(lam.weights > 0.0)
     eigs, vecs = eigendecomposition(g.atoms[pos] / lam.weights[pos][:, None, None])
-    singular = eigs.min(axis=-1) <= SINGULAR_FLOOR
+    singular = zero_floor(eigs)[..., 0] == 0.0
     if singular.any():
         i = pos[int(np.argmax(singular))]
         raise SingularMatrixError(

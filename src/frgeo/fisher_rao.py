@@ -23,6 +23,7 @@ from . import bures
 from .exceptions import AntipodalError, FRGeoError, NotProbabilityError, ZeroLengthError
 from .hpsd import sym_product
 from .measures import (
+    SPHERE_MASS_TOL,
     MatrixMeasure,
     check_same_support,
     mass,
@@ -30,7 +31,6 @@ from .measures import (
 )
 
 ANTIPODAL_TOL = 1e-6
-SPHERE_MASS_TOL = 1e-8
 
 
 @dataclass(frozen=True)

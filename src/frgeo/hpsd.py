@@ -5,9 +5,9 @@ Every matrix function here runs through a single eigendecomposition backend
 (`numpy.linalg.eigh`) so that the tolerance policy lives in one place:
 
 * eigenvalues in ``[-1e-10, 0)`` are clamped to zero when validating PSD-ness,
-* eigenvalues at or below ``1e-14`` make a matrix "singular" for log-det and
-  inversion purposes,
-* eigenvalues below ``1e-12 * lambda_max`` count as zero in rank decisions.
+* one rank rule, :func:`zero_floor`, for every rank and singularity decision:
+  eigenvalues at most ``1e-12 * lambda_max`` of their own matrix are zero, and
+  a matrix is singular when its smallest floored eigenvalue is zero.
 
 Every matrix function takes one ``(d, d)`` matrix or a ``(..., d, d)`` stack
 and decomposes each matrix once per call. ``labels`` (one per matrix along the
@@ -32,7 +32,6 @@ from .exceptions import (
 
 HERMITIAN_ATOL = 1e-12
 PSD_CLAMP_FLOOR = -1e-10
-SINGULAR_FLOOR = 1e-14
 RANK_RTOL = 1e-12
 
 
@@ -91,9 +90,8 @@ def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def spectral_rank(w: np.ndarray) -> np.ndarray:
-    """Ranks from ascending eigenvalues ``(..., d)``, as :func:`psd_rank` counts them."""
-    lam_max = w[..., -1:]
-    return np.where(lam_max[..., 0] > 0.0, np.count_nonzero(w > RANK_RTOL * lam_max, axis=-1), 0)
+    """Ranks from eigenvalues ``(..., d)``: the nonzero :func:`zero_floor` ones."""
+    return np.count_nonzero(zero_floor(w), axis=-1)
 
 
 def psd_rank(a: np.ndarray) -> int:
@@ -102,8 +100,16 @@ def psd_rank(a: np.ndarray) -> int:
 
 
 def is_positive_definite(a: np.ndarray) -> bool:
-    """True when no eigenvalue falls below ``1e-12 * lambda_max``."""
+    """True when every eigenvalue exceeds ``1e-12 * lambda_max``."""
     return psd_rank(a) == a.shape[-1]
+
+
+def _check_nonsingular(w: np.ndarray, what: str) -> None:
+    """Raise :class:`SingularMatrixError` when a matrix of ascending eigenvalues ``w`` is singular."""
+    singular = zero_floor(w)[..., 0] == 0.0
+    if singular.any():
+        lo, hi = w[singular][0, [0, -1]]
+        raise SingularMatrixError(f"{what} is singular: eigenvalue {lo:.3e} at or below {RANK_RTOL:.0e} * lambda_max {hi:.3e}")
 
 
 def psd_spectrum(a: np.ndarray, floor: float = PSD_CLAMP_FLOOR, labels=None):
@@ -150,16 +156,16 @@ def clamp_psd(a: np.ndarray, floor: float = PSD_CLAMP_FLOOR, labels=None) -> np.
 
 
 def zero_floor(w: np.ndarray) -> np.ndarray:
-    """Clamp negatives and sub-rank-tolerance eigenvalues to exact zero.
+    """The rank rule: eigenvalues at most ``RANK_RTOL * lambda_max`` of their
+    own matrix, negatives included, become exact zero.
 
-    The square root has infinite slope at zero, so eigenvalues at the
-    round-off noise level (|w| ~ eps * lam_max) would otherwise contribute
-    sqrt(noise) ~ 1e-8 errors; flooring them keeps matrix functions accurate
-    on the cone boundary.
+    The cut is relative because rank deficiency does not depend on scale. The
+    square root has infinite slope at zero, so eigenvalues at the round-off
+    noise level (|w| ~ eps * lam_max) would otherwise contribute
+    sqrt(noise) ~ 1e-8 errors.
     """
-    w = np.clip(w, 0.0, None)
-    lam_max = w.max(axis=-1, keepdims=True)
-    return np.where(w < RANK_RTOL * lam_max, 0.0, w)
+    w = np.maximum(w, 0.0)
+    return np.where(w <= RANK_RTOL * w.max(axis=-1, keepdims=True), 0.0, w)
 
 
 def psd_sqrt(a: np.ndarray, labels=None) -> np.ndarray:
@@ -178,34 +184,31 @@ def cross_trace(root_a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def spectral_powers(w: np.ndarray, v: np.ndarray, *powers: float) -> list[np.ndarray]:
     """Spectral powers of a PSD matrix or stack given by its eigendecomposition
-    ``(w, v)``, as :func:`solve_sylvester_eigh` takes it. Positive powers act
-    on the :func:`zero_floor` eigenvalues, the convention of :func:`psd_sqrt`.
-    Negative powers invert on the range only: eigenvalues at or below
-    ``1e-14 * lambda_max`` map to zero, which keeps rank-deficient matrices
-    on the cone boundary finite."""
-    w = np.clip(w, 0.0, None)
-    on_range = w > 1e-14 * w.max(axis=-1, keepdims=True)
+    ``(w, v)``, as :func:`solve_sylvester_eigh` takes it. Every power acts
+    on the :func:`zero_floor` eigenvalues, the convention of :func:`psd_sqrt`:
+    negative powers invert the nonzero ones only and keep the zero ones zero,
+    so rank-deficient matrices on the cone boundary stay finite."""
+    w = zero_floor(w)
+    on_range = w > 0.0
     safe = np.where(on_range, w, 1.0)
-    return [from_spectrum(v, np.where(on_range, safe**p, 0.0) if p < 0 else zero_floor(w) ** p) for p in powers]
+    return [from_spectrum(v, np.where(on_range, safe**p, 0.0) if p < 0 else w**p) for p in powers]
 
 
 def logdet(a: np.ndarray) -> float:
     """Sum of log eigenvalues of a positive-definite matrix.
 
-    Raises :class:`SingularMatrixError` when the minimum eigenvalue is at or
-    below 1e-14, so callers can map singularity to an infinite entropy.
+    Raises :class:`SingularMatrixError` when ``a`` is singular under
+    :func:`zero_floor`, so callers can map singularity to an infinite entropy.
     """
     w = np.linalg.eigvalsh(a)
-    if float(w.min()) <= SINGULAR_FLOOR:
-        raise SingularMatrixError(f"minimum eigenvalue {float(w.min()):.3e} at or below {SINGULAR_FLOOR:.1e}")
+    _check_nonsingular(w, "matrix")
     return float(np.sum(np.log(w)))
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a positive-definite matrix or stack through the eigen backend."""
+    """Inverse of a matrix or stack definite under :func:`zero_floor`, else :class:`SingularMatrixError`."""
     w, v = np.linalg.eigh(a)
-    if float(w.min()) <= SINGULAR_FLOOR:
-        raise SingularMatrixError(f"minimum eigenvalue {float(w.min()):.3e} at or below {SINGULAR_FLOOR:.1e}")
+    _check_nonsingular(w, "matrix")
     return hermitian_part(from_spectrum(v, 1.0 / w))
 
 
@@ -231,7 +234,7 @@ def solve_sylvester_velocity(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     In the eigenbasis of ``g`` the solution is entrywise
     ``u_jk = 2 xi_jk / (w_j + w_k)``. Raises :class:`SingularMatrixError`
-    when ``g`` has an eigenvalue at or below 1e-12 (the velocity is not
+    when ``g`` is singular under :func:`zero_floor` (the velocity is not
     uniquely defined on the kernel).
     """
     _check_same_dim(g, xi)
@@ -241,10 +244,7 @@ def solve_sylvester_velocity(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def solve_sylvester_eigh(w: np.ndarray, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """:func:`solve_sylvester_velocity` on base points given by their
     eigendecomposition ``(w, v)``."""
-    if w.size and float(w.min()) <= 1e-12:
-        raise SingularMatrixError(
-            f"base point has eigenvalue {float(w.min()):.3e} at or below 1e-12; velocity undefined on the kernel"
-        )
+    _check_nonsingular(w, "base point")
     vh = np.conj(np.swapaxes(v, -1, -2))
     u_hat = 2.0 * (vh @ xi @ v) / (w[..., :, None] + w[..., None, :])
     return hermitian_part(v @ u_hat @ vh)

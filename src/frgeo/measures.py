@@ -23,7 +23,7 @@ from .exceptions import (
 )
 from .hpsd import check_hermitian, hermitian_part
 
-PROBABILITY_TOL = 1e-9
+SPHERE_MASS_TOL = 1e-8
 ZERO_TRACE_FLOOR = 1e-14
 ATOM_HERMITIAN_ATOL = 1e-9
 
@@ -169,7 +169,7 @@ def mass(g: MatrixMeasure) -> float:
     return float(np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum())
 
 
-def is_probability(g: MatrixMeasure, tol: float = PROBABILITY_TOL) -> bool:
+def is_probability(g: MatrixMeasure, tol: float = SPHERE_MASS_TOL) -> bool:
     """Membership in the unit-trace-mass sphere, ``|mass - 1| <= tol``."""
     return abs(mass(g) - 1.0) <= tol
 

@@ -30,6 +30,7 @@ from .exceptions import (
     FixedPointDivergedError,
     FRGeoError,
     InfiniteEndpointEntropyError,
+    SingularMatrixError,
 )
 from .fisher_rao import (
     MeasurePath,
@@ -41,7 +42,9 @@ from .hpsd import (
     EigenDecomposition,
     eigendecomposition,
     hermitian_part,
+    is_positive_definite,
     psd_sqrt,
+    spd_inverse,
     spectral_powers,
     zero_floor,
 )
@@ -50,6 +53,7 @@ from .measures import (
     ReferenceMeasure,
     check_reference_support,
     check_same_support,
+    is_probability,
     mass,
     tv_distance,
 )
@@ -169,9 +173,8 @@ def discrete_objective(
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise FRGeoError("discrete objective requires a uniform time grid")
     for k, g in enumerate(path.slices):
-        m = mass(g)
-        if abs(m - 1.0) > 1e-8:
-            raise FRGeoError(f"slice {k} has mass {m!r}; objective requires sphere slices")
+        if not is_probability(g):
+            raise FRGeoError(f"slice {k} has mass {mass(g)!r}; objective requires sphere slices")
     fwd = _stack_objective(np.stack([g.atoms for g in path.slices]), lam.weights, epsilon)
     return fwd.kinetic, fwd.fisher_term
 
@@ -330,10 +333,10 @@ def solve_bridge(
 
 
 def _sym_inverse(a: np.ndarray, what: str) -> np.ndarray:
-    w, v = np.linalg.eigh(a)
-    if float(w.min()) <= 0.0:
-        raise FixedPointDivergedError(f"{what} lost positive-definiteness (min eig {float(w.min()):.3e})")
-    return (v / w) @ v.T
+    try:
+        return spd_inverse(a)
+    except SingularMatrixError as exc:
+        raise FixedPointDivergedError(f"{what} lost positive-definiteness ({exc})") from exc
 
 
 def gaussian_bridge_oracle(
@@ -372,7 +375,7 @@ def gaussian_bridge_oracle(
     def apply_map(b0: np.ndarray, c1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b0n = _sym_inverse(inv_a0 - _sym_inverse(c1 + 2.0 * epsilon * eye, "backward potential shift"), "forward update")
         c1n = _sym_inverse(inv_a1 - _sym_inverse(b0n + 2.0 * epsilon * eye, "forward potential shift"), "backward update")
-        return (b0n + b0n.T) / 2.0, (c1n + c1n.T) / 2.0
+        return b0n, c1n
 
     def pack(b0, c1):
         return np.concatenate([b0.ravel(), c1.ravel()])
@@ -381,8 +384,7 @@ def gaussian_bridge_oracle(
         return x[: d * d].reshape(d, d), x[d * d :].reshape(d, d)
 
     def is_spd_pair(x) -> bool:
-        pair = np.stack(unpack(x))
-        return float(np.linalg.eigvalsh((pair + np.swapaxes(pair, -1, -2)) / 2.0).min()) > 0.0
+        return all(is_positive_definite(hermitian_part(m)) for m in unpack(x))
 
     x = pack(a0, a1)
     last_plain: np.ndarray | None = None
@@ -436,8 +438,7 @@ def gaussian_bridge_oracle(
     for k, t in enumerate(ts):
         fwd = _sym_inverse(b0 + 2.0 * epsilon * t * eye, "forward interpolant shift")
         bwd = _sym_inverse(c1 + 2.0 * epsilon * (1.0 - t) * eye, "backward interpolant shift")
-        a_t = _sym_inverse(fwd + bwd, "interpolant")
-        points[k] = (a_t + a_t.T) / 2.0
+        points[k] = _sym_inverse(fwd + bwd, "interpolant")
     return GaussianBridgeResult(ts, points, b0, c1, iterations, residual)
 
 

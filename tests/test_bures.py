@@ -155,6 +155,19 @@ class TestBuresGeodesic:
         mid = np.sqrt(bures_distance_sq(a0, geo.points[1]))
         assert mid == pytest.approx(dist / 2.0, rel=1e-11)
 
+    def test_small_definite_pair_has_velocities(self):
+        # Definite under the relative rank rule although an eigenvalue is
+        # below 1e-12: every sample gets its velocity. Along this commuting
+        # pair u_t = 2 (b^{1/2} - a^{1/2}) / ((1 - t) a^{1/2} + t b^{1/2}).
+        a0, a1 = np.diag([1e-2, 1e-13]), np.diag([2e-2, 1e-13])
+        ts = np.linspace(0.0, 1.0, 5)
+        geo = bures_geodesic(a0.astype(complex), a1.astype(complex), ts)
+        r0, r1 = np.sqrt(np.diag(a0)), np.sqrt(np.diag(a1))
+        for t, u in zip(ts, geo.velocities):
+            expected = np.diag(2.0 * (r1 - r0) / ((1.0 - t) * r0 + t * r1))
+            assert u is not None
+            assert np.abs(u - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_velocities_solve_continuity_equation(self, rng):
         a0, a1 = random_spd(rng, 2), random_spd(rng, 2)
         ts = np.linspace(0.0, 1.0, 33)

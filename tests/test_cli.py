@@ -150,6 +150,19 @@ class TestGeodesicCommand:
         assert np.abs(slices[-1].atoms - g1.atoms).max() <= 1e-14 * 50.0
         fiber_formulas.check_path(g0, g1, times, [g.atoms for g in slices])
 
+    def test_small_definite_pair_exit_0(self, tmp_path):
+        # Each atom is definite under the relative rank rule, so the Bures
+        # velocity step accepts its eigenvalue 1e-13.
+        sup = make_support(1)
+        g0 = MatrixMeasure(sup, np.diag([1e-2, 1e-13])[None].astype(complex))
+        g1 = MatrixMeasure(sup, np.diag([2e-2, 1e-13])[None].astype(complex))
+        p0, p1, out = str(tmp_path / "g0.json"), str(tmp_path / "g1.json"), str(tmp_path / "geo")
+        fio.save_measure(p0, g0)
+        fio.save_measure(p1, g1)
+        assert main(["geodesic", p0, p1, "--metric", "hellinger", "--steps", "4", "--out", out]) == 0
+        _, slices = fio.load_measure_path(os.path.join(out, "path.json"))
+        assert np.abs(slices[-1].atoms - g1.atoms).max() <= 1e-15
+
 
 class TestMeasureFileErrors:
     def test_non_hermitian_file_exit_2_names_point(self, tmp_path, capsys):

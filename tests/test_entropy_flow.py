@@ -328,17 +328,15 @@ class TestStackedAgainstAtoms:
     def test_match_per_atom_definitions(self, seed, n, d):
         gen = np.random.default_rng(seed)
         sup = make_support(n)
-        # Zero, rank-deficient and definite atoms; some of them weightless.
-        # A rank-deficient atom keeps its kernel on the trailing coordinates,
-        # where every eigen routine returns an exact zero: a round-off
-        # eigenvalue of a generic singular matrix can land on either side of
-        # the absolute 1e-14 singular floor, differently per routine.
+        # Zero, rank-deficient and definite atoms at scales 1e-3..1e3; some
+        # of them weightless.
         atoms = np.zeros((n, d, d), dtype=complex)
         for i, k in enumerate(gen.integers(0, 3, n)):
+            scale = 10.0 ** gen.uniform(-3.0, 3.0)
             if k == 2:
-                atoms[i] = random_spd(gen, d)
+                atoms[i] = random_spd(gen, d, scale=scale)
             elif k == 1 and d > 1:
-                atoms[i, : d - 1, : d - 1] = random_psd(gen, d - 1)
+                atoms[i] = random_psd(gen, d, rank=int(gen.integers(1, d)), scale=scale)
         w = gen.uniform(0.1, 1.0, n) * (gen.random(n) < 0.7)
         w[int(gen.integers(0, n))] = 1.0
         lam = ReferenceMeasure(sup, d, w / (d * w.sum()))
@@ -369,3 +367,36 @@ class TestStackedAgainstAtoms:
             assert fisher_information(g, lam) == pytest.approx(fisher, rel=1e-12, abs=1e-12)
             got = entropy_gradient_potential(g, lam).potential
             assert np.abs(got - potential).max() <= 1e-12 * max(1.0, np.abs(potential).max())
+
+
+class TestSingularAtEveryScale:
+    """A rank-deficient density has infinite entropy and Fisher information
+    whatever its scale and reference weight; a well-conditioned definite one
+    stays finite."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 4),
+        log_scale=st.floats(-3.0, 3.0),
+        share=st.floats(0.01, 1.0),
+    )
+    def test_rank_deficient_infinite_definite_finite(self, seed, d, log_scale, share):
+        gen = np.random.default_rng(seed)
+        s = 10.0**log_scale
+        sup = make_support(2)
+        # The first atom's reference weight is share / d.
+        lam = ReferenceMeasure(sup, d, np.array([share, 1.0 - share]) / d)
+        other = random_spd(gen, d)
+        deficient = random_psd(gen, d, rank=int(gen.integers(0, d)), scale=s)
+        g = MatrixMeasure(sup, np.stack([deficient, other]))
+        assert fiber_entropies(g, lam)[0] == math.inf
+        assert entropy(g, lam) == math.inf
+        assert fisher_information(g, lam) == math.inf
+        with pytest.raises(SingularMatrixError, match=f"'{sup.point_ids[0]}'"):
+            entropy_gradient_potential(g, lam)
+
+        definite = g.with_atoms(np.stack([random_spd(gen, d, jitter=1.0, scale=s), other]))
+        assert math.isfinite(entropy(definite, lam))
+        assert math.isfinite(fisher_information(definite, lam))
+        assert np.isfinite(entropy_gradient_potential(definite, lam).potential).all()

@@ -237,6 +237,42 @@ class TestSpectralPowers:
         assert np.abs(cube_root - a / lam ** (2.0 / 3.0)).max() <= 1e-14 * lam ** (1.0 / 3.0)
         assert np.abs(root - psd_sqrt(a)).max() <= 1e-14 * np.sqrt(lam)
 
+    def test_negative_powers_invert_the_range_only(self, rng):
+        # Noise eigenvalues at most 1e-12 * lambda_max are zero under the
+        # rank rule, so the inverse power is the pseudo-inverse.
+        a = random_psd(rng, 3, rank=1)
+        w, v = np.linalg.eigh(a)
+        lam = w[-1]
+        (pinv,) = spectral_powers(np.array([1e-16, 1e-13, 1.0]) * lam, v, -1.0)
+        assert np.abs(pinv - a / lam**2).max() <= 1e-14 / lam
+
+
+class TestRankRule:
+    """One relative rank rule: whether a matrix counts as singular does not
+    depend on its scale."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0))
+    def test_singular_checks_scale_invariant(self, seed, log_scale):
+        gen = np.random.default_rng(seed)
+        q = np.linalg.eigh(random_hermitian(gen, 2)).eigenvectors
+        s = 10.0**log_scale
+        xi = random_hermitian(gen, 2)
+
+        def rotated(diag):
+            return hermitian_part((q * (s * np.asarray(diag))) @ np.conj(q.T))
+
+        definite = rotated([1.0, 1e-6])
+        assert logdet(definite) == pytest.approx(2.0 * np.log(s) + np.log(1e-6), abs=1e-8)
+        assert np.abs(spd_inverse(definite) @ definite - np.eye(2)).max() <= 1e-8
+        u = solve_sylvester_velocity(definite, xi)
+        assert np.linalg.norm(sym_product(definite, u) - xi) <= 1e-8 * np.linalg.norm(xi)
+        # Exactly singular, and definite but beyond condition number 1e12.
+        for singular in (rotated([1.0, 0.0]), rotated([1.0, 1e-13])):
+            for f in (logdet, spd_inverse, lambda a: solve_sylvester_velocity(a, xi)):
+                with pytest.raises(SingularMatrixError):
+                    f(singular)
+
 
 class TestStacks:
     def test_stack_matches_per_matrix(self, rng):

@@ -6,7 +6,6 @@ Schrödinger-bridge solver."""
 from .exceptions import (
     AntipodalError,
     DimensionMismatchError,
-    FixedPointDivergedError,
     FRGeoError,
     InfiniteEndpointEntropyError,
     MeasureFormatError,

@@ -58,10 +58,6 @@ class InfiniteEndpointEntropyError(FRGeoError):
     """An endpoint has infinite entropy, so the regularized problem is improper."""
 
 
-class FixedPointDivergedError(FRGeoError):
-    """The Gaussian bridge fixed-point iteration left the SPD cone or stalled."""
-
-
 class NoConvergenceError(FRGeoError):
     """An iterative solver hit its iteration budget.
 

@@ -12,7 +12,7 @@ unit-mass without projections. The solver runs L-BFGS along the closed-form
 
 The module also provides the heat-flow recovery perturbation (which both
 initializes the solver and realizes the vanishing-temperature upper bound),
-a Gaussian fixed-point oracle for the single-fiber real case, and the
+the closed-form Gaussian bridge for the single-fiber real case, and the
 temperature-sweep / geodesic-convexity experiment drivers.
 """
 
@@ -27,12 +27,11 @@ import numpy as np
 from .entropy_flow import entropy, entropy_terms, heat_flow
 from .exceptions import (
     AntipodalError,
-    FixedPointDivergedError,
     FRGeoError,
     InfiniteEndpointEntropyError,
-    SingularMatrixError,
 )
 from .fisher_rao import (
+    ANTIPODAL_TOL,
     MeasurePath,
     fisher_rao_distance,
     fisher_rao_from_hellinger,
@@ -42,7 +41,6 @@ from .hpsd import (
     EigenDecomposition,
     eigendecomposition,
     hermitian_part,
-    is_positive_definite,
     psd_sqrt,
     spd_inverse,
     spectral_powers,
@@ -107,18 +105,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class GaussianBridgeResult:
-    """Entropic interpolation between real SPD fibers.
-
-    ``points[k]`` is the covariance at ``ts[k]``; ``b_forward`` and
-    ``c_backward`` are the converged potentials of the forward/backward flow
-    decomposition."""
+    """Entropic interpolation between real SPD fibers: ``points[k]`` is the
+    covariance at ``times[k]``."""
 
     times: np.ndarray
     points: np.ndarray
-    b_forward: np.ndarray
-    c_backward: np.ndarray
-    iterations: int
-    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +280,7 @@ def solve_bridge(
         init_path = _heat_flow_perturbation(fisher_rao_geodesic(g0, g1, times), lam, cfg.epsilon)
     else:
         dfr = fisher_rao_distance(g0, g1)
-        if dfr >= np.pi - 1e-6:
+        if dfr >= np.pi - ANTIPODAL_TOL:
             raise AntipodalError(f"endpoints at distance {dfr!r} >= pi - 1e-6")
         if init_path.n_slices != n_steps + 1:
             raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
@@ -328,37 +319,24 @@ def solve_bridge(
 
 
 # ---------------------------------------------------------------------------
-# Gaussian fixed-point oracle (single real SPD fiber).
+# Closed-form Gaussian bridge (single real SPD fiber).
 # ---------------------------------------------------------------------------
 
 
-def _sym_inverse(a: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return spd_inverse(a)
-    except SingularMatrixError as exc:
-        raise FixedPointDivergedError(f"{what} lost positive-definiteness ({exc})") from exc
+def gaussian_bridge_oracle(a0: np.ndarray, a1: np.ndarray, epsilon: float, ts) -> GaussianBridgeResult:
+    """Entropic interpolation between definite real matrices at temperature
+    ``epsilon``: the covariances of the Schrödinger bridge between centred
+    Gaussians under the heat kernel of variance ``sigma^2 = 2 eps`` per unit
+    time, in closed form (Bunne, Hsieh, Cuturi & Krause, AISTATS 2023;
+    Janati, Muzellec, Peyré & Cuturi, NeurIPS 2020):
 
+    ``A_t = (1-t)^2 a0 + t^2 a1 + t (1-t) (C + C^T + sigma^2 I)``,
+    ``C = (a0^{1/2} D a0^{-1/2} - sigma^2 I) / 2``,
+    ``D = (4 a0^{1/2} a1 a0^{1/2} + sigma^4 I)^{1/2}``,
 
-def gaussian_bridge_oracle(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    epsilon: float,
-    ts,
-    max_iters: int = 500,
-    tol: float = 1e-12,
-) -> GaussianBridgeResult:
-    """Entropic interpolation between real SPD matrices at temperature
-    ``epsilon``, through the forward/backward potential system
-
-    ``a0^{-1} = B0^{-1} + [C1 + 2 eps I]^{-1}``,
-    ``a1^{-1} = [B0 + 2 eps I]^{-1} + C1^{-1}``,
-
-    solved by the alternating update ``B0 <- (a0^{-1} - [C1 + 2 eps I]^{-1})^{-1}``,
-    ``C1 <- (a1^{-1} - [B0 + 2 eps I]^{-1})^{-1}`` until the successive
-    change drops to 1e-12. The alternating map converges linearly at rate
-    ``1 - O(eps)``, so it is wrapped in Anderson extrapolation (with a plain
-    fallback whenever an extrapolated iterate would leave the SPD cone).
-    The interpolant is ``A_t = ([B0 + 2 eps t I]^{-1} + [C1 + 2 eps (1-t) I]^{-1})^{-1}``.
+    where ``C + C^T + sigma^2 I`` is the symmetric part of
+    ``a0^{1/2} D a0^{-1/2}``. A singular marginal raises
+    :class:`SingularMatrixError`.
     """
     a0, a1 = np.asarray(a0), np.asarray(a1)
     if max(np.abs(np.imag(a0)).max(), np.abs(np.imag(a1)).max()) > 1e-12:
@@ -367,79 +345,15 @@ def gaussian_bridge_oracle(
     a0, a1 = (a0 + a0.T) / 2.0, (a1 + a1.T) / 2.0
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    d = a0.shape[0]
-    eye = np.eye(d)
-    inv_a0 = _sym_inverse(a0, "first marginal")
-    inv_a1 = _sym_inverse(a1, "second marginal")
-
-    def apply_map(b0: np.ndarray, c1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b0n = _sym_inverse(inv_a0 - _sym_inverse(c1 + 2.0 * epsilon * eye, "backward potential shift"), "forward update")
-        c1n = _sym_inverse(inv_a1 - _sym_inverse(b0n + 2.0 * epsilon * eye, "forward potential shift"), "backward update")
-        return b0n, c1n
-
-    def pack(b0, c1):
-        return np.concatenate([b0.ravel(), c1.ravel()])
-
-    def unpack(x):
-        return x[: d * d].reshape(d, d), x[d * d :].reshape(d, d)
-
-    def is_spd_pair(x) -> bool:
-        return all(is_positive_definite(hermitian_part(m)) for m in unpack(x))
-
-    x = pack(a0, a1)
-    last_plain: np.ndarray | None = None
-    rs: list[np.ndarray] = []
-    gs: list[np.ndarray] = []
-    depth = 4
-    iterations = 0
-    residual = np.inf
-    converged = False
-    for _ in range(max_iters):
-        iterations += 1
-        try:
-            g = pack(*apply_map(*unpack(x)))
-        except FixedPointDivergedError:
-            if last_plain is None:
-                raise
-            # An extrapolated candidate left the feasible region: retry plain.
-            x = last_plain
-            rs.clear()
-            gs.clear()
-            continue
-        r = g - x
-        residual = float(np.abs(r).max())
-        if residual <= tol:
-            x = g
-            converged = True
-            break
-        gs.append(g.copy())
-        rs.append(r.copy())
-        if len(rs) > depth:
-            gs.pop(0)
-            rs.pop(0)
-        candidate = g
-        if len(rs) >= 2:
-            dr = np.stack([rs[j + 1] - rs[j] for j in range(len(rs) - 1)], axis=1)
-            dg = np.stack([gs[j + 1] - gs[j] for j in range(len(gs) - 1)], axis=1)
-            gamma, *_ = np.linalg.lstsq(dr, r, rcond=None)
-            anderson = g - dg @ gamma
-            if is_spd_pair(anderson):
-                candidate = anderson
-        last_plain = g
-        x = candidate
-    if not converged:
-        raise FixedPointDivergedError(
-            f"fixed point not converged after {max_iters} iterations (residual {residual:.3e})"
-        )
-
-    b0, c1 = unpack(x)
+    inv_a0 = spd_inverse(np.stack([a0, a1]))[0]  # both marginals must be definite
+    sigma_sq = 2.0 * epsilon
+    root = psd_sqrt(a0)
+    d = psd_sqrt(4.0 * root @ a1 @ root + sigma_sq**2 * np.eye(a0.shape[0]))
+    cross = hermitian_part(root @ d @ psd_sqrt(inv_a0))
     ts = np.asarray(ts, dtype=float)
-    points = np.empty((len(ts), d, d))
-    for k, t in enumerate(ts):
-        fwd = _sym_inverse(b0 + 2.0 * epsilon * t * eye, "forward interpolant shift")
-        bwd = _sym_inverse(c1 + 2.0 * epsilon * (1.0 - t) * eye, "backward interpolant shift")
-        points[k] = _sym_inverse(fwd + bwd, "interpolant")
-    return GaussianBridgeResult(ts, points, b0, c1, iterations, residual)
+    t = ts[:, None, None]
+    points = (1.0 - t) ** 2 * a0 + t**2 * a1 + t * (1.0 - t) * cross
+    return GaussianBridgeResult(ts, points)
 
 
 # ---------------------------------------------------------------------------

@@ -283,18 +283,11 @@ def _group_schrodinger(rng: np.random.Generator) -> list[str]:
 
     for _ in range(5):
         dd = int(rng.integers(1, 4))
-        a0 = random_real_spd(rng, dd)
-        s = rng.standard_normal((dd, dd))
-        s = (s + s.T) / 2.0
-        s = s / max(float(np.abs(np.linalg.eigvalsh(s)).max()), 1e-12)
-        a1 = a0 + 0.6 * 2 * 0.2 * s
-        if float(np.linalg.eigvalsh(a1).min()) <= 0.02:
-            continue
+        a0, a1 = random_real_spd(rng, dd), random_real_spd(rng, dd)
         oracle = schrodinger.gaussian_bridge_oracle(a0, a1, 0.2, [0.0, 1.0])
-        bad.expect(oracle.iterations <= 200, "oracle iteration budget")
         bad.expect(
-            float(np.linalg.norm(oracle.points[0] - a0)) <= 1e-9
-            and float(np.linalg.norm(oracle.points[-1] - a1)) <= 1e-9,
+            float(np.linalg.norm(oracle.points[0] - a0)) <= 1e-12 * float(np.linalg.norm(a0))
+            and float(np.linalg.norm(oracle.points[-1] - a1)) <= 1e-12 * float(np.linalg.norm(a1)),
             "oracle marginals",
         )
     a = random_real_spd(rng, 2)

@@ -337,7 +337,7 @@ def test_criterion_13_gaussian_oracle():
         assert res.points[0][0, 0] == pytest.approx(expected, abs=1e-12)
 
     # 50 random real SPD pairs within the heat-flow reach of each other:
-    # convergence budget and exact marginals.
+    # exact marginals.
     eps = 0.15
     count = 0
     while count < 50:
@@ -351,9 +351,8 @@ def test_criterion_13_gaussian_oracle():
             continue
         count += 1
         res = gaussian_bridge_oracle(a0, a1, eps, [0.0, 1.0])
-        assert res.iterations <= 200
-        assert np.linalg.norm(res.points[0] - a0) <= 1e-9
-        assert np.linalg.norm(res.points[-1] - a1) <= 1e-9
+        assert np.linalg.norm(res.points[0] - a0) <= 1e-12 * np.linalg.norm(a0)
+        assert np.linalg.norm(res.points[-1] - a1) <= 1e-12 * np.linalg.norm(a1)
 
     # The vanishing-temperature limit approaches the fiber geodesic.
     a0 = random_real_spd(rng, 2)
@@ -367,10 +366,11 @@ def test_criterion_13_gaussian_oracle():
     for eps in (0.1, 0.01):
         res = gaussian_bridge_oracle(a0, a1, eps, ts)
         errs[eps] = max(np.linalg.norm(res.points[k] - geo.points[k]) for k in range(len(ts)))
-    assert errs[0.01] < errs[0.1]
+    # The bridge leaves the geodesic at O(eps^2): the ratio is about 0.01.
+    assert errs[0.01] <= 0.02 * errs[0.1]
     _report(
         "criterion-13 Gaussian oracle",
-        f"closed form 1e-12, marginals 1e-9, limit errors {errs[0.1]:.1e} -> {errs[0.01]:.1e}",
+        f"closed form 1e-12, marginals 1e-12 relative, limit errors {errs[0.1]:.1e} -> {errs[0.01]:.1e}",
     )
 
 

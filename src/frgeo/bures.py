@@ -3,9 +3,9 @@
 Provides the closed-form squared distance, its spherical (unit-trace)
 companion, geodesics in polar form ``Y_t Y_t*`` (exact on the cone boundary),
 the complex-to-real embedding identity, and a dynamical solver that minimizes
-the kinetic action over discretized paths. The dynamical solver is
-deliberately independent of the polar construction so the two routes
-cross-check each other.
+the kinetic action over discretized PSD paths with both endpoints pinned. The
+dynamical solver is deliberately independent of the polar construction so the
+two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -18,16 +18,13 @@ from .exceptions import NotUnitTraceError
 from .hpsd import (
     clamp_psd,
     cross_trace,
-    frobenius_inner,
-    frobenius_norm,
     hermitian_part,
     is_positive_definite,
     psd_sqrt,
     real_embedding,
     solve_sylvester_eigh,
-    solve_sylvester_velocity,
     spectral_rank,
-    sym_product,
+    zero_floor,
 )
 from .optim import lbfgs
 
@@ -55,13 +52,10 @@ class FiberGeodesic:
 
 @dataclass(frozen=True)
 class BuresActionResult:
-    """Outcome of the dynamical action minimization.
-
-    ``stop_reason`` is how the final inner descent stopped
-    (``gradient_tol``, ``stall`` or ``line_search_exhausted``) once the
-    endpoint constraint is met, and ``budget`` when the iteration or
-    multiplier-update budget ran out first; ``converged`` is exactly
-    ``stop_reason != "budget"``."""
+    """Outcome of the dynamical action minimization: the action value, the
+    node path, and how the L-BFGS descent stopped (``gradient_tol``,
+    ``stall``, ``line_search_exhausted`` or ``budget``); ``converged`` is
+    exactly ``stop_reason != "budget"``."""
 
     value: float
     path: FiberGeodesic
@@ -91,13 +85,13 @@ def bures_distance_sq(a0: np.ndarray, a1: np.ndarray) -> float:
 
 
 def spherical_bures(a0: np.ndarray, a1: np.ndarray) -> float:
-    """Spherical distance ``arccos(1 - d_B^2 / 2)`` between unit-trace fibers."""
+    """Spherical distance ``arccos(1 - d_B^2 / 2)`` between unit-trace
+    fibers, as ``2 arcsin(d_B / 2)``, which keeps small distances exact."""
     for label, a in (("first", a0), ("second", a1)):
         tr = float(np.real(np.trace(a)))
         if abs(tr - 1.0) > UNIT_TRACE_TOL:
             raise NotUnitTraceError(f"{label} argument has trace {tr!r}, expected 1")
-    arg = np.clip(1.0 - bures_distance_sq(a0, a1) / 2.0, -1.0, 1.0)
-    return float(np.arccos(arg))
+    return float(2.0 * np.arcsin(min(np.sqrt(bures_distance_sq(a0, a1)) / 2.0, 1.0)))
 
 
 def _geodesic_factors(a0: np.ndarray, a1: np.ndarray, ts, labels):
@@ -164,44 +158,29 @@ def bures_real_embedding_check(a0: np.ndarray, a1: np.ndarray) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 
-def _forward_integrate(a0: np.ndarray, us: np.ndarray, dt: float):
-    """Integrate ``da/dt = (a u)^Sym`` with the explicit midpoint rule.
-
-    Returns the states ``a_k``, the midpoint states, and the action
-    ``(1/4) sum_k dt * (abar_k u_k : u_k)``.
-    """
-    n = us.shape[0]
-    states = np.empty((n + 1,) + a0.shape, dtype=complex)
-    mids = np.empty((n,) + a0.shape, dtype=complex)
-    states[0] = a0
-    action = 0.0
-    for k in range(n):
-        u = us[k]
-        a = states[k]
-        abar = a + (dt / 2.0) * sym_product(a, u)
-        states[k + 1] = a + dt * sym_product(abar, u)
-        mids[k] = abar
-        action += float(np.real(np.vdot(u, abar @ u)))
-    return states, mids, 0.25 * dt * action
+def _step_velocities(nodes: np.ndarray, dt: float) -> tuple[float, np.ndarray | None]:
+    """Action ``(1/4) sum_k Re <u_k, A_{k+1} - A_k>`` of the node path
+    ``(N+1, d, d)`` and its step velocities ``u_k``, which solve
+    ``(abar_k u + u abar_k) / 2 = (A_{k+1} - A_k) / dt`` at the midpoints
+    ``abar_k = (A_k + A_{k+1}) / 2`` of a staggered grid (Papadakis, Peyré &
+    Oudet, SIAM J. Imaging Sci. 7, 2014). ``(inf, None)`` when the nodes are
+    not finite or a midpoint is singular under :func:`~frgeo.hpsd.zero_floor`."""
+    if not np.all(np.isfinite(nodes)):
+        return np.inf, None
+    w, v = np.linalg.eigh(0.5 * (nodes[:-1] + nodes[1:]))
+    if np.any(zero_floor(w)[:, 0] == 0.0):
+        return np.inf, None
+    steps = np.diff(nodes, axis=0)
+    us = solve_sylvester_eigh(w, v, steps / dt)
+    return 0.25 * float(np.real(np.vdot(us, steps))), us
 
 
-def _action_gradient(a0: np.ndarray, us: np.ndarray, dt: float, p_final: np.ndarray,
-                     states: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    """Adjoint pass for the action plus an endpoint term with gradient
-    ``p_final`` at the last state."""
-    n = us.shape[0]
-    grads = np.empty_like(us)
-    p = p_final
-    for k in range(n - 1, -1, -1):
-        u, a, abar = us[k], states[k], mids[k]
-        q = 0.25 * dt * (u @ u) + dt * sym_product(p, u)
-        grads[k] = (
-            0.5 * dt * sym_product(abar, u)
-            + dt * sym_product(abar, p)
-            + 0.5 * dt * sym_product(a, q)
-        )
-        p = p + q + 0.5 * dt * sym_product(q, u)
-    return grads
+def _factor_gradient(factors: np.ndarray, us: np.ndarray, dt: float) -> np.ndarray:
+    """Gradient ``2 H_k C_k`` of the :func:`_step_velocities` action in the
+    interior factors ``C_k`` of ``A_k = C_k C_k*``, given its velocities:
+    ``H_k = (u_{k-1} - u_k) / 2 - (dt / 8) (u_{k-1}^2 + u_k^2)``."""
+    h = 0.5 * (us[:-1] - us[1:]) - (dt / 8.0) * (us[:-1] @ us[:-1] + us[1:] @ us[1:])
+    return 2.0 * h @ factors
 
 
 def dynamical_bures_solver(
@@ -209,28 +188,24 @@ def dynamical_bures_solver(
     a1: np.ndarray,
     n_steps: int,
     max_iters: int = 20000,
-    endpoint_tol: float = 1e-9,
 ) -> BuresActionResult:
     """Minimize the discretized kinetic action over paths joining ``a0, a1``.
 
-    The path is integrated from stacked velocities with the explicit midpoint
-    rule; the free endpoint is pinned by an augmented-Lagrangian penalty whose
-    squared mismatch is driven below ``endpoint_tol``. Each multiplier update
-    restarts the shared L-BFGS routine (:func:`frgeo.optim.lbfgs`) on the
-    augmented Lagrangian, along adjoint gradients.
-
-    Returns the action value, the discrete path, a convergence flag, the
-    total iteration count and the stop reason. Singular inputs are shifted by
-    ``1e-8 * max(tr a0, tr a1)`` before solving.
+    Both endpoints are pinned and the interior nodes are ``A_k = C_k C_k*``,
+    so every path is PSD and joins ``a0`` to ``a1`` exactly. One run of the
+    shared L-BFGS routine (:func:`frgeo.optim.lbfgs`) descends on the factors
+    along :func:`_factor_gradient`, from the square roots of the straight
+    line (independent of the polar construction on purpose). Singular inputs
+    are shifted by ``1e-8 * max(tr a0, tr a1)`` before solving.
     """
     if n_steps < 8:
         raise ValueError(f"n_steps must be at least 8, got {n_steps}")
     a0 = clamp_psd(np.asarray(a0, dtype=complex))
     a1 = clamp_psd(np.asarray(a1, dtype=complex))
     d = a0.shape[0]
+    times = np.linspace(0.0, 1.0, n_steps + 1)
     scale = max(float(np.real(np.trace(a0))), float(np.real(np.trace(a1))))
     if scale <= 0.0:
-        times = np.linspace(0.0, 1.0, n_steps + 1)
         zeros = np.zeros((n_steps + 1, d, d), dtype=complex)
         path = FiberGeodesic(a0, a1, times, zeros, tuple([None] * (n_steps + 1)), {"mode": "apex"})
         return BuresActionResult(0.0, path, True, 0, "gradient_tol")
@@ -240,73 +215,28 @@ def dynamical_bures_solver(
         a0 = a0 + delta * np.eye(d)
         a1 = a1 + delta * np.eye(d)
 
-    # Start from the straight line's velocities at the step midpoints,
-    # independent of the polar construction on purpose.
     dt = 1.0 / n_steps
-    diff = a1 - a0
-    mids = a0 + ((np.arange(n_steps) + 0.5) * dt)[:, None, None] * diff
-    us = solve_sylvester_velocity(mids, np.broadcast_to(diff, mids.shape))
 
-    mu = np.zeros((d, d), dtype=complex)
-    beta = 100.0 / max(scale, 1e-12)
-    total_iters = 0
-    prev_action = np.inf
+    def action(fac):
+        nodes = np.concatenate([a0[None], fac @ np.conj(np.swapaxes(fac, -1, -2)), a1[None]])
+        value, us = _step_velocities(nodes, dt)
+        return value, (nodes, us)
 
-    def lagrangian(vel):
-        states, mids, action = _forward_integrate(a0, vel, dt)
-        v = states[-1] - a1
-        obj = action + frobenius_inner(mu, v) + 0.5 * beta * frobenius_norm(v) ** 2
-        return obj, (states, mids, action)
-
-    def gradient(vel, aux):
-        states, mids, _ = aux
-        return _action_gradient(a0, vel, dt, mu + beta * (states[-1] - a1), states, mids)
-
-    obj, aux = lagrangian(us)
-    stop_reason = "budget"
-    for outer in range(60):
-        # Descend the augmented Lagrangian at fixed multiplier, with fresh
-        # quasi-Newton memory since the multiplier changes the objective.
-        res = lbfgs(
-            lagrangian,
-            gradient,
-            us,
-            obj,
-            aux,
-            max_iters=min(400, max_iters - total_iters),
-            step_init=1.0,
-            step_shrink=0.5,
-            objective_tol=1e-7 if outer < 3 else 1e-11,
-            gradient_tol=1e-14,
-        )
-        us, aux = res.x, res.aux
-        states, _, action = aux
-        total_iters += res.iterations
-        violation = frobenius_norm(states[-1] - a1) ** 2
-        if (
-            res.stop_reason != "budget"
-            and violation <= endpoint_tol
-            and abs(action - prev_action) <= 1e-9 * max(1.0, abs(action))
-        ):
-            stop_reason = res.stop_reason
-            break
-        if total_iters >= max_iters:
-            break
-        prev_action = action
-        mu = mu + beta * (states[-1] - a1)
-        if violation > 0.1 * frobenius_norm(mu) ** 2 / max(beta, 1.0) ** 2 or outer >= 2:
-            beta *= 3.0
-        obj, aux = lagrangian(us)
-    converged = stop_reason != "budget"
-
-    times = np.linspace(0.0, 1.0, n_steps + 1)
+    factors = psd_sqrt(a0 + times[1:-1, None, None] * (a1 - a0))
+    res = lbfgs(
+        action,
+        lambda fac, aux: _factor_gradient(fac, aux[1], dt),
+        factors,
+        *action(factors),
+        max_iters=max_iters,
+        step_init=1.0,
+        step_shrink=0.5,
+        objective_tol=1e-11,
+        gradient_tol=1e-14,
+    )
+    nodes, us = res.aux
+    converged = res.stop_reason != "budget"
     velocities = tuple(us[min(k, n_steps - 1)] for k in range(n_steps + 1))
-    meta = {
-        "mode": "dynamical",
-        "delta": delta,
-        "endpoint_error": frobenius_norm(states[-1] - a1),
-        "converged": converged,
-        "iterations": total_iters,
-    }
-    path = FiberGeodesic(a0, a1, times, states, velocities, meta)
-    return BuresActionResult(float(action), path, converged, total_iters, stop_reason)
+    meta = {"mode": "dynamical", "delta": delta, "converged": converged, "iterations": res.iterations}
+    path = FiberGeodesic(a0, a1, times, nodes, velocities, meta)
+    return BuresActionResult(res.f, path, converged, res.iterations, res.stop_reason)

@@ -4,7 +4,7 @@ The Hellinger distance is four times the fiberwise sum of squared Bures
 distances; on a shared finite support the dominating-measure bookkeeping is
 automatic. The total-mass sphere sits inside the Hellinger cone, and the
 Fisher-Rao distance is obtained by inverting the cone law on it:
-``d_FR = 2 arccos(1 - d_H^2 / 8)``, bounded by pi.
+``d_FR = 2 arccos(1 - d_H^2 / 8) = 4 arcsin(d_H / 4)``, bounded by pi.
 
 Fisher-Rao geodesics are built by normalizing the fiberwise Hellinger
 geodesic back to unit mass and reparametrizing to constant speed. Because a
@@ -81,9 +81,9 @@ def _hellinger_sq(starts, ends) -> np.ndarray:
 
 
 def fisher_rao_from_hellinger(dh_sq):
-    """Sphere distance from the squared Hellinger distance ``dh_sq`` (array
-    or scalar) by the inverted cone law ``2 arccos(1 - d_H^2 / 8)``."""
-    return 2.0 * np.arccos(np.clip(1.0 - dh_sq / 8.0, -1.0, 1.0))
+    """Sphere distance from ``dh_sq = d_H^2`` (array or scalar) by the inverted
+    cone law ``2 arccos(1 - d_H^2 / 8)``, as ``4 arcsin(d_H / 4)`` to keep small distances exact."""
+    return 4.0 * np.arcsin(np.minimum(np.sqrt(dh_sq) / 4.0, 1.0))
 
 
 def _check_probability(g: MatrixMeasure, label: str) -> None:
@@ -93,7 +93,7 @@ def _check_probability(g: MatrixMeasure, label: str) -> None:
 
 
 def fisher_rao_distance(g0: MatrixMeasure, g1: MatrixMeasure) -> float:
-    """Sphere distance ``2 arccos(1 - d_H^2 / 8)``, in ``[0, pi]``."""
+    """Sphere distance ``2 arccos(1 - d_H^2 / 8) = 4 arcsin(d_H / 4)``, in ``[0, pi]``."""
     _check_probability(g0, "first measure")
     _check_probability(g1, "second measure")
     return float(fisher_rao_from_hellinger(hellinger_distance_sq(g0, g1)))

@@ -223,7 +223,7 @@ def _bridge_gradient(
     With ``M_k = G_k^{1/2} G_{k+1} G_k^{1/2}`` per atom, the Bures terms give
     ``d_{G_{k+1}} d_B^2 = I - G_k^{1/2} M_k^{-1/2} G_k^{1/2}`` and
     ``d_{G_k} d_B^2 = I - G_k^{-1/2} M_k^{1/2} G_k^{-1/2}``, chained through
-    ``f(x) = (2 arccos(1 - x/8))^2`` at ``x = 4 sum_i d_B^2``; the Fisher
+    ``f(x) = (4 arcsin(sqrt(x) / 4))^2`` at ``x = 4 sum_i d_B^2``; the Fisher
     term gives ``-w_i^2 G_i^{-2}``. ``G_i = C_i C_i* / tau`` then maps the
     slice gradient ``H`` to ``(2 / tau) (H_i C_i - s C_i)`` with
     ``s = sum_i Re tr(H_i G_i)``. Negative powers invert on the range only

@@ -19,6 +19,7 @@ from frgeo.fisher_rao import (
     cone_scaling_check,
     constant_speed_reparametrize,
     fisher_rao_distance,
+    fisher_rao_from_hellinger,
     fisher_rao_geodesic,
     hellinger_distance_sq,
     hellinger_geodesic,
@@ -106,6 +107,13 @@ class TestFisherRaoDistance:
         g = random_probability_measure(rng, 2, 2)
         with pytest.raises(NotProbabilityError):
             fisher_rao_distance(scale_measure(g, 2.0), g)
+
+    def test_small_distances_keep_every_digit(self):
+        # 4 arcsin(sqrt(x) / 4) = sqrt(x) (1 + x/96 + O(x^2)); arccos(1 - x/8)
+        # loses every digit here (it returns 0 at x = 1e-16).
+        x = np.geomspace(1e-30, 1e-8, 89)
+        series = np.sqrt(x) * (1.0 + x / 96.0)
+        assert np.all(np.abs(fisher_rao_from_hellinger(x) - series) <= 4 * np.spacing(series))
 
     def test_bounded_by_pi(self, rng):
         for _ in range(100):

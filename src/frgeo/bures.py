@@ -53,9 +53,7 @@ class FiberGeodesic:
 @dataclass(frozen=True)
 class BuresActionResult:
     """Outcome of the dynamical action minimization: the action value, the
-    node path, and how the L-BFGS descent stopped (``gradient_tol``,
-    ``stall``, ``line_search_exhausted`` or ``budget``); ``converged`` is
-    exactly ``stop_reason != "budget"``."""
+    node path, and how the descent stopped (:mod:`frgeo.optim`)."""
 
     value: float
     path: FiberGeodesic
@@ -224,19 +222,9 @@ def dynamical_bures_solver(
 
     factors = psd_sqrt(a0 + times[1:-1, None, None] * (a1 - a0))
     res = lbfgs(
-        action,
-        lambda fac, aux: _factor_gradient(fac, aux[1], dt),
-        factors,
-        *action(factors),
-        max_iters=max_iters,
-        step_init=1.0,
-        step_shrink=0.5,
-        objective_tol=1e-11,
-        gradient_tol=1e-14,
+        action, lambda fac, aux: _factor_gradient(fac, aux[1], dt), factors, *action(factors), max_iters=max_iters
     )
     nodes, us = res.aux
-    converged = res.stop_reason != "budget"
     velocities = tuple(us[min(k, n_steps - 1)] for k in range(n_steps + 1))
-    meta = {"mode": "dynamical", "delta": delta, "converged": converged, "iterations": res.iterations}
-    path = FiberGeodesic(a0, a1, times, nodes, velocities, meta)
-    return BuresActionResult(res.f, path, converged, res.iterations, res.stop_reason)
+    path = FiberGeodesic(a0, a1, times, nodes, velocities, {"mode": "dynamical", "delta": delta})
+    return BuresActionResult(res.f, path, res.converged, res.iterations, res.stop_reason)

@@ -29,6 +29,7 @@ from .exceptions import FRGeoError, MeasureFormatError, NoConvergenceError
 from .fisher_rao import (
     MeasurePath,
     fisher_rao_distance,
+    fisher_rao_from_hellinger,
     fisher_rao_geodesic,
     hellinger_distance_sq,
     hellinger_geodesic,
@@ -37,6 +38,7 @@ from .fisher_rao import (
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
+    check_probability,
     mass,
     tv_distance,
     uniform_reference,
@@ -104,7 +106,9 @@ def _cmd_distance(args) -> int:
         print(f"hellinger = {math.sqrt(dh_sq)!r}")
         print(f"hellinger_sq = {dh_sq!r}")
         return EXIT_OK
-    dfr = fisher_rao_distance(g0, g1)
+    check_probability(g0, "first measure")
+    check_probability(g1, "second measure")
+    dfr = float(fisher_rao_from_hellinger(dh_sq))
     print(f"fisher_rao = {dfr!r}")
     print(f"hellinger = {math.sqrt(dh_sq)!r}")
     print(f"cone_inversion_argument = {1.0 - dh_sq / 8.0!r}")

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotProbabilityError, SingularMatrixError
+from .exceptions import SingularMatrixError
 from .hpsd import eigendecomposition, from_spectrum, sym_product, zero_floor
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
+    check_probability,
     check_reference_support,
-    is_probability,
     mass,
     reference_identity,
     tv_distance,
@@ -121,8 +121,7 @@ def fr_gradient_entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> MatrixMeasur
     """Sphere gradient of the entropy: the signed measure with atoms
     ``G_i - w_i I`` (total trace zero)."""
     check_reference_support(g, lam)
-    if not is_probability(g):
-        raise NotProbabilityError(f"measure has mass {mass(g)!r}, expected 1")
+    check_probability(g, "measure")
     return g.with_atoms(g.atoms - reference_identity(lam).atoms)
 
 
@@ -136,8 +135,7 @@ def tangent_realization(v: TangentVector) -> np.ndarray:
 def tangent_norm_sq(v: TangentVector) -> float:
     """Squared sphere tangent norm
     ``sum_i G_i U_i : U_i - (sum_i G_i : U_i)^2`` (nonnegative at unit mass)."""
-    if not is_probability(v.base):
-        raise NotProbabilityError(f"tangent base has mass {mass(v.base)!r}, expected 1")
+    check_probability(v.base, "tangent base")
     atoms = v.base.atoms
     energy = float(np.real(np.vdot(v.potential, atoms @ v.potential)))
     mean = float(np.real(np.vdot(atoms, v.potential)))

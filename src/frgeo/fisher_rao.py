@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bures
-from .exceptions import AntipodalError, FRGeoError, NotProbabilityError, ZeroLengthError
+from .exceptions import AntipodalError, FRGeoError, ZeroLengthError
 from .hpsd import sym_product
-from .measures import (
-    SPHERE_MASS_TOL,
-    MatrixMeasure,
-    check_same_support,
-    mass,
-    tv_distance,
-)
+from .measures import MatrixMeasure, check_probability, check_same_support, mass, tv_distance
 
 ANTIPODAL_TOL = 1e-6
 
@@ -86,16 +80,10 @@ def fisher_rao_from_hellinger(dh_sq):
     return 4.0 * np.arcsin(np.minimum(np.sqrt(dh_sq) / 4.0, 1.0))
 
 
-def _check_probability(g: MatrixMeasure, label: str) -> None:
-    m = mass(g)
-    if abs(m - 1.0) > SPHERE_MASS_TOL:
-        raise NotProbabilityError(f"{label} has mass {m!r}, expected 1 within {SPHERE_MASS_TOL:.0e}")
-
-
 def fisher_rao_distance(g0: MatrixMeasure, g1: MatrixMeasure) -> float:
     """Sphere distance ``2 arccos(1 - d_H^2 / 8) = 4 arcsin(d_H / 4)``, in ``[0, pi]``."""
-    _check_probability(g0, "first measure")
-    _check_probability(g1, "second measure")
+    check_probability(g0, "first measure")
+    check_probability(g1, "second measure")
     return float(fisher_rao_from_hellinger(hellinger_distance_sq(g0, g1)))
 
 
@@ -104,8 +92,8 @@ def cone_scaling_check(
 ) -> tuple[float, float]:
     """Both sides of the cone scaling law for sphere points scaled by ``r^2``:
     ``(d_H^2(r0^2 g0, r1^2 g1), r0 r1 d_H^2(g0, g1) + 4 (r1 - r0)^2)``."""
-    _check_probability(g0, "first measure")
-    _check_probability(g1, "second measure")
+    check_probability(g0, "first measure")
+    check_probability(g1, "second measure")
     lhs = hellinger_distance_sq(
         g0.with_atoms(g0.atoms * r0 * r0), g1.with_atoms(g1.atoms * r1 * r1)
     )
@@ -161,8 +149,6 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     :class:`AntipodalError` within ``1e-6`` of the diameter ``pi``, where the
     underlying cone geodesic passes through the apex.
     """
-    _check_probability(g0, "first measure")
-    _check_probability(g1, "second measure")
     ts = np.asarray(ts, dtype=float)
     dfr = fisher_rao_distance(g0, g1)
     if dfr >= np.pi - ANTIPODAL_TOL:
@@ -191,8 +177,8 @@ def _pair_distances(starts, ends, metric: str) -> np.ndarray:
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "fisher_rao":
         for a, b in zip(starts, ends):
-            _check_probability(a, "first measure")
-            _check_probability(b, "second measure")
+            check_probability(a, "first measure")
+            check_probability(b, "second measure")
     dh_sq = _hellinger_sq(starts, ends)
     return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .exceptions import (
     FRGeoError,
+    NotProbabilityError,
     SupportMismatchError,
     ZeroAtomError,
     ZeroMassError,
@@ -169,9 +170,13 @@ def mass(g: MatrixMeasure) -> float:
     return float(np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum())
 
 
-def is_probability(g: MatrixMeasure, tol: float = SPHERE_MASS_TOL) -> bool:
-    """Membership in the unit-trace-mass sphere, ``|mass - 1| <= tol``."""
-    return abs(mass(g) - 1.0) <= tol
+def check_probability(g: MatrixMeasure, label: str) -> None:
+    """Require membership in the unit-trace-mass sphere,
+    ``|mass - 1| <= SPHERE_MASS_TOL``, else raise :class:`NotProbabilityError`
+    naming the measure by ``label``."""
+    m = mass(g)
+    if abs(m - 1.0) > SPHERE_MASS_TOL:
+        raise NotProbabilityError(f"{label} has mass {m!r}, expected 1 within {SPHERE_MASS_TOL:.0e}")
 
 
 def trace_density(g: MatrixMeasure, i: int) -> np.ndarray:

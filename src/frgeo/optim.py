@@ -5,6 +5,18 @@ Nocedal & Wright, *Numerical Optimization*, Alg. 7.4/7.5) works on arrays
 of any shape and dtype in the real inner product ``Re vdot``, so complex
 parameters descend as pairs of real ones.
 Every accepted step strictly decreases the objective.
+
+This module owns the one step and stop policy of both solvers (the
+dynamical Bures action and the Schrödinger bridge); a caller passes only
+its problem and an iteration budget. Quasi-Newton steps start at ``t = 1``,
+steepest-descent steps (the first, and after a memory reset) at
+``STEP_INIT``, and backtracking multiplies ``t`` by ``STEP_SHRINK``. A
+descent stops on ``gradient_tol`` (gradient norm at most
+``GRADIENT_RTOL * max(1, |f|)``), on ``stall`` (the objective dropped by at
+most ``OBJECTIVE_RTOL * |f|`` over ``STALL_WINDOW`` steps, or its line
+search failed at that round-off floor), on ``line_search_exhausted`` or on
+``budget``. :attr:`LbfgsResult.converged`, true for the first two, is the
+one definition of convergence that both solvers report.
 """
 
 from __future__ import annotations
@@ -16,6 +28,10 @@ import numpy as np
 MEMORY = 8
 ARMIJO = 1e-4
 STALL_WINDOW = 10
+STEP_INIT = 0.25
+STEP_SHRINK = 0.5
+OBJECTIVE_RTOL = 1e-9
+GRADIENT_RTOL = 1e-12
 CURVATURE_EPS = 1e-10
 ROUNDOFF = float(np.finfo(float).eps)
 
@@ -27,6 +43,10 @@ class LbfgsResult(NamedTuple):
     grad: np.ndarray
     iterations: int
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("gradient_tol", "stall")
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -55,49 +75,39 @@ def lbfgs(
     aux: Any,
     *,
     max_iters: int,
-    step_init: float,
-    step_shrink: float,
-    objective_tol: float,
-    gradient_tol: float,
 ) -> LbfgsResult:
-    """Minimize ``fun`` from ``x`` (with ``(f, aux) = fun(x)`` given).
+    """Minimize ``fun`` from ``x`` (with ``(f, aux) = fun(x)`` given) in at
+    most ``max_iters`` iterations, under the module's step and stop policy.
 
     ``fun`` returns the objective and auxiliary data that ``grad(x, aux)``
-    reuses; a non-finite objective rejects the trial step. Quasi-Newton
-    steps start at ``t = 1``, steepest-descent steps (first, and after a
-    reset) at ``step_init``; backtracking multiplies ``t`` by ``step_shrink``
+    reuses; a non-finite objective rejects the trial step. Backtracking runs
     until the first-order decrease ``-t g.p`` drops below the round-off of
-    ``f``. A failed quasi-Newton line search resets the memory.
-
-    The stop reason is ``gradient_tol`` (gradient norm at most
-    ``gradient_tol * max(1, |f|)``), ``stall`` (the last ``STALL_WINDOW``
-    steps dropped the objective by at most ``objective_tol * |f|``, or a line
-    search failed on a step whose model decrease ``-t0 g.p / 2`` at its first
-    trial ``t0`` was already that small: the objective's round-off floor),
-    ``line_search_exhausted`` (steepest descent failed although its model
-    predicted more) or ``budget``.
+    ``f``. A failed line search is a ``stall`` when its model decrease
+    ``-t0 g.p / 2`` at the first trial ``t0`` was at most
+    ``OBJECTIVE_RTOL * |f|``; otherwise a quasi-Newton one resets the memory
+    and a steepest-descent one is ``line_search_exhausted``.
     """
     g = grad(x, aux)
     pairs: list = []
     history = [f]
     for it in range(max_iters):
-        if np.sqrt(_dot(g, g)) <= gradient_tol * max(1.0, abs(f)):
+        if np.sqrt(_dot(g, g)) <= GRADIENT_RTOL * max(1.0, abs(f)):
             return LbfgsResult(x, f, aux, g, it, "gradient_tol")
         p = _direction(g, pairs) if pairs else -g
         gp = _dot(g, p)
         if not gp < 0.0:
             pairs = []
             p, gp = -g, -_dot(g, g)
-        t = 1.0 if pairs else step_init
+        t = 1.0 if pairs else STEP_INIT
         predicted = -0.5 * t * gp
         while -t * gp > ROUNDOFF * abs(f):
             x_new = x + t * p
             f_new, aux_new = fun(x_new)
             if f_new < f and f_new <= f + ARMIJO * t * gp:
                 break
-            t *= step_shrink
+            t *= STEP_SHRINK
         else:
-            if predicted <= objective_tol * abs(f):
+            if predicted <= OBJECTIVE_RTOL * abs(f):
                 return LbfgsResult(x, f, aux, g, it + 1, "stall")
             if not pairs:
                 return LbfgsResult(x, f, aux, g, it + 1, "line_search_exhausted")
@@ -114,6 +124,6 @@ def lbfgs(
             pairs = []
         x, f, aux, g = x_new, f_new, aux_new, g_new
         history = history[-STALL_WINDOW:] + [f]
-        if len(history) > STALL_WINDOW and history[0] - f <= objective_tol * abs(f):
+        if len(history) > STALL_WINDOW and history[0] - f <= OBJECTIVE_RTOL * abs(f):
             return LbfgsResult(x, f, aux, g, it + 1, "stall")
     return LbfgsResult(x, f, aux, g, max_iters, "budget")

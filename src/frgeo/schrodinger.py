@@ -49,10 +49,9 @@ from .hpsd import (
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
+    check_probability,
     check_reference_support,
     check_same_support,
-    is_probability,
-    mass,
     tv_distance,
 )
 from .optim import lbfgs
@@ -60,14 +59,11 @@ from .optim import lbfgs
 
 @dataclass(frozen=True)
 class SchrodingerConfig:
-    """Solver knobs: temperature, grid size, iteration and line-search policy."""
+    """Solver settings: temperature, grid size and iteration budget."""
 
     epsilon: float
     n_steps: int = 32
     max_iters: int = 2000
-    objective_tol: float = 1e-9
-    step_init: float = 0.25
-    step_shrink: float = 0.5
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -78,10 +74,8 @@ class SchrodingerConfig:
 
 @dataclass(frozen=True)
 class BridgeResult:
-    """Bridge path plus its objective decomposition and how the solve
-    stopped: ``gradient_tol``, ``stall`` (including a line search that fails
-    at the objective's round-off floor), ``line_search_exhausted`` or
-    ``budget``."""
+    """Bridge path plus its objective decomposition and how the descent
+    stopped (:mod:`frgeo.optim`)."""
 
     path: MeasurePath
     kinetic: float
@@ -164,8 +158,7 @@ def discrete_objective(
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise FRGeoError("discrete objective requires a uniform time grid")
     for k, g in enumerate(path.slices):
-        if not is_probability(g):
-            raise FRGeoError(f"slice {k} has mass {mass(g)!r}; objective requires sphere slices")
+        check_probability(g, f"slice {k}")
     fwd = _stack_objective(np.stack([g.atoms for g in path.slices]), lam.weights, epsilon)
     return fwd.kinetic, fwd.fisher_term
 
@@ -262,12 +255,8 @@ def solve_bridge(
     explicit ``init_path`` on the same grid is supplied (used for
     warm-started temperature sweeps). The shared L-BFGS routine
     (:func:`frgeo.optim.lbfgs`) descends on the stacked factors along the
-    closed-form gradient of the objective, seeding steepest-descent steps
-    with ``cfg.step_init`` and backtracking by ``cfg.step_shrink``; the
-    objective strictly decreases across accepted steps, and steps that would
-    make an interior density singular price themselves out through an
-    infinite objective. ``converged`` is ``stop_reason`` in ``gradient_tol``
-    or ``stall``.
+    closed-form gradient of the objective; steps that would make an interior
+    density singular price themselves out through an infinite objective.
     """
     check_same_support(g0, g1)
     check_reference_support(g0, lam)
@@ -306,16 +295,11 @@ def solve_bridge(
         obj,
         fwd,
         max_iters=cfg.max_iters,
-        step_init=cfg.step_init,
-        step_shrink=cfg.step_shrink,
-        objective_tol=cfg.objective_tol,
-        gradient_tol=1e-12,
     )
     fwd = res.aux
     slices = [g0, *(g0.with_atoms(atoms) for atoms in fwd.slices[1:-1]), g1]
     path = MeasurePath(times, slices, None, {"spherical": True, "epsilon": cfg.epsilon, "metric": "fisher_rao"})
-    converged = res.stop_reason in ("gradient_tol", "stall")
-    return BridgeResult(path, fwd.kinetic, fwd.fisher_term, res.f, converged, res.iterations, res.stop_reason)
+    return BridgeResult(path, fwd.kinetic, fwd.fisher_term, res.f, res.converged, res.iterations, res.stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frgeo import bures
 from frgeo.bures import (
     _factor_gradient,
     _step_velocities,
@@ -12,6 +13,7 @@ from frgeo.bures import (
 )
 from frgeo.exceptions import NotPSDError, NotUnitTraceError
 from frgeo.hpsd import frobenius_inner, psd_sqrt
+from frgeo.optim import lbfgs
 from frgeo.testing import random_complex, random_density, random_psd, random_spd
 
 
@@ -262,6 +264,15 @@ class TestDynamicalSolver:
         assert not res.converged
         assert res.stop_reason == "budget"
         assert res.iterations <= 3
+
+    def test_exhausted_line_search_is_not_converged(self, rng, monkeypatch):
+        def exhausted(*args, **kwargs):
+            return lbfgs(*args, **kwargs)._replace(stop_reason="line_search_exhausted")
+
+        monkeypatch.setattr(bures, "lbfgs", exhausted)
+        res = dynamical_bures_solver(random_spd(rng, 2), random_spd(rng, 2), 8)
+        assert res.stop_reason == "line_search_exhausted"
+        assert not res.converged
 
     def test_rejects_small_grid(self, rng):
         with pytest.raises(ValueError):

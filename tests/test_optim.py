@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from frgeo.optim import lbfgs
+from frgeo import optim
+from frgeo.optim import LbfgsResult, lbfgs
 
 
-def run(fun, grad, x0, **kw):
-    f0, aux0 = fun(x0)
-    opts = dict(max_iters=500, step_init=1.0, step_shrink=0.5, objective_tol=1e-9, gradient_tol=1e-10)
-    opts.update(kw)
-    return lbfgs(fun, grad, x0, f0, aux0, **opts)
+def run(fun, grad, x0, max_iters=500):
+    return lbfgs(fun, grad, x0, *fun(x0), max_iters=max_iters)
+
+
+def set_tolerances(monkeypatch, objective, gradient):
+    monkeypatch.setattr(optim, "OBJECTIVE_RTOL", objective)
+    monkeypatch.setattr(optim, "GRADIENT_RTOL", gradient)
 
 
 def complex_quadratic(rng, n=8, cond=1e4):
@@ -25,11 +28,12 @@ def complex_quadratic(rng, n=8, cond=1e4):
     return fun, lambda x, ax: ax - b, np.linalg.solve(a, b)
 
 
-def test_ill_conditioned_complex_quadratic_reaches_gradient_tol(rng):
+def test_ill_conditioned_complex_quadratic_reaches_gradient_tol(rng, monkeypatch):
     fun, grad, x_star = complex_quadratic(rng)
     # The tolerance sits well above the gradient norm (~5e-6) at which the
     # decreases along the stiff directions fall below the objective's round-off.
-    res = run(fun, grad, np.zeros(8, dtype=complex), objective_tol=0.0, gradient_tol=1e-4)
+    set_tolerances(monkeypatch, 0.0, 1e-4)
+    res = run(fun, grad, np.zeros(8, dtype=complex))
     assert res.stop_reason == "gradient_tol"
     assert np.linalg.norm(res.grad) <= 1e-4 * max(1.0, abs(res.f))
     assert np.abs(res.x - x_star).max() <= 1e-4 * np.abs(x_star).max()
@@ -37,7 +41,7 @@ def test_ill_conditioned_complex_quadratic_reaches_gradient_tol(rng):
     assert res.iterations <= 300
 
 
-def test_every_accepted_objective_strictly_decreases():
+def test_every_accepted_objective_strictly_decreases(monkeypatch):
     # Rosenbrock's valley yields steps of negative curvature, so this also
     # covers the curvature skip (with stale memory kept, it hits the budget).
     def fun(x):
@@ -50,7 +54,8 @@ def test_every_accepted_objective_strictly_decreases():
         accepted.append(f)
         return np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2), 200.0 * (x[1] - x[0] ** 2)])
 
-    res = run(fun, grad, np.array([-1.2, 1.0]), objective_tol=0.0, gradient_tol=1e-9)
+    set_tolerances(monkeypatch, 0.0, 1e-9)
+    res = run(fun, grad, np.array([-1.2, 1.0]))
     assert res.stop_reason == "gradient_tol"
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
     assert len(accepted) > 10
@@ -65,14 +70,25 @@ def test_budget(rng):
 
 
 @pytest.mark.parametrize("objective_tol, reason", [(1e-3, "stall"), (1e-6, "line_search_exhausted")])
-def test_unresolvable_descent_follows_predicted_decrease(objective_tol, reason):
+def test_unresolvable_descent_follows_predicted_decrease(objective_tol, reason, monkeypatch):
     # The objective is quantized, so no step of |x|^2 / 2 < 1e-3 lowers it,
-    # although the gradient promises a decrease of |x|^2 / 2 = 5e-5 at t = 1.
+    # although the gradient promises a model decrease of t |x|^2 / 2 = 1.25e-5
+    # at the first trial t = STEP_INIT.
     def fun(x):
         return 1.0 + np.floor(500.0 * float(x @ x)) / 1e3, None
 
     x0 = np.array([6e-3, 8e-3])
-    res = run(fun, lambda x, _: x, x0, objective_tol=objective_tol, gradient_tol=0.0)
+    set_tolerances(monkeypatch, objective_tol, 0.0)
+    res = run(fun, lambda x, _: x, x0)
     assert res.stop_reason == reason
     assert res.f == 1.0
     assert np.array_equal(res.x, x0)
+
+
+@pytest.mark.parametrize(
+    "reason, converged",
+    [("gradient_tol", True), ("stall", True), ("line_search_exhausted", False), ("budget", False)],
+)
+def test_converged_is_gradient_tol_or_stall(reason, converged):
+    res = LbfgsResult(np.zeros(1), 0.0, None, np.zeros(1), 1, reason)
+    assert res.converged is converged

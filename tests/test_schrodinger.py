@@ -10,6 +10,7 @@ from frgeo.exceptions import (
     AntipodalError,
     FRGeoError,
     InfiniteEndpointEntropyError,
+    NotProbabilityError,
     SingularMatrixError,
 )
 from frgeo.fisher_rao import (
@@ -121,6 +122,14 @@ class TestDiscreteObjective:
         path = fisher_rao_geodesic(g0, g1, [0.0, 0.3, 1.0])
         with pytest.raises(FRGeoError):
             discrete_objective(path, lam, 0.1)
+
+    def test_rejects_off_sphere_slice(self, rng):
+        g0, g1, lam = finite_entropy_pair(rng)
+        path = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 9))
+        slices = list(path.slices)
+        slices[4] = slices[4].with_atoms(1.01 * slices[4].atoms)
+        with pytest.raises(NotProbabilityError, match="slice 4"):
+            discrete_objective(MeasurePath(path.times, slices), lam, 0.1)
 
     def test_infinite_on_singular_interior(self, rng):
         sup = make_support(2)
@@ -400,7 +409,7 @@ class TestSolveBridge:
         # The CLI fixture's construction at seed 4: L-BFGS reaches the
         # objective's round-off floor before the stall window fills, and the
         # line search then fails at a model decrease far below
-        # objective_tol * |f|, with a gradient norm just above 1e-6.
+        # OBJECTIVE_RTOL * |f|, with a gradient norm just above 1e-6.
         rng = np.random.default_rng(4)
         sup = make_support(2)
         lam = uniform_reference(sup, 2)

@@ -92,22 +92,25 @@ def spherical_bures(a0: np.ndarray, a1: np.ndarray) -> float:
     return float(2.0 * np.arcsin(min(np.sqrt(bures_distance_sq(a0, a1)) / 2.0, 1.0)))
 
 
-def _geodesic_factors(a0: np.ndarray, a1: np.ndarray, ts, labels):
-    """Points of :func:`bures_geodesic_stack` with their factors ``Y_t`` and
-    the factor velocity ``Y_1 - a0^{1/2}``."""
+def polar_endpoints(a0: np.ndarray, a1: np.ndarray, labels=None):
+    """``(a0^{1/2}, Y_1, d_B^2)`` for paired fibers of two ``(..., d, d)``
+    stacks: ``Y_1 = a1^{1/2} U`` with ``U`` the unitary polar factor of
+    ``a1^{1/2} a0^{1/2}`` from one batched SVD, whose singular values sum to
+    ``tr (a0^{1/2} a1 a0^{1/2})^{1/2}`` in the trace formula for ``d_B^2``."""
     r0 = psd_sqrt(a0, labels=labels)
     r1 = psd_sqrt(a1, labels=labels)
-    p, _, qh = np.linalg.svd(r1 @ r0)
-    y1 = r1 @ p @ qh
+    p, s, qh = np.linalg.svd(r1 @ r0)
+    traces = np.real(np.trace(a0, axis1=-2, axis2=-1) + np.trace(a1, axis1=-2, axis2=-1))
+    return r0, r1 @ p @ qh, np.maximum(traces - 2.0 * s.sum(axis=-1), 0.0)
+
+
+def geodesic_factors(r0: np.ndarray, y1: np.ndarray, ts):
+    """Points ``(len(ts), n, d, d)`` of :func:`bures_geodesic_stack` with
+    their factors ``Y_t = (1 - t) r0 + t y1`` (from :func:`polar_endpoints`)
+    and the factor velocity ``y1 - r0``."""
     t = np.asarray(ts, dtype=float)[:, None, None, None]
     y_t = (1.0 - t) * r0 + t * y1
     return hermitian_part(y_t @ np.conj(np.swapaxes(y_t, -1, -2))), y_t, y1 - r0
-
-
-def bures_geodesic_points(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> np.ndarray:
-    """The points ``(len(ts), n, d, d)`` of :func:`bures_geodesic_stack`,
-    without its velocity step."""
-    return _geodesic_factors(np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex), ts, labels)[0]
 
 
 def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeodesic:
@@ -118,7 +121,8 @@ def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> Fib
     of fiber velocities when every fiber point there is definite, else None.
     """
     a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
-    points, y_t, dy = _geodesic_factors(a0, a1, ts, labels)
+    r0, y1, _ = polar_endpoints(a0, a1, labels)
+    points, y_t, dy = geodesic_factors(r0, y1, ts)
     rates = 2.0 * hermitian_part(dy @ np.conj(np.swapaxes(y_t, -1, -2)))
     w, v = np.linalg.eigh(points)
     definite = np.all(spectral_rank(w) == points.shape[-1], axis=-1)

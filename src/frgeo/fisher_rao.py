@@ -147,26 +147,31 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     sphere and reparametrizes with the exact cone-chord formula, so that
     ``d_FR(G_s, G_t) = |s - t| d_FR(G_0, G_1)``. Raises
     :class:`AntipodalError` within ``1e-6`` of the diameter ``pi``, where the
-    underlying cone geodesic passes through the apex.
+    underlying cone geodesic passes through the apex. ``meta["distance"]`` is
+    ``d_FR(G_0, G_1)``.
     """
     ts = np.asarray(ts, dtype=float)
-    dfr = fisher_rao_distance(g0, g1)
+    check_probability(g0, "first measure")
+    check_probability(g1, "second measure")
+    check_same_support(g0, g1)
+    # d_H^2 from the singular values of the polar SVD the chord needs anyway.
+    r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
+    dfr = float(fisher_rao_from_hellinger(4.0 * d_sq.sum()))
     if dfr >= np.pi - ANTIPODAL_TOL:
         raise AntipodalError(
             f"endpoints at distance {dfr!r} >= pi - 1e-6: sphere projection undefined"
         )
+    meta = {"metric": "fisher_rao", "spherical": True, "distance": dfr}
     if dfr <= 1e-15:
-        slices = tuple(g0 for _ in ts)
-        return MeasurePath(ts, slices, None, {"metric": "fisher_rao", "spherical": True})
+        return MeasurePath(ts, tuple(g0 for _ in ts), None, meta)
     phi = dfr / 2.0
     chord_ts = np.array([_chord_parameter(float(th), phi) for th in ts])
-    chord = bures.bures_geodesic_points(g0.atoms, g1.atoms, chord_ts, g0.support.point_ids)
+    chord = bures.geodesic_factors(r0, y1, chord_ts)[0]
     masses = np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)
     slices = [
         g0 if theta <= 0.0 else g1 if theta >= 1.0 else g0.with_atoms(atoms / m)
         for theta, atoms, m in zip(ts, chord, masses)
     ]
-    meta = {"metric": "fisher_rao", "spherical": True, "distance": dfr}
     return MeasurePath(ts, tuple(slices), None, meta)
 
 

@@ -49,17 +49,22 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def check_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL, labels=None) -> None:
     """Raise :class:`NotHermitianError` naming the worst offending entry, and
-    the matrix holding it by its label when ``labels`` is given."""
+    the matrix holding it by its label when ``labels`` is given. A non-finite
+    entry fails too, named as such: its deviation is NaN or infinite."""
     dev = np.abs(a - np.conj(np.swapaxes(a, -1, -2)))
     worst = float(dev.max()) if dev.size else 0.0
-    if worst > atol:
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(dev)), dev.shape))
-        label = "matrix"
-        if labels is not None and len(idx) > 2:
-            label, idx = f"atom at point '{labels[idx[-3]]}'", idx[-2:]
-        raise NotHermitianError(
-            f"{label} is not Hermitian: entry {idx} deviates by {worst:.3e} (tolerance {atol:.1e})"
-        )
+    if worst <= atol:
+        return
+    bad = ~np.isfinite(a)
+    idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad if bad.any() else dev)), dev.shape))
+    label = "matrix"
+    if labels is not None and len(idx) > 2:
+        label, idx = f"atom at point '{labels[idx[-3]]}'", idx[-2:]
+    if bad.any():
+        raise NotHermitianError(f"{label} has a non-finite entry at {idx}")
+    raise NotHermitianError(
+        f"{label} is not Hermitian: entry {idx} deviates by {worst:.3e} (tolerance {atol:.1e})"
+    )
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:

@@ -9,8 +9,10 @@ Reference schema::
 
     { "dim": d, "support": ["p1", ...], "weights": [...] }
 
-Floats are emitted with 17 significant digits so files round-trip
-bit-identically through the loaders.
+``dim`` is a JSON integer of at least 1 and ``support`` a list of strings.
+Every other number goes through :func:`_float_array`, which admits only finite
+JSON numbers, and comes out through :func:`_float_text`, whose 17 significant
+digits round-trip bit-identically.
 """
 
 from __future__ import annotations
@@ -22,156 +24,134 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import MeasureFormatError, NotHermitianError
+from .exceptions import FRGeoError, MeasureFormatError, NotHermitianError
 from .measures import MatrixMeasure, ReferenceMeasure, Support
 
 
-def _emit(obj) -> str:
-    """Serialize a JSON document, formatting floats with 17 significant digits."""
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise MeasureFormatError(f"cannot serialize non-finite value {x!r}")
-        text = format(x, ".17g")
-        # Keep a decimal marker so the value parses back as a float
-        # (plain "-0" would round-trip through an int and drop the sign).
-        if "." not in text and "e" not in text and "E" not in text:
-            text += ".0"
-        return text
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _matrix_texts(atoms: np.ndarray) -> list[str]:
-    """The ``_emit`` text of each atom's ``[[[re, im], ...], ...]`` matrix,
-    formatted from one ``tolist()`` of the whole ``(n, d, d)`` stack."""
-    parts = np.stack([atoms.real, atoms.imag], axis=-1)
-    finite = np.isfinite(parts).ravel()
+def _float_text(values, after=None) -> str:
+    """The floats in ``values`` (flattened) as JSON text with 17 significant
+    digits, each followed by its string in ``after`` (default: joined by
+    ", "); :class:`MeasureFormatError` on a non-finite value."""
+    x = np.asarray(values, dtype=float).ravel()
+    finite = np.isfinite(x)
     if not finite.all():
-        value = float(parts.ravel()[np.argmin(finite)])
-        raise MeasureFormatError(f"cannot serialize non-finite value {value!r}")
-    d = atoms.shape[-1]
-    # The text after each number of one matrix; the last one opens the next.
-    after = ([", ", "], ["] * (d - 1) + [", ", "]], [["]) * d
-    after[-1] = "]]]\n[[["
+        raise MeasureFormatError(f"cannot serialize non-finite value {float(x[np.argmin(finite)])!r}")
     # %.17g prints an integral value below 1e17 without a decimal point;
-    # %.1f prints the same digits with the ".0" that keeps it a float.
-    integral = (parts == np.round(parts)) & (np.abs(parts) < 1e17)
-    specs = np.where(integral, "%.1f", "%.17g").ravel().tolist()
-    template = "".join(map(str.__add__, specs, after * len(atoms)))
-    return ("[[[" + template % tuple(parts.ravel().tolist()))[:-4].split("\n")
+    # %.1f prints the same digits with the ".0" that keeps it a float (plain
+    # "-0" would round-trip through an int and drop the sign).
+    integral = (x == np.round(x)) & (np.abs(x) < 1e17)
+    specs = np.where(integral, "%.1f", "%.17g").tolist()
+    template = ", ".join(specs) if after is None else "".join(map(str.__add__, specs, after))
+    return template % tuple(x.tolist())
+
+
+def _float_array(value, shape: tuple, where: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, by one untyped ``np.array``
+    conversion. :class:`MeasureFormatError` naming ``where`` on ragged nesting,
+    an entry that is not a JSON number, a wrong shape or a non-finite value."""
+    try:
+        arr = np.array(value)
+    except ValueError as exc:
+        raise MeasureFormatError(f"{where} must have shape {shape}, got ragged nesting") from exc
+    # An untyped conversion keeps strings and null out of the float kinds
+    # (dtype=float would parse "1.0"); booleans count as 0 and 1.
+    if arr.dtype.kind not in "biuf":
+        raise MeasureFormatError(f"{where} must hold only JSON numbers")
+    if arr.shape != shape:
+        raise MeasureFormatError(f"{where} must have shape {shape}, got {arr.shape}")
+    arr = arr.astype(float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise MeasureFormatError(f"{where} holds non-finite value {float(arr.ravel()[np.argmin(finite)])!r}")
+    return arr
+
+
+def _parse_int(text: str) -> int | float:
+    """JSON integers too long for int64 parse as floats (a 400-digit one as
+    ``inf``), so that numpy never holds a number as a Python object."""
+    return int(text) if len(text) < 19 else float(text)
+
+
+def _header(doc, kind: str, field: str) -> tuple[int, Support]:
+    """The checked ``dim`` and ``support`` of a measure or reference document
+    that must also carry ``field``."""
+    if not isinstance(doc, dict):
+        raise MeasureFormatError(f"{kind} document must be a JSON object")
+    for key in ("dim", "support", field):
+        if key not in doc:
+            raise MeasureFormatError(f"{kind} document missing field '{key}'")
+    dim, ids = doc["dim"], doc["support"]
+    if type(dim) is not int or dim < 1:
+        raise MeasureFormatError(f"dim must be a JSON integer of at least 1, got {dim!r}")
+    if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
+        raise MeasureFormatError(f"support must be a list of strings, got {ids!r}")
+    return dim, Support(tuple(ids))
+
+
+def _header_text(dim: int, support: Support) -> str:
+    ids = ", ".join(json.dumps(pid) for pid in support.point_ids)
+    return f'"dim": {int(dim)}, "support": [{ids}]'
 
 
 def _measure_text(g: MatrixMeasure) -> str:
-    """``_emit(measure_to_doc(g))``, byte for byte."""
-    ids = g.support.point_ids
-    atoms = ", ".join(
-        f'{{"point": {json.dumps(pid)}, "matrix": {m}}}' for pid, m in zip(ids, _matrix_texts(g.atoms))
-    )
-    support = ", ".join(json.dumps(pid) for pid in ids)
-    return f'{{"dim": {g.dim}, "support": [{support}], "atoms": [{atoms}]}}'
-
-
-def _pairs_to_matrix(rows, dim: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise MeasureFormatError(f"{where}: matrix must have {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise MeasureFormatError(f"{where}: row {r} must have {dim} entries")
-        for c, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-            ):
-                raise MeasureFormatError(f"{where}: entry ({r}, {c}) must be an [re, im] pair")
-            out[r, c] = complex(float(pair[0]), float(pair[1]))
-    return out
-
-
-def measure_to_doc(g: MatrixMeasure) -> dict:
-    pairs = np.stack([g.atoms.real, g.atoms.imag], axis=-1).tolist()
-    return {
-        "dim": g.dim,
-        "support": list(g.support.point_ids),
-        "atoms": [{"point": pid, "matrix": pairs[i]} for i, pid in enumerate(g.support.point_ids)],
-    }
+    """The measure document of ``g``, each atom's matrix as ``[[[re, im],
+    ...], ...]`` from one format of the whole ``(n, d, d, 2)`` stack."""
+    d = g.dim
+    # The text after each number of one matrix; the last one opens the next.
+    after = ([", ", "], ["] * (d - 1) + [", ", "]], [["]) * d
+    after[-1] = "]]]\n[[["
+    text = _float_text(np.stack([g.atoms.real, g.atoms.imag], axis=-1), after * g.support.n)
+    matrices = ("[[[" + text)[:-4].split("\n")
+    ids = map(json.dumps, g.support.point_ids)
+    atoms = ", ".join(f'{{"point": {pid}, "matrix": {m}}}' for pid, m in zip(ids, matrices))
+    return f'{{{_header_text(d, g.support)}, "atoms": [{atoms}]}}'
 
 
 def measure_from_doc(doc: dict) -> MatrixMeasure:
-    if not isinstance(doc, dict):
-        raise MeasureFormatError("measure document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-        support_ids = [str(p) for p in doc["support"]]
-        atom_entries = doc["atoms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MeasureFormatError(f"measure document missing or malformed field: {exc}") from exc
-    if dim <= 0:
-        raise MeasureFormatError(f"dim must be positive, got {dim}")
-    support = Support(tuple(support_ids))
-    if not isinstance(atom_entries, list) or len(atom_entries) != support.n:
-        raise MeasureFormatError(
-            f"expected {support.n} atoms (one per support point), got {len(atom_entries) if isinstance(atom_entries, list) else type(atom_entries)}"
-        )
-    by_point: dict[str, np.ndarray] = {}
-    for entry in atom_entries:
+    dim, support = _header(doc, "measure", "atoms")
+    entries = doc["atoms"]
+    if not isinstance(entries, list) or len(entries) != support.n:
+        got = len(entries) if isinstance(entries, list) else type(entries)
+        raise MeasureFormatError(f"expected {support.n} atoms (one per support point), got {got}")
+    by_point = {}
+    for entry in entries:
         if not isinstance(entry, dict) or "point" not in entry or "matrix" not in entry:
             raise MeasureFormatError("each atom must be an object with 'point' and 'matrix'")
         pid = str(entry["point"])
-        if pid not in support_ids:
+        if pid not in support.point_ids:
             raise MeasureFormatError(f"atom point '{pid}' is not in the support")
         if pid in by_point:
             raise MeasureFormatError(f"duplicate atom for point '{pid}'")
-        by_point[pid] = _pairs_to_matrix(entry["matrix"], dim, where=f"atom at point '{pid}'")
-    atoms = np.stack([by_point[pid] for pid in support_ids])
+        by_point[pid] = entry["matrix"]
+    matrices = [by_point[pid] for pid in support.point_ids]
+    shape = (support.n, dim, dim, 2)
     try:
-        return MatrixMeasure(support, atoms)
+        pairs = _float_array(matrices, shape, "atom stack")
+    except MeasureFormatError:
+        # Name the first bad atom; the whole-stack error stands if none is.
+        for pid, m in zip(support.point_ids, matrices):
+            _float_array(m, shape[1:], f"atom at point '{pid}' ([re, im] pairs)")
+        raise
+    try:
+        # A complex view of the pairs keeps every bit, signed zeros included.
+        return MatrixMeasure(support, pairs.view(complex)[..., 0])
     except NotHermitianError as exc:
         raise MeasureFormatError(str(exc)) from exc
 
 
-def reference_to_doc(lam: ReferenceMeasure) -> dict:
-    return {
-        "dim": lam.dim,
-        "support": list(lam.support.point_ids),
-        "weights": [float(w) for w in lam.weights],
-    }
-
-
 def reference_from_doc(doc: dict) -> ReferenceMeasure:
-    if not isinstance(doc, dict):
-        raise MeasureFormatError("reference document must be a JSON object")
+    dim, support = _header(doc, "reference", "weights")
+    weights = _float_array(doc["weights"], (support.n,), "weights")
     try:
-        dim = int(doc["dim"])
-        support = Support(tuple(str(p) for p in doc["support"]))
-        weights = [float(w) for w in doc["weights"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MeasureFormatError(f"reference document missing or malformed field: {exc}") from exc
-    try:
-        return ReferenceMeasure(support, dim, np.asarray(weights))
-    except Exception as exc:
+        return ReferenceMeasure(support, dim, weights)
+    except FRGeoError as exc:
         raise MeasureFormatError(str(exc)) from exc
-
-
-def save_measure(path: str, g: MatrixMeasure) -> None:
-    _write_line(path, _measure_text(g))
 
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as f:
         try:
-            return json.load(f)
+            return json.load(f, parse_int=_parse_int)
         except json.JSONDecodeError as exc:
             raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -182,31 +162,26 @@ def _write_line(path: str, text: str) -> None:
         f.write("\n")
 
 
+def save_measure(path: str, g: MatrixMeasure) -> None:
+    _write_line(path, _measure_text(g))
+
+
 def load_measure(path: str) -> MatrixMeasure:
     return measure_from_doc(_read_json(path))
 
 
 def save_reference(path: str, lam: ReferenceMeasure) -> None:
-    _write_line(path, _emit(reference_to_doc(lam)))
+    _write_line(path, f'{{{_header_text(lam.dim, lam.support)}, "weights": [{_float_text(lam.weights)}]}}')
 
 
 def load_reference(path: str) -> ReferenceMeasure:
     return reference_from_doc(_read_json(path))
 
 
-def path_to_doc(times: Sequence[float], slices: Sequence[MatrixMeasure]) -> list:
-    """A path as a JSON array of measure documents keyed by time."""
-    return [
-        {"time": float(t), "measure": measure_to_doc(g)}
-        for t, g in zip(times, slices, strict=True)
-    ]
-
-
 def save_measure_path(path: str, times: Sequence[float], slices: Sequence[MatrixMeasure]) -> None:
-    """Write ``_emit(path_to_doc(times, slices))``, built slice by slice."""
+    """A path as a JSON array of measure documents keyed by time."""
     text = ", ".join(
-        f'{{"time": {_emit(float(t))}, "measure": {_measure_text(g)}}}'
-        for t, g in zip(times, slices, strict=True)
+        f'{{"time": {_float_text(t)}, "measure": {_measure_text(g)}}}' for t, g in zip(times, slices, strict=True)
     )
     _write_line(path, f"[{text}]")
 
@@ -216,10 +191,10 @@ def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
     if not isinstance(doc, list):
         raise MeasureFormatError("path document must be a JSON array")
     times, slices = [], []
-    for entry in doc:
+    for k, entry in enumerate(doc):
         if not isinstance(entry, dict) or "time" not in entry or "measure" not in entry:
             raise MeasureFormatError("each path entry must carry 'time' and 'measure'")
-        times.append(float(entry["time"]))
+        times.append(float(_float_array(entry["time"], (), f"time of path entry {k}")))
         slices.append(measure_from_doc(entry["measure"]))
     return times, slices
 

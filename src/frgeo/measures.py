@@ -105,6 +105,8 @@ class ReferenceMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.support.n,):
             raise FRGeoError(f"weights must have shape ({self.support.n},), got {w.shape}")
+        if not np.isfinite(w).all():
+            raise FRGeoError(f"reference weights must be finite, got non-finite weights {w[~np.isfinite(w)].tolist()}")
         if np.any(w < 0.0):
             raise FRGeoError("reference weights must be nonnegative")
         total = self.dim * float(w.sum())

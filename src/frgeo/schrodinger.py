@@ -426,9 +426,9 @@ def convexity_experiment(
     e0, e1 = entropy(g0, lam), entropy(g1, lam)
     if math.isinf(e0) or math.isinf(e1):
         raise InfiniteEndpointEntropyError("convexity experiment requires finite endpoint entropies")
-    dfr_sq = fisher_rao_distance(g0, g1) ** 2
     thetas = sorted(float(t) for t in thetas)
     path = fisher_rao_geodesic(g0, g1, thetas)
+    dfr_sq = path.meta["distance"] ** 2
     rows = []
     for theta, g in zip(thetas, path.slices):
         lhs = entropy(g, lam)

@@ -182,6 +182,44 @@ class TestMeasureFileErrors:
         assert "atom at point 'skewed' is not Hermitian" in err
 
 
+    @pytest.mark.parametrize(
+        "entry, row",
+        [
+            ("[NaN, 0]", None),
+            ("[Infinity, 0]", None),
+            ("[1e400, 0]", None),
+            ("[" + "9" * 400 + ", 0]", None),
+            ('["0.5", 0]', None),
+            ("[null, 0]", None),
+            ("[0, 0, 0]", None),
+            ("[0, 0]", "[[0, 0]]"),
+        ],
+        ids=["nan", "infinity", "1e400", "400-digit-integer", "string", "null", "three-entry-pair", "ragged-row"],
+    )
+    def test_malformed_number_exit_2_names_point(self, tmp_path, capsys, entry, row):
+        bad = f"[[[0.25, 0], {entry}], {row or '[[0, 0], [0.25, 0]]'}]"
+        text = (
+            '{"dim": 2, "support": ["ok", "bad"], "atoms": ['
+            '{"point": "ok", "matrix": [[[0.25, 0], [0, 0]], [[0, 0], [0.25, 0]]]}, '
+            f'{{"point": "bad", "matrix": {bad}}}]}}'
+        )
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["distance", str(p), str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "atom at point 'bad'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("weights", ["[NaN, 0.25]", '["0.25", 0.25]'], ids=["nan", "string"])
+    def test_malformed_weight_exit_2_names_weights(self, workdir, capsys, weights):
+        p = os.path.join(workdir["dir"], "bad_lam.json")
+        with open(p, "w") as f:
+            f.write(f'{{"dim": 2, "support": ["p1", "p2"], "weights": {weights}}}')
+        out = os.path.join(workdir["dir"], "flow.csv")
+        assert main(["heatflow", workdir["g0"], "--reference", p, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "weights" in err and "Traceback" not in err
+
+
 class TestHeatflowCommand:
     def test_writes_table(self, workdir):
         out = os.path.join(workdir["dir"], "flow.csv")

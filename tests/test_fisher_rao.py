@@ -349,7 +349,10 @@ class TestFisherRaoGeodesic:
         g0, g1 = (g.with_atoms(g.atoms / mass(g)) for g in mixed_mode_pair)
         ts = np.linspace(0.0, 1.0, 9)
         path = fisher_rao_geodesic(g0, g1, ts)
-        phi = fisher_rao_distance(g0, g1) / 2.0
+        # The geodesic takes d_FR from its polar SVD, the distance from the
+        # eigenvalue route: the two agree to round-off, the chord uses its own.
+        assert path.meta["distance"] == pytest.approx(fisher_rao_distance(g0, g1), rel=1e-12)
+        phi = path.meta["distance"] / 2.0
         chord = hellinger_geodesic(g0, g1, [_chord_parameter(t, phi) for t in ts])
         assert path.velocities is None
         assert path.slices[0] is g0 and path.slices[-1] is g1

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -37,6 +38,62 @@ def single_atom(atom, label="p1"):
     return MatrixMeasure(Support((label,)), np.asarray(atom, dtype=complex)[None])
 
 
+# The byte-identity oracle for the writers: the documents built as nested
+# Python values and serialized by a recursive walk, floats with 17
+# significant digits.
+
+
+def _emit(obj) -> str:
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise MeasureFormatError(f"cannot serialize non-finite value {x!r}")
+        text = format(x, ".17g")
+        # Keep a decimal marker so the value parses back as a float
+        # (plain "-0" would round-trip through an int and drop the sign).
+        if "." not in text and "e" not in text and "E" not in text:
+            text += ".0"
+        return text
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_emit(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items()) + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def measure_to_doc(g) -> dict:
+    pairs = np.stack([g.atoms.real, g.atoms.imag], axis=-1).tolist()
+    return {
+        "dim": g.dim,
+        "support": list(g.support.point_ids),
+        "atoms": [{"point": pid, "matrix": pairs[i]} for i, pid in enumerate(g.support.point_ids)],
+    }
+
+
+def path_to_doc(times, slices) -> list:
+    return [{"time": float(t), "measure": measure_to_doc(g)} for t, g in zip(times, slices, strict=True)]
+
+
+def reference_to_doc(lam) -> dict:
+    return {"dim": lam.dim, "support": list(lam.support.point_ids), "weights": [float(w) for w in lam.weights]}
+
+
+def walked_atoms(doc) -> np.ndarray:
+    """The atoms of a measure document converted entry by entry, each pair as
+    ``complex(float(re), float(im))``, in support order: the loader's
+    reference for bit identity."""
+    by_point = {a["point"]: a["matrix"] for a in doc["atoms"]}
+    return np.array(
+        [[[complex(float(re), float(im)) for re, im in row] for row in by_point[pid]] for pid in doc["support"]]
+    )
+
+
 class TestSupport:
     def test_labels_unique(self):
         with pytest.raises(FRGeoError):
@@ -44,6 +101,15 @@ class TestSupport:
 
     def test_make_support(self):
         assert make_support(3).point_ids == ("p1", "p2", "p3")
+
+
+class TestMatrixMeasureChecks:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_atom_rejected(self, value):
+        atoms = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        atoms[1, 1, 0] = value
+        with pytest.raises(NotHermitianError, match=r"atom at point 'q' has a non-finite entry at \(1, 0\)"):
+            MatrixMeasure(Support(("p", "q")), atoms)
 
 
 class TestTvNorm:
@@ -177,6 +243,11 @@ class TestReferenceMeasure:
         with pytest.raises(FRGeoError):
             ReferenceMeasure(make_support(2), 1, np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(FRGeoError, match="non-finite"):
+            ReferenceMeasure(make_support(2), 1, np.array([1.0, bad]))
+
 
 class TestMeasureFiles:
     def test_round_trip_bit_identical(self, rng, tmp_path):
@@ -235,8 +306,6 @@ class TestMeasureFiles:
     def test_writers_match_recursive_emit_bytes(self, tmp_path):
         from types import SimpleNamespace
 
-        from frgeo.io import _emit, measure_to_doc, path_to_doc
-
         values = [-0.0, 0.0, 1.0, -3.0, 2.0**52, 1e16, 99999999999999984.0, 1e17, 0.1, 1e-5,
                   5e-324, -2.5e-310, 1e308, -1e308]
         gen = np.random.default_rng(3)
@@ -244,20 +313,23 @@ class TestMeasureFiles:
         for d in (1, 2, 3):
             atoms = gen.choice(values, (4, d, d)) + 1j * gen.choice(values, (4, d, d))
             # MatrixMeasure hermitizes through (a + a*) / 2, which overflows at
-            # 1e308; the writers read only these three fields.
+            # 1e308, and ReferenceMeasure checks normalization; the writers
+            # read only these fields.
             g = SimpleNamespace(support=make_support(4), dim=d, atoms=atoms)
             fio.save_measure(p, g)
             with open(p) as f:
                 assert f.read() == _emit(measure_to_doc(g)) + "\n"
-            times = [0.0, 0.5, 1.0]
-            fio.save_measure_path(p, times, [g] * 3)
+            for times in ([0.0, 0.5, 1.0], gen.choice(values, 3)):
+                fio.save_measure_path(p, times, [g] * 3)
+                with open(p) as f:
+                    assert f.read() == _emit(path_to_doc(times, [g] * 3)) + "\n"
+            lam = SimpleNamespace(support=make_support(len(values)), dim=d, weights=np.array(values))
+            fio.save_reference(p, lam)
             with open(p) as f:
-                assert f.read() == _emit(path_to_doc(times, [g] * 3)) + "\n"
+                assert f.read() == _emit(reference_to_doc(lam)) + "\n"
 
     def test_writers_reject_non_finite(self, rng, tmp_path):
         from types import SimpleNamespace
-
-        from frgeo.io import _emit, measure_to_doc
 
         g = random_measure(rng, 2, 2)
         atoms = g.atoms.copy()
@@ -270,6 +342,79 @@ class TestMeasureFiles:
             with pytest.raises(MeasureFormatError) as err:
                 write()
             assert str(err.value) == str(reference.value)
+        lam = SimpleNamespace(support=make_support(2), dim=2, weights=np.array([0.25, np.nan]))
+        with pytest.raises(MeasureFormatError) as reference:
+            _emit(reference_to_doc(lam))
+        with pytest.raises(MeasureFormatError) as err:
+            fio.save_reference(p, lam)
+        assert str(err.value) == str(reference.value)
+
+    def test_loader_bits_match_entry_walk(self, tmp_path):
+        # Integral values (JSON integers and floats), signed zeros and
+        # subnormals load to the same bits as a complex(float(re),
+        # float(im)) walk over the entries, and so do integers beyond int64.
+        values = [0, -0.0, 0.0, 3, -7, 2**53 + 1, 2**63, 2**64 + 1, 12345678901234567890123, 1.0, -2.0,
+                  5e-324, -5e-324, 2.2250738585072009e-308, -1.5e-310, 0.1, 1e300]
+        gen = np.random.default_rng(5)
+        p = os.path.join(tmp_path, "m.json")
+        for d in (1, 2, 3):
+            matrices = []
+            for _ in range(3):
+                # Exactly Hermitian, so that hermitization keeps every bit.
+                m = [[None] * d for _ in range(d)]
+                for r in range(d):
+                    m[r][r] = [values[gen.integers(len(values))], 0]
+                    for c in range(r + 1, d):
+                        re, im = values[gen.integers(len(values))], values[gen.integers(len(values))]
+                        m[r][c], m[c][r] = [re, im], [re, -im]
+                matrices.append(m)
+            doc = {
+                "dim": d,
+                "support": ["a", "b", "c"],
+                "atoms": [{"point": pid, "matrix": matrices[i]} for i, pid in zip((2, 0, 1), ("c", "a", "b"))],
+            }
+            with open(p, "w") as f:
+                json.dump(doc, f)
+            with open(p) as f:
+                walked = MatrixMeasure(Support(("a", "b", "c")), walked_atoms(json.load(f)))
+            assert fio.load_measure(p).atoms.tobytes() == walked.atoms.tobytes()
+            weights = [0, 0.0, -0.0, 5e-324, 1.0 / d]
+            with open(p, "w") as f:
+                json.dump({"dim": d, "support": list("abcde"), "weights": weights}, f)
+            expected = np.array([float(w) for w in weights])
+            assert fio.load_reference(p).weights.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1.7, 1.0, "1", True, 0, None])
+    @pytest.mark.parametrize("kind", ["measure", "reference"])
+    def test_dim_must_be_positive_json_integer(self, tmp_path, kind, dim):
+        doc = {"dim": dim, "support": ["p1"]}
+        doc.update({"measure": {"atoms": [{"point": "p1", "matrix": [[[1, 0]]]}]}, "reference": {"weights": [1.0]}}[kind])
+        p = os.path.join(tmp_path, "bad.json")
+        with open(p, "w") as f:
+            json.dump(doc, f)
+        load = fio.load_measure if kind == "measure" else fio.load_reference
+        with pytest.raises(MeasureFormatError, match="dim must be a JSON integer of at least 1"):
+            load(p)
+        doc["dim"] = 1
+        with open(p, "w") as f:
+            json.dump(doc, f)
+        assert load(p).dim == 1
+
+    @pytest.mark.parametrize("support", ["ab", ["a", 2], {"a": 1}])
+    @pytest.mark.parametrize("kind", ["measure", "reference"])
+    def test_support_must_be_list_of_strings(self, tmp_path, kind, support):
+        atoms = [{"point": p, "matrix": [[[0.5, 0]]]} for p in ("a", "b")]
+        doc = {"dim": 1, "support": support, **({"atoms": atoms} if kind == "measure" else {"weights": [0.5, 0.5]})}
+        p = os.path.join(tmp_path, "bad.json")
+        with open(p, "w") as f:
+            json.dump(doc, f)
+        load = fio.load_measure if kind == "measure" else fio.load_reference
+        with pytest.raises(MeasureFormatError, match="support must be a list of strings"):
+            load(p)
+        doc["support"] = ["a", "b"]
+        with open(p, "w") as f:
+            json.dump(doc, f)
+        assert load(p).support.point_ids == ("a", "b")
 
     def test_rejects_missing_atom(self, tmp_path):
         doc = {"dim": 1, "support": ["p1", "p2"], "atoms": [{"point": "p1", "matrix": [[[1, 0]]]}]}
@@ -311,10 +456,9 @@ class TestMeasureFiles:
     def test_entry_serialization_bit_exact(self, x, y):
         # 17 significant digits identify a double uniquely, including
         # denormals and extreme exponents.
-        from frgeo.io import _emit
-
-        text = _emit({"m": [[[x, y]]]})
-        back = json.loads(text)["m"][0][0]
+        text = fio._float_text([x, y])
+        assert text == f"{_emit(x)}, {_emit(y)}"
+        back = json.loads(f"[{text}]")
         assert back[0] == x and back[1] == y
         assert np.signbit(back[0]) == np.signbit(x)
 

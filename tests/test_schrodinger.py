@@ -388,14 +388,16 @@ class TestSolveBridge:
         cfg = SchrodingerConfig(epsilon=0.3, n_steps=8, max_iters=5)
         init = solve_bridge(g0, g1, lam, cfg).path if warm else None
         calls = []
-        for module, name in ((schrodinger, "entropy"), (schrodinger, "fisher_rao_distance"), (fisher_rao, "fisher_rao_distance")):
+        # The cold path checks the endpoints inside the geodesic, the warm
+        # path inside fisher_rao_distance: one sphere check per endpoint.
+        for module, name in ((schrodinger, "entropy"), (fisher_rao, "check_probability")):
             def counted(*args, _original=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counted)
         solve_bridge(g0, g1, lam, cfg, init_path=init)
-        assert sorted(calls) == ["entropy", "entropy", "fisher_rao_distance"]
+        assert sorted(calls) == ["check_probability", "check_probability", "entropy", "entropy"]
 
     def test_non_convergence_flagged(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)

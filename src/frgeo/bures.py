@@ -26,7 +26,7 @@ from .hpsd import (
     spectral_rank,
     zero_floor,
 )
-from .optim import lbfgs
+from .optim import lbfgs, time_preconditioner
 
 UNIT_TRACE_TOL = 1e-9
 GEODESIC_REG_SCALE = 1e-8
@@ -196,9 +196,9 @@ def dynamical_bures_solver(
     Both endpoints are pinned and the interior nodes are ``A_k = C_k C_k*``,
     so every path is PSD and joins ``a0`` to ``a1`` exactly. One run of the
     shared L-BFGS routine (:func:`frgeo.optim.lbfgs`) descends on the factors
-    along :func:`_factor_gradient`, from the square roots of the straight
-    line (independent of the polar construction on purpose). Singular inputs
-    are shifted by ``1e-8 * max(tr a0, tr a1)`` before solving.
+    along :func:`_factor_gradient`, preconditioned in time, from the square
+    roots of the straight line (independent of the polar construction on
+    purpose). Singular inputs are shifted by ``1e-8 * max(tr a0, tr a1)``.
     """
     if n_steps < 8:
         raise ValueError(f"n_steps must be at least 8, got {n_steps}")
@@ -226,7 +226,8 @@ def dynamical_bures_solver(
 
     factors = psd_sqrt(a0 + times[1:-1, None, None] * (a1 - a0))
     res = lbfgs(
-        action, lambda fac, aux: _factor_gradient(fac, aux[1], dt), factors, *action(factors), max_iters=max_iters
+        action, lambda fac, aux: _factor_gradient(fac, aux[1], dt), factors, *action(factors),
+        max_iters=max_iters, precondition=time_preconditioner(n_steps),
     )
     nodes, us = res.aux
     velocities = tuple(us[min(k, n_steps - 1)] for k in range(n_steps + 1))

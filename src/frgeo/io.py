@@ -85,7 +85,10 @@ def _header(doc, kind: str, field: str) -> tuple[int, Support]:
         raise MeasureFormatError(f"dim must be a JSON integer of at least 1, got {dim!r}")
     if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
         raise MeasureFormatError(f"support must be a list of strings, got {ids!r}")
-    return dim, Support(tuple(ids))
+    try:
+        return dim, Support(tuple(ids))
+    except FRGeoError as exc:
+        raise MeasureFormatError(str(exc)) from exc
 
 
 def _header_text(dim: int, support: Support) -> str:

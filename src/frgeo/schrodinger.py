@@ -54,7 +54,7 @@ from .measures import (
     check_same_support,
     tv_distance,
 )
-from .optim import lbfgs
+from .optim import lbfgs, time_preconditioner
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,9 @@ def solve_bridge(
     explicit ``init_path`` on the same grid is supplied (used for
     warm-started temperature sweeps). The shared L-BFGS routine
     (:func:`frgeo.optim.lbfgs`) descends on the stacked factors along the
-    closed-form gradient of the objective; steps that would make an interior
-    density singular price themselves out through an infinite objective.
+    closed-form gradient of the objective, preconditioned in time; steps
+    that would make an interior density singular price themselves out
+    through an infinite objective.
     """
     check_same_support(g0, g1)
     check_reference_support(g0, lam)
@@ -295,6 +296,7 @@ def solve_bridge(
         obj,
         fwd,
         max_iters=cfg.max_iters,
+        precondition=time_preconditioner(n_steps),
     )
     fwd = res.aux
     slices = [g0, *(g0.with_atoms(atoms) for atoms in fwd.slices[1:-1]), g1]

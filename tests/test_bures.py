@@ -258,6 +258,16 @@ class TestDynamicalSolver:
         assert errs[0] <= 0.05
         assert errs[1] <= 0.6 * errs[0]
 
+    def test_iterations_flat_in_grid_size(self, rng):
+        # Preconditioned in time, a solve takes a handful of iterations at
+        # any N; plain L-BFGS needed about 2.5 N. Counts turn on the last
+        # bits of the gradient, so only a fixed bound is checked.
+        a0, a1 = random_spd(rng, 2), random_spd(rng, 2)
+        for n_steps in (16, 128):
+            res = dynamical_bures_solver(a0, a1, n_steps)
+            assert res.converged
+            assert res.iterations <= 25, n_steps
+
     def test_iteration_budget_flag(self, rng):
         a0, a1 = random_spd(rng, 2), random_spd(rng, 2)
         res = dynamical_bures_solver(a0, a1, 8, max_iters=3)

@@ -209,6 +209,25 @@ class TestMeasureFileErrors:
         err = capsys.readouterr().err
         assert "atom at point 'bad'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("support", [["a", "a"], []], ids=["duplicate", "empty"])
+    @pytest.mark.parametrize("kind", ["measure", "reference"])
+    def test_bad_support_exit_2(self, workdir, capsys, support, kind):
+        if kind == "measure":
+            atoms = [{"point": p, "matrix": [[[1, 0]]]} for p in support]
+            doc = {"dim": 1, "support": support, "atoms": atoms}
+        else:
+            doc = {"dim": 2, "support": support, "weights": [0.25] * len(support)}
+        p = os.path.join(workdir["dir"], "bad_support.json")
+        with open(p, "w") as f:
+            json.dump(doc, f)
+        if kind == "measure":
+            argv = ["distance", p, p]
+        else:
+            argv = ["heatflow", workdir["g0"], "--reference", p, "--out", os.path.join(workdir["dir"], "flow.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "support" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("weights", ["[NaN, 0.25]", '["0.25", 0.25]'], ids=["nan", "string"])
     def test_malformed_weight_exit_2_names_weights(self, workdir, capsys, weights):
         p = os.path.join(workdir["dir"], "bad_lam.json")
@@ -291,6 +310,16 @@ class TestBridgeCommand:
         assert "converged = False" in captured.out
         assert "stop_reason = budget" in captured.out
         assert "did not converge in 1 iterations (budget)" in captured.err
+
+    def test_fine_grid_converges_within_small_budget(self, workdir, capsys):
+        # Preconditioned in time, N = 96 needs a handful of iterations; plain
+        # L-BFGS took 158 to 209 here and exited 4 on this budget.
+        out = os.path.join(workdir["dir"], "fine")
+        argv = ["bridge", workdir["g0"], workdir["g1"], "--reference", workdir["lam"]]
+        code = main(argv + ["--epsilon", "0.2", "--steps", "96", "--max-iters", "40", "--out", out])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "stop_reason = stall" in lines or "stop_reason = gradient_tol" in lines
 
     def test_infinite_entropy_exit_3(self, rng, tmp_path, workdir):
         sup = make_support(2)

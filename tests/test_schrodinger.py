@@ -407,11 +407,22 @@ class TestSolveBridge:
         assert res.stop_reason == "budget"
         assert res.iterations <= 2
 
+    def test_iterations_flat_in_grid_size(self, rng):
+        # Preconditioned in time, a solve takes a handful of iterations at
+        # any N; plain L-BFGS needed about 2 N. Counts turn on the last bits
+        # of the gradient, so only a fixed bound is checked.
+        g0, g1, lam = finite_entropy_pair(rng)
+        for n_steps in (12, 96):
+            res = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.2, n_steps=n_steps))
+            assert res.converged
+            assert res.iterations <= 25, n_steps
+
     def test_roundoff_floor_stop_counts_as_stall(self):
         # The CLI fixture's construction at seed 4: L-BFGS reaches the
         # objective's round-off floor before the stall window fills, and the
         # line search then fails at a model decrease far below
-        # OBJECTIVE_RTOL * |f|, with a gradient norm just above 1e-6.
+        # OBJECTIVE_RTOL * |f|, with a preconditioned gradient norm of 4e-8,
+        # above GRADIENT_RTOL.
         rng = np.random.default_rng(4)
         sup = make_support(2)
         lam = uniform_reference(sup, 2)

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None)
     p.add_argument("--epsilons", default="0.5,0.2,0.1,0.05", help="comma-separated, descending")
     p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size; rows run cold when > 1")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1); the rows do not depend on it")
     p.add_argument("--out", required=True, help="output CSV file")
     p.set_defaults(fn=_cmd_gamma_sweep)
 

@@ -18,11 +18,10 @@ start at ``t = 1``, steepest-descent steps ``-H0 g`` (the first, and after a
 memory reset) at ``STEP_INIT``, and backtracking multiplies ``t`` by
 ``STEP_SHRINK``. A descent stops on ``gradient_tol`` (the dual norm
 ``sqrt(g.H0 g)`` at most ``GRADIENT_RTOL * max(1, |f|)``), on ``stall`` (the
-objective dropped by at most ``OBJECTIVE_RTOL * |f|`` over ``STALL_WINDOW``
-steps, or its line search failed at that round-off floor), on
-``line_search_exhausted`` or on ``budget``. :attr:`LbfgsResult.converged`,
-true for the first two, is the one definition of convergence that both
-solvers report.
+line search failed at the round-off floor: the model decrease of its first
+trial was at most ``OBJECTIVE_RTOL * |f|``), on ``line_search_exhausted`` or
+on ``budget``. :attr:`LbfgsResult.converged`, true for the first two, is the
+one definition of convergence that both solvers report.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 MEMORY = 8
 ARMIJO = 1e-4
-STALL_WINDOW = 10
 STEP_INIT = 0.25
 STEP_SHRINK = 0.5
 OBJECTIVE_RTOL = 1e-9
@@ -117,7 +115,6 @@ def lbfgs(
     g = grad(x, aux)
     hg = h0(g)
     pairs: list = []
-    history = [f]
     for it in range(max_iters):
         if np.sqrt(_dot(g, hg)) <= GRADIENT_RTOL * max(1.0, abs(f)):
             return LbfgsResult(x, f, aux, g, it, "gradient_tol")
@@ -152,7 +149,4 @@ def lbfgs(
             pairs = []
         x, f, aux, g = x_new, f_new, aux_new, g_new
         hg = h0(g)
-        history = history[-STALL_WINDOW:] + [f]
-        if len(history) > STALL_WINDOW and history[0] - f <= OBJECTIVE_RTOL * abs(f):
-            return LbfgsResult(x, f, aux, g, it + 1, "stall")
     return LbfgsResult(x, f, aux, g, max_iters, "budget")

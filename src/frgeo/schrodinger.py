@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -66,8 +67,8 @@ class SchrodingerConfig:
     max_iters: int = 2000
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.n_steps < 8:
             raise ValueError(f"n_steps must be at least 8, got {self.n_steps}")
 
@@ -252,11 +253,10 @@ def solve_bridge(
 
     Initialization is the heat-flow recovery perturbation of the Fisher-Rao
     geodesic (always a finite-objective interior competitor) unless an
-    explicit ``init_path`` on the same grid is supplied (used for
-    warm-started temperature sweeps). The shared L-BFGS routine
-    (:func:`frgeo.optim.lbfgs`) descends on the stacked factors along the
-    closed-form gradient of the objective, preconditioned in time; steps
-    that would make an interior density singular price themselves out
+    explicit ``init_path`` on the same grid is supplied. The shared L-BFGS
+    routine (:func:`frgeo.optim.lbfgs`) descends on the stacked factors
+    along the closed-form gradient of the objective, preconditioned in time;
+    steps that would make an interior density singular price themselves out
     through an infinite objective.
     """
     check_same_support(g0, g1)
@@ -351,22 +351,20 @@ def _sweep_row(
     g0: MatrixMeasure,
     g1: MatrixMeasure,
     lam: ReferenceMeasure,
-    cfg: SchrodingerConfig,
     geodesic: MeasurePath,
-    init_path: MeasurePath | None,
-) -> tuple[SweepRow, MeasurePath | None]:
+    cfg: SchrodingerConfig,
+) -> SweepRow:
     try:
-        result = solve_bridge(g0, g1, lam, cfg, init_path=init_path)
+        result = solve_bridge(g0, g1, lam, cfg)
     except FRGeoError as exc:
-        return SweepRow(cfg.epsilon, math.nan, math.nan, math.nan, math.nan, False, str(exc)), None
+        return SweepRow(cfg.epsilon, math.nan, math.nan, math.nan, math.nan, False, str(exc))
     gap = max(
         tv_distance(result.path.slices[k], geodesic.slices[k])
         for k in range(result.path.n_slices)
     )
-    row = SweepRow(
+    return SweepRow(
         cfg.epsilon, result.objective, result.kinetic, result.fisher_term, gap, result.converged
     )
-    return row, result.path
 
 
 def gamma_sweep(
@@ -377,39 +375,33 @@ def gamma_sweep(
     cfg: SchrodingerConfig | None = None,
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """Solve the bridge along a descending temperature schedule.
+    """Solve the bridge along a descending temperature schedule, one cold
+    solve per row.
 
-    With ``jobs == 1`` each solve warm-starts from the previous
-    temperature's path; with ``jobs > 1`` rows run cold in a process pool.
-    Output rows follow the given temperature order either way; a failed row
-    is flagged with its error and the sweep continues.
+    ``jobs`` only chooses where the rows run: in a pool of
+    ``min(jobs, len(epsilons))`` processes when that is more than one, else
+    in this process; the rows are the same either way. Output rows follow
+    the given temperature order; a failed row is flagged with its error and
+    the sweep continues.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     epsilons = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be strictly descending")
     if cfg is None:
         cfg = SchrodingerConfig(epsilon=epsilons[0])
+    cfgs = [replace(cfg, epsilon=eps) for eps in epsilons]
     times = np.linspace(0.0, 1.0, cfg.n_steps + 1)
-    geodesic = fisher_rao_geodesic(g0, g1, times)
+    row = partial(_sweep_row, g0, g1, lam, fisher_rao_geodesic(g0, g1, times))
+    workers = min(jobs, len(cfgs))
+    if workers < 2:
+        return [row(c) for c in cfgs]
 
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sweep_row, g0, g1, lam, replace(cfg, epsilon=eps), geodesic, None)
-                for eps in epsilons
-            ]
-            return [f.result()[0] for f in futures]
-
-    rows = []
-    prev_path: MeasurePath | None = None
-    for eps in epsilons:
-        row, path = _sweep_row(g0, g1, lam, replace(cfg, epsilon=eps), geodesic, prev_path)
-        rows.append(row)
-        if path is not None:
-            prev_path = path
-    return rows
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(row, cfgs))
 
 
 def convexity_experiment(

@@ -334,6 +334,14 @@ class TestBridgeCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exit_3(self, workdir, capsys, epsilon):
+        out = os.path.join(workdir["dir"], "bad_bridge")
+        code = main(["bridge", workdir["g0"], workdir["g1"], "--epsilon", epsilon, "--steps", "8", "--out", out])
+        assert code == 3
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestSweepAndConvexity:
     def test_gamma_sweep_csv(self, workdir):
@@ -360,6 +368,22 @@ class TestSweepAndConvexity:
         second = [float(x) for x in lines[2].split(",")]
         assert first[0] == 0.5 and second[0] == 0.2
         assert second[1] <= first[1] * 1.01
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--jobs", "0", "jobs must be at least 1"),
+            ("--jobs", "-2", "jobs must be at least 1"),
+            ("--epsilons", "0.5,nan", "epsilon must be positive and finite"),
+            ("--epsilons", "inf,0.5", "epsilon must be positive and finite"),
+        ],
+    )
+    def test_gamma_sweep_bad_option_exit_3(self, workdir, capsys, option, value, message):
+        out = os.path.join(workdir["dir"], "sweep.csv")
+        argv = ["gamma-sweep", workdir["g0"], workdir["g1"], "--steps", "8", option, value, "--out", out]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_convexity_csv(self, workdir):
         out = os.path.join(workdir["dir"], "conv.csv")

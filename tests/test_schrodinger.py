@@ -82,6 +82,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SchrodingerConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_epsilon_finite(self, epsilon):
+        # NaN compares false with everything, so a plain `<= 0` test misses it.
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            SchrodingerConfig(epsilon=epsilon)
+
     def test_min_steps(self):
         with pytest.raises(ValueError):
             SchrodingerConfig(epsilon=0.1, n_steps=4)
@@ -419,10 +425,9 @@ class TestSolveBridge:
 
     def test_roundoff_floor_stop_counts_as_stall(self):
         # The CLI fixture's construction at seed 4: L-BFGS reaches the
-        # objective's round-off floor before the stall window fills, and the
-        # line search then fails at a model decrease far below
-        # OBJECTIVE_RTOL * |f|, with a preconditioned gradient norm of 4e-8,
-        # above GRADIENT_RTOL.
+        # objective's round-off floor, and the line search then fails at a
+        # model decrease far below OBJECTIVE_RTOL * |f|, with a
+        # preconditioned gradient norm of 4e-8, above GRADIENT_RTOL.
         rng = np.random.default_rng(4)
         sup = make_support(2)
         lam = uniform_reference(sup, 2)
@@ -579,8 +584,43 @@ class TestGammaSweep:
         cfg = SchrodingerConfig(epsilon=0.5, n_steps=8, max_iters=150)
         rows = gamma_sweep(g0, g1, lam, [0.5, 0.2], cfg, jobs=2)
         assert [r.epsilon for r in rows] == [0.5, 0.2]
-        cold0 = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.5, n_steps=8, max_iters=150))
-        assert rows[0].objective == pytest.approx(cold0.objective, abs=1e-10)
+        for row in rows:
+            cold = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=row.epsilon, n_steps=8, max_iters=150))
+            assert row.objective == cold.objective
+        # Every row is a cold solve, so the pool changes where rows run, not what they are.
+        assert gamma_sweep(g0, g1, lam, [0.5, 0.2], cfg, jobs=1) == rows
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, rng, jobs):
+        g0, g1, lam = finite_entropy_pair(rng)
+        with pytest.raises(ValueError, match="jobs"):
+            gamma_sweep(g0, g1, lam, [0.5, 0.2], jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, epsilons, pools", [(5000, [0.5, 0.2, 0.1], [3]), (2, [0.5], [])])
+    def test_pool_has_at_most_one_worker_per_row(self, rng, monkeypatch, jobs, epsilons, pools):
+        # A stand-in pool that records its size and runs rows in this process,
+        # so no worker process is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        g0, g1, lam = finite_entropy_pair(rng)
+        cfg = SchrodingerConfig(epsilon=0.5, n_steps=8, max_iters=150)
+        rows = gamma_sweep(g0, g1, lam, epsilons, cfg, jobs=jobs)
+        assert [r.epsilon for r in rows] == epsilons
+        assert sizes == pools
 
 
 class TestConvexityExperiment:

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import io as fio
-from .entropy_flow import entropy, fisher_information, flow_table
+from .entropy_flow import flow_table, slice_entropies
 from .exceptions import FRGeoError, MeasureFormatError, NoConvergenceError
 from .fisher_rao import (
     MeasurePath,
@@ -34,12 +34,12 @@ from .fisher_rao import (
     hellinger_distance_sq,
     hellinger_geodesic,
     metric_speed,
+    path_masses,
 )
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
     check_probability,
-    mass,
     tv_distance,
     uniform_reference,
 )
@@ -83,10 +83,10 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _path_csv_rows(path: MeasurePath, lam: ReferenceMeasure, metric: str):
-    speeds = metric_speed(path, metric)
-    for k, (t, g) in enumerate(zip(path.times, path.slices)):
-        yield (float(t), mass(g), entropy(g, lam), speeds[k])
+def _path_columns(path: MeasurePath, lam: ReferenceMeasure, metric: str) -> list[list[float]]:
+    """The columns t, mass, entropy, fisher and speed of a path, one entry per slice."""
+    entropies, fishers = slice_entropies(path.slices, lam)
+    return [c.tolist() for c in (path.times, path_masses(path), entropies, fishers, metric_speed(path, metric))]
 
 
 def _cmd_distance(args) -> int:
@@ -131,7 +131,7 @@ def _cmd_geodesic(args) -> int:
     fio.write_csv(
         os.path.join(args.out, "path.csv"),
         ["time", "mass", "entropy", "speed"],
-        _path_csv_rows(path, lam, metric),
+        [(t, m, e, v) for t, m, e, _, v in zip(*_path_columns(path, lam, metric))],
     )
     print(f"wrote {args.out}/path.json and {args.out}/path.csv ({path.n_slices} slices)")
     return EXIT_OK
@@ -155,11 +155,7 @@ def _cmd_bridge(args) -> int:
     result = solve_bridge(g0, g1, lam, cfg)
     fio.ensure_dir(args.out)
     fio.save_measure_path(os.path.join(args.out, "path.json"), result.path.times, result.path.slices)
-    speeds = metric_speed(result.path, "fisher_rao")
-    rows = [
-        (float(t), mass(g), entropy(g, lam), fisher_information(g, lam), speeds[k])
-        for k, (t, g) in enumerate(zip(result.path.times, result.path.slices))
-    ]
+    rows = zip(*_path_columns(result.path, lam, "fisher_rao"))
     fio.write_csv(os.path.join(args.out, "slices.csv"), ["t", "mass", "entropy", "fisher", "speed"], rows)
     print(f"objective = {result.objective!r}")
     print(f"kinetic = {result.kinetic!r}")

@@ -79,8 +79,7 @@ def entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
 def fisher_information(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
     """Entropy production ``sum_i w_i tr[(G_i / w_i)^{-1} - I]`` over the
     positive-weight atoms; ``inf`` on singular densities."""
-    check_reference_support(g, lam)
-    return float(entropy_terms(np.linalg.eigvalsh(g.atoms), lam.weights)[1])
+    return float(slice_entropies([g], lam)[1][0])
 
 
 def heat_flow(g: MatrixMeasure, lam: ReferenceMeasure, t: float) -> MatrixMeasure:
@@ -173,15 +172,29 @@ def von_neumann_entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
     return float(np.dot(lam.weights[pos], xlogx.sum(axis=-1)))
 
 
+def slice_entropies(slices, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`entropy` and :func:`fisher_information` of each measure in
+    ``slices``, from one eigenvalue call over all their atoms."""
+    for g in slices:
+        check_reference_support(g, lam)
+    atoms = np.reshape([g.atoms for g in slices], (-1, lam.n, lam.dim, lam.dim))
+    fibers, fishers = entropy_terms(np.linalg.eigvalsh(atoms), lam.weights)
+    return np.array([np.dot(lam.weights, f) for f in fibers]), fishers
+
+
 def flow_table(g: MatrixMeasure, lam: ReferenceMeasure, ts) -> list[tuple[float, float, float, float, float]]:
     """Rows ``(t, entropy, fisher, mass, tv_to_equilibrium)`` along the flow,
-    with one eigenvalue call for the entropies and Fisher informations."""
-    target = reference_identity(lam)
-    flows = [heat_flow(g, lam, float(t)) for t in ts]
-    if not flows:
-        return []
-    fibers, fishers = entropy_terms(np.linalg.eigvalsh(np.stack([st.atoms for st in flows])), lam.weights)
+    in closed form from one eigenvalue call on ``G``: the flow moves each atom
+    along ``w_i I``, so ``S_t G`` has the eigenvalues ``w_i + e^{-t} (lambda - w_i)``,
+    the mass ``m_L + e^{-t} (m_0 - m_L)`` and the TV distance ``e^{-t} TV(G, L)``."""
+    check_reference_support(g, lam)
+    ts = np.asarray(ts, dtype=float)
+    if (ts < 0.0).any():
+        raise ValueError(f"flow time must be nonnegative, got {ts[ts < 0.0][0]}")
+    target, decay, w = reference_identity(lam), np.exp(-ts), lam.weights[:, None]
+    fibers, fishers = entropy_terms(w + decay[:, None, None] * (np.linalg.eigvalsh(g.atoms) - w), lam.weights)
+    m_l, m_0, tv_0 = mass(target), mass(g), tv_distance(g, target)
     return [
-        (float(t), float(np.dot(lam.weights, f)), float(fi), mass(st), tv_distance(st, target))
-        for t, st, f, fi in zip(ts, flows, fibers, fishers)
+        (float(t), float(np.dot(lam.weights, f)), float(fi), float(m_l + e * (m_0 - m_l)), float(e * tv_0))
+        for t, e, f, fi in zip(ts, decay, fibers, fishers)
     ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bures
 from .exceptions import AntipodalError, FRGeoError, ZeroLengthError
-from .hpsd import sym_product
+from .hpsd import cross_trace, from_spectrum, hermitian_part, psd_spectrum, sym_product, zero_floor
 from .measures import MatrixMeasure, check_probability, check_same_support, mass, tv_distance
 
 ANTIPODAL_TOL = 1e-6
@@ -64,14 +64,7 @@ class MeasurePath:
 def hellinger_distance_sq(g0: MatrixMeasure, g1: MatrixMeasure) -> float:
     """Four times the fiberwise sum of squared Bures distances."""
     check_same_support(g0, g1)
-    return float(_hellinger_sq([g0], [g1])[0])
-
-
-def _hellinger_sq(starts, ends) -> np.ndarray:
-    """``d_H^2`` between the paired measures of two sequences on one support,
-    in one stack call."""
-    stack = [np.stack([g.atoms for g in gs]) for gs in (starts, ends)]
-    return 4.0 * bures.bures_distance_sq_stack(*stack, starts[0].support.point_ids).sum(axis=-1)
+    return 4.0 * float(bures.bures_distance_sq_stack(g0.atoms, g1.atoms, g0.support.point_ids).sum())
 
 
 def fisher_rao_from_hellinger(dh_sq):
@@ -175,16 +168,20 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     return MeasurePath(ts, tuple(slices), None, meta)
 
 
-def _pair_distances(starts, ends, metric: str) -> np.ndarray:
-    """Metric distances between the paired slices of two sequences taken
-    from one path."""
+def _index_distances(slices, lo, hi, metric: str) -> np.ndarray:
+    """Metric distances between the slice pairs ``(lo[k], hi[k])`` from one checked
+    decomposition of all slices: roots for the pair starts, clamped atoms for the ends."""
     if metric not in ("hellinger", "fisher_rao"):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "fisher_rao":
-        for a, b in zip(starts, ends):
-            check_probability(a, "first measure")
-            check_probability(b, "second measure")
-    dh_sq = _hellinger_sq(starts, ends)
+        for k, g in enumerate(slices):
+            check_probability(g, f"path slice {k}")
+    stack = np.stack([g.atoms for g in slices])
+    clamped, w, v = psd_spectrum(stack, labels=slices[0].support.point_ids)
+    roots = hermitian_part(from_spectrum(v, np.sqrt(zero_floor(w))))
+    traces = np.real(np.trace(stack, axis1=-2, axis2=-1))
+    d_sq = np.maximum(traces[lo] + traces[hi] - 2.0 * cross_trace(roots[lo], clamped[hi]), 0.0)
+    dh_sq = 4.0 * d_sq.sum(axis=-1)
     return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 
 
@@ -210,7 +207,7 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
     n_seg = path.n_slices - 1
     if n_seg < 1:
         raise FRGeoError("need at least two slices to reparametrize")
-    lengths = _pair_distances(path.slices[:-1], path.slices[1:], metric)
+    lengths = _index_distances(path.slices, np.arange(n_seg), np.arange(1, n_seg + 1), metric)
     total = float(lengths.sum())
     # Squared distances bottom out at round-off (~1e-15), so lengths below
     # ~1e-7 per segment are indistinguishable from zero.
@@ -238,7 +235,8 @@ def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
     """Finite-difference metric speeds, one per slice.
 
     Central differences at interior nodes (second-order on smooth paths),
-    one-sided at the endpoints.
+    one-sided at the endpoints. One ``eigh`` of the slice stack and one
+    ``eigvalsh`` for the cross traces of all pairs decompose each slice once.
     """
     m = path.n_slices
     if m < 2:
@@ -246,7 +244,7 @@ def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
     # Pairs (0, 1), (k - 1, k + 1) for interior k, and (m - 2, m - 1).
     lo = np.concatenate([[0], np.arange(m - 2), [m - 2]])
     hi = np.concatenate([[1], np.arange(2, m), [m - 1]])
-    dist = _pair_distances([path.slices[i] for i in lo], [path.slices[i] for i in hi], metric)
+    dist = _index_distances(path.slices, lo, hi, metric)
     return dist / (path.times[hi] - path.times[lo])
 
 

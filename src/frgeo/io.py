@@ -11,8 +11,8 @@ Reference schema::
 
 ``dim`` is a JSON integer of at least 1 and ``support`` a list of strings.
 Every other number goes through :func:`_float_array`, which admits only finite
-JSON numbers, and comes out through :func:`_float_text`, whose 17 significant
-digits round-trip bit-identically.
+JSON numbers, and comes out through the % specs of :func:`_float_values`,
+whose 17 significant digits round-trip bit-identically.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .exceptions import FRGeoError, MeasureFormatError, NotHermitianError
 from .measures import MatrixMeasure, ReferenceMeasure, Support
 
 
-def _float_text(values, after=None) -> str:
-    """The floats in ``values`` (flattened) as JSON text with 17 significant
-    digits, each followed by its string in ``after`` (default: joined by
-    ", "); :class:`MeasureFormatError` on a non-finite value."""
+def _float_values(values) -> tuple[tuple, np.ndarray]:
+    """The floats in ``values`` (flattened) and their % specs: ``%.17g``,
+    whose 17 significant digits round-trip bit-identically, or ``%.1f`` for
+    an integral value; :class:`MeasureFormatError` on a non-finite value."""
     x = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(x)
     if not finite.all():
@@ -39,10 +39,13 @@ def _float_text(values, after=None) -> str:
     # %.17g prints an integral value below 1e17 without a decimal point;
     # %.1f prints the same digits with the ".0" that keeps it a float (plain
     # "-0" would round-trip through an int and drop the sign).
-    integral = (x == np.round(x)) & (np.abs(x) < 1e17)
-    specs = np.where(integral, "%.1f", "%.17g").tolist()
-    template = ", ".join(specs) if after is None else "".join(map(str.__add__, specs, after))
-    return template % tuple(x.tolist())
+    return tuple(x.tolist()), np.where((x == np.round(x)) & (np.abs(x) < 1e17), "%.1f", "%.17g")
+
+
+def _float_text(values) -> str:
+    """The floats in ``values`` (flattened) as JSON text joined by ", "."""
+    x, specs = _float_values(values)
+    return ", ".join(specs.tolist()) % x
 
 
 def _float_array(value, shape: tuple, where: str) -> np.ndarray:
@@ -96,18 +99,17 @@ def _header_text(dim: int, support: Support) -> str:
     return f'"dim": {int(dim)}, "support": [{ids}]'
 
 
-def _measure_text(g: MatrixMeasure) -> str:
-    """The measure document of ``g``, each atom's matrix as ``[[[re, im],
-    ...], ...]`` from one format of the whole ``(n, d, d, 2)`` stack."""
-    d = g.dim
+def _measure_template(d: int, support: Support, specs: np.ndarray) -> str:
+    """The measure document on ``support`` with the % ``specs`` of
+    :func:`_float_values` in place of the ``[re, im]`` numbers of its atoms;
+    every ``%`` of the header and the ids is doubled."""
     # The text after each number of one matrix; the last one opens the next.
     after = ([", ", "], ["] * (d - 1) + [", ", "]], [["]) * d
     after[-1] = "]]]\n[[["
-    text = _float_text(np.stack([g.atoms.real, g.atoms.imag], axis=-1), after * g.support.n)
-    matrices = ("[[[" + text)[:-4].split("\n")
-    ids = map(json.dumps, g.support.point_ids)
+    matrices = ("[[[" + "".join(map(str.__add__, specs.tolist(), after * support.n)))[:-4].split("\n")
+    ids = [json.dumps(pid).replace("%", "%%") for pid in support.point_ids]
     atoms = ", ".join(f'{{"point": {pid}, "matrix": {m}}}' for pid, m in zip(ids, matrices))
-    return f'{{{_header_text(d, g.support)}, "atoms": [{atoms}]}}'
+    return f'{{{_header_text(d, support).replace("%", "%%")}, "atoms": [{atoms}]}}'
 
 
 def measure_from_doc(doc: dict) -> MatrixMeasure:
@@ -166,7 +168,8 @@ def _write_line(path: str, text: str) -> None:
 
 
 def save_measure(path: str, g: MatrixMeasure) -> None:
-    _write_line(path, _measure_text(g))
+    x, specs = _float_values(np.asarray(g.atoms, dtype=complex).ravel().view(float))
+    _write_line(path, _measure_template(g.dim, g.support, specs) % x)
 
 
 def load_measure(path: str) -> MatrixMeasure:
@@ -182,11 +185,20 @@ def load_reference(path: str) -> ReferenceMeasure:
 
 
 def save_measure_path(path: str, times: Sequence[float], slices: Sequence[MatrixMeasure]) -> None:
-    """A path as a JSON array of measure documents keyed by time."""
-    text = ", ".join(
-        f'{{"time": {_float_text(t)}, "measure": {_measure_text(g)}}}' for t, g in zip(times, slices, strict=True)
-    )
-    _write_line(path, f"[{text}]")
+    """A path as a JSON array of measure documents keyed by time.
+
+    The measure template of :func:`_measure_template` is built once per
+    support and pattern of integral atom values, so each slice costs one
+    % format of its time and atom values.
+    """
+    templates, docs = {}, []
+    for t, g in zip(times, slices, strict=True):
+        x, specs = _float_values(np.concatenate([[t], np.asarray(g.atoms, dtype=complex).ravel().view(float)]))
+        key = (g.support, g.dim, specs[1:].tobytes())
+        if key not in templates:
+            templates[key] = _measure_template(g.dim, g.support, specs[1:])
+        docs.append(f'{{"time": {specs[0]}, "measure": {templates[key]}}}' % x)
+    _write_line(path, f"[{', '.join(docs)}]")
 
 
 def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy_flow import entropy, entropy_terms, heat_flow
+from .entropy_flow import entropy, entropy_terms, heat_flow, slice_entropies
 from .exceptions import (
     AntipodalError,
     FRGeoError,
@@ -384,9 +384,11 @@ def gamma_sweep(
     the given temperature order; a failed row is flagged with its error and
     the sweep continues.
     """
+    epsilons = [float(e) for e in epsilons]
+    if not epsilons:
+        raise ValueError("epsilons must not be empty")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    epsilons = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be strictly descending")
     if cfg is None:
@@ -424,8 +426,7 @@ def convexity_experiment(
     path = fisher_rao_geodesic(g0, g1, thetas)
     dfr_sq = path.meta["distance"] ** 2
     rows = []
-    for theta, g in zip(thetas, path.slices):
-        lhs = entropy(g, lam)
+    for theta, lhs in zip(thetas, slice_entropies(path.slices, lam)[0].tolist()):
         rhs = (1.0 - theta) * e0 + theta * e1 - 0.25 * theta * (1.0 - theta) * dfr_sq
         if check and lhs > rhs + 1e-6:
             raise FRGeoError(

@@ -259,6 +259,13 @@ class TestHeatflowCommand:
             assert f.read().strip().splitlines() == ["t,entropy,fisher,mass,tv_to_equilibrium"]
 
 
+    def test_negative_time_exit_3(self, workdir, capsys):
+        out = os.path.join(workdir["dir"], "flow.csv")
+        assert main(["heatflow", workdir["g0"], "--t", "-1", "--steps", "4", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "flow time must be nonnegative, got -0.25" in err and "Traceback" not in err
+
+
 class TestBridgeCommand:
     def test_bridge_outputs(self, workdir, capsys):
         out = os.path.join(workdir["dir"], "bridge")

@@ -16,6 +16,7 @@ from frgeo.entropy_flow import (
     fr_gradient_entropy,
     heat_flow,
     heat_flow_residual,
+    slice_entropies,
     tangent_norm_sq,
     tangent_realization,
     von_neumann_entropy,
@@ -317,6 +318,66 @@ class TestFlowTable:
         assert all(ent[i + 1] <= ent[i] + 1e-12 for i in range(8))
         assert all(tv[i + 1] <= tv[i] + 1e-12 for i in range(8))
         assert all(r[3] == pytest.approx(1.0, abs=1e-9) for r in rows)
+
+
+class TestFlowTableClosedForm:
+    """The table's closed form against its per-slice definition on
+    ``heat_flow(g, lam, t)``."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), d=st.integers(1, 3))
+    def test_matches_per_slice_definition(self, seed, n, d):
+        gen = np.random.default_rng(seed)
+        sup = make_support(n)
+        # Zero, rank-deficient and definite atoms at scales 1e-3..1e3; some
+        # of them weightless.
+        atoms = np.zeros((n, d, d), dtype=complex)
+        for i, k in enumerate(gen.integers(0, 3, n)):
+            scale = 10.0 ** gen.uniform(-3.0, 3.0)
+            if k == 2:
+                atoms[i] = random_spd(gen, d, scale=scale)
+            elif k == 1 and d > 1:
+                atoms[i] = random_psd(gen, d, rank=int(gen.integers(1, d)), scale=scale)
+        w = gen.uniform(0.1, 1.0, n) * (gen.random(n) < 0.7)
+        w[int(gen.integers(0, n))] = 1.0
+        lam = ReferenceMeasure(sup, d, w / (d * w.sum()))
+        g = MatrixMeasure(sup, atoms)
+        ts = np.concatenate([[0.0], np.sort(gen.uniform(0.0, 4.0, 5))])
+
+        target = reference_identity(lam)
+        want, slack = [], []
+        for t in ts:
+            st_g = heat_flow(g, lam, float(t))
+            want.append((t, entropy(st_g, lam), fisher_information(st_g, lam), mass(st_g), tv_distance(st_g, target)))
+            # Either route puts an error of about eps * lambda_max of its atom
+            # on each eigenvalue; on an ill-conditioned density (a flowed
+            # rank-deficient atom) that moves -log(lambda / w) by about
+            # eps * lambda_max / lambda and w / lambda by w times that over
+            # lambda. The tolerance allows that much on top of 1e-12 relative.
+            pos = lam.weights > 0.0
+            eigs, w = np.linalg.eigvalsh(st_g.atoms[pos]), lam.weights[pos][:, None]
+            rel = np.where(eigs > 0.0, 1e-15 * eigs[:, -1:] / np.where(eigs > 0.0, eigs, 1.0), 0.0)
+            slack.append((0.0, np.sum(w * rel), np.sum(w * w * rel / np.where(eigs > 0.0, eigs, 1.0)), 0.0, 0.0))
+        got, want = np.array(flow_table(g, lam, ts)), np.array(want)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        tol = 1e-12 * np.abs(want) + np.array(slack)
+        assert np.all(np.abs(got[finite] - want[finite]) <= tol[finite])
+
+    def test_negative_time_rejected(self, rng):
+        g = random_finite_entropy_measure(rng, 2, 2)
+        with pytest.raises(ValueError, match="flow time must be nonnegative, got -0.5"):
+            flow_table(g, uniform_reference(g.support, 2), [0.0, 1.0, -0.5, -1.0])
+
+    def test_slice_entropies_match_per_slice_calls(self, rng):
+        sup = make_support(3)
+        lam = uniform_reference(sup, 2)
+        slices = [random_finite_entropy_measure(rng, 3, 2, support=sup) for _ in range(4)]
+        slices.append(MatrixMeasure(sup, np.stack([np.diag([0.5, 0.0]), np.eye(2) / 6, np.eye(2) / 6]).astype(complex)))
+        entropies, fishers = slice_entropies(slices, lam)
+        assert entropies.tolist() == [entropy(g, lam) for g in slices]
+        assert fishers.tolist() == [fisher_information(g, lam) for g in slices]
+        assert entropies[-1] == fishers[-1] == math.inf
 
 
 class TestStackedAgainstAtoms:

@@ -485,6 +485,109 @@ class TestMetricSpeed:
         assert speed0 == pytest.approx(np.sqrt(f), rel=1e-3)
 
 
+def _oracle_distances(slices, lo, hi, metric):
+    """Distances between the slice pairs ``(lo[k], hi[k])`` from
+    ``bures_distance_sq_stack`` on the start and end stacks."""
+    stack = np.stack([g.atoms for g in slices])
+    dh_sq = 4.0 * bures.bures_distance_sq_stack(stack[lo], stack[hi], slices[0].support.point_ids).sum(axis=-1)
+    return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
+
+
+def _oracle_speeds(path, metric):
+    m = path.n_slices
+    lo = np.r_[0, np.arange(m - 2), m - 2]
+    hi = np.r_[1, np.arange(2, m), m - 1]
+    return _oracle_distances(path.slices, lo, hi, metric) / (path.times[hi] - path.times[lo])
+
+
+class TestOneDecompositionPerSlice:
+    """Speeds and arc lengths decompose every slice once; they match the
+    pairwise ``bures_distance_sq_stack`` route bit for bit."""
+
+    def _paths(self, rng):
+        sup = make_support(4)
+        g0 = random_probability_measure(rng, 4, 3, definite=True, support=sup)
+        g1 = random_probability_measure(rng, 4, 3, definite=True, support=sup)
+        deficient = [random_psd(rng, 3, rank=r) for r in (1, 2, 1, 2)]
+        gs = MatrixMeasure(sup, np.stack(deficient) / sum(np.trace(a).real for a in deficient))
+        definite = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 9))
+        # Rank-deficient atoms in the first slice; and every other slice with
+        # atoms whose null eigenvalues sit 1e-12 below zero, clamped (they
+        # are above the -1e-10 floor) both where they start and end a pair.
+        from_singular = fisher_rao_geodesic(gs, g1, np.linspace(0.0, 1.0, 7))
+        dipped = gs.with_atoms(gs.atoms - 1e-12 * np.eye(3))
+        assert np.linalg.eigvalsh(dipped.atoms)[:, 0].max() < -9e-13
+        slices = [dipped if k % 2 else g for k, g in enumerate(definite.slices)]
+        clamped = MeasurePath(definite.times, slices)
+        return {"definite": definite, "from_singular": from_singular, "clamped": clamped}
+
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_speeds_match_pairwise_oracle(self, rng, metric):
+        for name, path in self._paths(rng).items():
+            assert np.array_equal(metric_speed(path, metric), _oracle_speeds(path, metric)), name
+
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_reparametrized_paths_match_pairwise_oracle(self, rng, monkeypatch, metric):
+        from frgeo import fisher_rao
+
+        paths = self._paths(rng)
+        got = {name: constant_speed_reparametrize(path, metric) for name, path in paths.items()}
+        monkeypatch.setattr(fisher_rao, "_index_distances", _oracle_distances)
+        for name, path in paths.items():
+            want = constant_speed_reparametrize(path, metric)
+            assert np.array_equal(got[name].times, want.times), name
+            for a, b in zip(got[name].slices, want.slices):
+                assert np.array_equal(a.atoms, b.atoms), name
+
+    def test_rank_deficient_end_slices_agree_to_roundoff(self, rng):
+        # A slice with rank-deficient atoms that ends a pair is clamped where
+        # eigh finds a null eigenvalue below zero; the pairwise route decides
+        # by eigvalsh, whose roundoff-level null eigenvalues can take the
+        # other sign. Either way the speeds agree to a few ulps.
+        sup = make_support(4)
+        for _ in range(20):
+            gs = MatrixMeasure(sup, np.stack([random_psd(rng, 3, rank=int(rng.integers(1, 3))) for _ in range(4)]))
+            g1 = random_measure(rng, 4, 3, definite=True, support=sup)
+            path = hellinger_geodesic(g1, gs, np.linspace(0.0, 1.0, 5))
+            want = _oracle_speeds(path, "hellinger")
+            assert np.abs(metric_speed(path, "hellinger") - want).max() <= 1e-14 * want.max()
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_slice_below_floor_names_its_point(self, rng, k):
+        sup = make_support(3)
+        g0 = random_measure(rng, 3, 2, definite=True, support=sup)
+        g1 = random_measure(rng, 3, 2, definite=True, support=sup)
+        path = hellinger_geodesic(g0, g1, np.linspace(0.0, 1.0, 5))
+        atoms = path.slices[k].atoms.copy()
+        atoms[1] -= (np.linalg.eigvalsh(atoms[1])[0] + 1e-6) * np.eye(2)
+        slices = list(path.slices)
+        slices[k] = slices[k].with_atoms(atoms)
+        bad = MeasurePath(path.times, slices)
+        with pytest.raises(NotPSDError, match="'p2'"):
+            metric_speed(bad, "hellinger")
+        with pytest.raises(NotPSDError, match="'p2'"):
+            constant_speed_reparametrize(bad, "hellinger")
+
+    def test_one_eigh_and_one_eigvalsh_per_speed(self, rng, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        path = self._paths(rng)["definite"]
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        metric_speed(path, "fisher_rao")
+        assert calls == [("eigh", (9, 4, 3, 3)), ("eigvalsh", (9, 4, 3, 3))]
+        calls.clear()
+        constant_speed_reparametrize(path, "fisher_rao")
+        assert calls[:2] == [("eigh", (9, 4, 3, 3)), ("eigvalsh", (8, 4, 3, 3))]
+
+
 class TestTvComparison:
     def test_identical(self, rng):
         g = random_measure(rng, 2, 2)

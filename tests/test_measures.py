@@ -328,6 +328,44 @@ class TestMeasureFiles:
             with open(p) as f:
                 assert f.read() == _emit(reference_to_doc(lam)) + "\n"
 
+    def test_path_writer_matches_recursive_emit_bytes(self, rng, tmp_path):
+        # Slices with different patterns of integral values, on two supports
+        # whose ids hold %, quotes and non-ASCII characters: each slice's
+        # document comes from the template of its own support and pattern.
+        odd = Support(("50%", 'say "hi"', "%(x)s%d", "Zürich ∞"))
+        plain = make_support(4)
+        eye = np.stack([np.eye(2)] * 4).astype(complex)
+        slices = [
+            MatrixMeasure(odd, eye),
+            random_measure(rng, 4, 2, support=odd),
+            MatrixMeasure(odd, eye / 3.0),
+            random_measure(rng, 4, 2, support=plain),
+            random_measure(rng, 4, 2, support=odd),
+            MatrixMeasure(odd, 2.0 * eye),
+        ]
+        times = [0.0, 0.2, 0.5, 1.0, 3.0, 1e-300]
+        p = os.path.join(tmp_path, "path.json")
+        fio.save_measure_path(p, times, slices)
+        with open(p, encoding="utf-8") as f:
+            assert f.read() == _emit(path_to_doc(times, slices)) + "\n"
+        times2, slices2 = fio.load_measure_path(p)
+        assert times2 == times
+        assert [g.support for g in slices2] == [g.support for g in slices]
+        for a, b in zip(slices, slices2):
+            assert a.atoms.tobytes() == b.atoms.tobytes()
+
+    def test_path_writer_rejects_non_finite_slice(self, rng, tmp_path):
+        g = random_measure(rng, 3, 2)
+        bad = g.with_atoms(g.atoms)
+        bad.atoms[2, 1, 0] = complex(np.nan, 0.5)
+        p = os.path.join(tmp_path, "path.json")
+        for times, slices in (([0.0, 0.5, 1.0], [g, bad, g]), ([0.0, math.inf], [g, g])):
+            with pytest.raises(MeasureFormatError, match="non-finite value") as err:
+                fio.save_measure_path(p, times, slices)
+            with pytest.raises(MeasureFormatError) as reference:
+                _emit(path_to_doc(times, slices))
+            assert str(err.value) == str(reference.value)
+
     def test_writers_reject_non_finite(self, rng, tmp_path):
         from types import SimpleNamespace
 

@@ -185,6 +185,14 @@ class TestRecoverySequence:
                 bound = dfr_sq / 2.0 + eps * (e0 + e1)
                 assert kin + fis <= bound * 1.02
 
+    def test_entropies_are_the_slice_entropies(self, rng):
+        g0, g1, lam = finite_entropy_pair(rng, n=3, d=2)
+        thetas = [0.9, 0.1, 0.5, 0.0, 1.0]
+        rows = convexity_experiment(g0, g1, lam, thetas)
+        path = fisher_rao_geodesic(g0, g1, sorted(thetas))
+        assert [r[0] for r in rows] == sorted(thetas)
+        assert [r[1] for r in rows] == [entropy(g, lam) for g in path.slices]
+
     def test_infinite_endpoint_rejected(self, rng):
         sup = make_support(2)
         lam = uniform_reference(sup, 2)
@@ -595,6 +603,20 @@ class TestGammaSweep:
         g0, g1, lam = finite_entropy_pair(rng)
         with pytest.raises(ValueError, match="jobs"):
             gamma_sweep(g0, g1, lam, [0.5, 0.2], jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 0])
+    def test_rejects_empty_epsilons_first(self, rng, monkeypatch, jobs):
+        # Before the jobs check and before any geodesic or solve.
+        from frgeo import schrodinger
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on an empty sweep")
+
+        monkeypatch.setattr(schrodinger, "fisher_rao_geodesic", no_work)
+        monkeypatch.setattr(schrodinger, "solve_bridge", no_work)
+        g0, g1, lam = finite_entropy_pair(rng)
+        with pytest.raises(ValueError, match="^epsilons must not be empty$"):
+            gamma_sweep(g0, g1, lam, [], jobs=jobs)
 
     @pytest.mark.parametrize("jobs, epsilons, pools", [(5000, [0.5, 0.2, 0.1], [3]), (2, [0.5], [])])
     def test_pool_has_at_most_one_worker_per_row(self, rng, monkeypatch, jobs, epsilons, pools):

@@ -92,16 +92,27 @@ def spherical_bures(a0: np.ndarray, a1: np.ndarray) -> float:
     return float(2.0 * np.arcsin(min(np.sqrt(bures_distance_sq(a0, a1)) / 2.0, 1.0)))
 
 
+def polar_residual(y0: np.ndarray, y1: np.ndarray):
+    """``(R, W)`` for paired factors of two ``(..., d, d)`` stacks: ``W`` is
+    the unitary polar factor of ``y0* y1`` from one batched SVD, the
+    minimizer of ``|y1 - y0 W|`` over unitaries, and ``R = y1 - y0 W``. For
+    ``a = y0 y0*`` and ``b = y1 y1*``, ``|R|^2 = d_B^2(a, b)`` (Bhatia, Jain
+    & Lim, Expo. Math. 37, 2019), without the cancellation of the trace
+    formula at small distances."""
+    p, _, qh = np.linalg.svd(np.conj(np.swapaxes(y0, -1, -2)) @ y1)
+    w = p @ qh
+    return y1 - y0 @ w, w
+
+
 def polar_endpoints(a0: np.ndarray, a1: np.ndarray, labels=None):
     """``(a0^{1/2}, Y_1, d_B^2)`` for paired fibers of two ``(..., d, d)``
     stacks: ``Y_1 = a1^{1/2} U`` with ``U`` the unitary polar factor of
-    ``a1^{1/2} a0^{1/2}`` from one batched SVD, whose singular values sum to
-    ``tr (a0^{1/2} a1 a0^{1/2})^{1/2}`` in the trace formula for ``d_B^2``."""
+    ``a1^{1/2} a0^{1/2}`` (:func:`polar_residual`), and
+    ``d_B^2 = |Y_1 - a0^{1/2}|^2`` per fiber."""
     r0 = psd_sqrt(a0, labels=labels)
     r1 = psd_sqrt(a1, labels=labels)
-    p, s, qh = np.linalg.svd(r1 @ r0)
-    traces = np.real(np.trace(a0, axis1=-2, axis2=-1) + np.trace(a1, axis1=-2, axis2=-1))
-    return r0, r1 @ p @ qh, np.maximum(traces - 2.0 * s.sum(axis=-1), 0.0)
+    res, u = polar_residual(r1, r0)
+    return r0, r1 @ u, (np.abs(res) ** 2).sum(axis=(-2, -1))
 
 
 def geodesic_factors(r0: np.ndarray, y1: np.ndarray, ts):
@@ -202,6 +213,8 @@ def dynamical_bures_solver(
     """
     if n_steps < 8:
         raise ValueError(f"n_steps must be at least 8, got {n_steps}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     a0 = clamp_psd(np.asarray(a0, dtype=complex))
     a1 = clamp_psd(np.asarray(a1, dtype=complex))
     d = a0.shape[0]

@@ -140,6 +140,10 @@ def _cmd_geodesic(args) -> int:
 def _cmd_heatflow(args) -> int:
     g = _load_measure(args.g)
     lam = _load_reference(args.reference, g)
+    if not math.isfinite(args.t):
+        raise ValueError(f"final flow time must be finite, got {args.t}")
+    if args.steps < 1:
+        raise ValueError(f"steps must be at least 1, got {args.steps}")
     ts = np.linspace(0.0, args.t, args.steps + 1)
     rows = flow_table(g, lam, ts)
     fio.write_csv(args.out, ["t", "entropy", "fisher", "mass", "tv_to_equilibrium"], rows)

@@ -87,7 +87,7 @@ def heat_flow(g: MatrixMeasure, lam: ReferenceMeasure, t: float) -> MatrixMeasur
     weighted identity measure. Fixed point at ``L``; weightless atoms decay
     by the factor ``e^{-t}``."""
     check_reference_support(g, lam)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"flow time must be nonnegative, got {t}")
     target = reference_identity(lam)
     decay = math.exp(-t)
@@ -189,8 +189,9 @@ def flow_table(g: MatrixMeasure, lam: ReferenceMeasure, ts) -> list[tuple[float,
     the mass ``m_L + e^{-t} (m_0 - m_L)`` and the TV distance ``e^{-t} TV(G, L)``."""
     check_reference_support(g, lam)
     ts = np.asarray(ts, dtype=float)
-    if (ts < 0.0).any():
-        raise ValueError(f"flow time must be nonnegative, got {ts[ts < 0.0][0]}")
+    bad = ~(ts >= 0.0)
+    if bad.any():
+        raise ValueError(f"flow time must be nonnegative, got {ts[bad][0]}")
     target, decay, w = reference_identity(lam), np.exp(-ts), lam.weights[:, None]
     fibers, fishers = entropy_terms(w + decay[:, None, None] * (np.linalg.eigvalsh(g.atoms) - w), lam.weights)
     m_l, m_0, tv_0 = mass(target), mass(g), tv_distance(g, target)

@@ -147,7 +147,7 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     check_probability(g0, "first measure")
     check_probability(g1, "second measure")
     check_same_support(g0, g1)
-    # d_H^2 from the singular values of the polar SVD the chord needs anyway.
+    # d_H^2 from the polar residual of the SVD the chord needs anyway.
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
     dfr = float(fisher_rao_from_hellinger(4.0 * d_sq.sum()))
     if dfr >= np.pi - ANTIPODAL_TOL:
@@ -185,24 +185,14 @@ def _index_distances(slices, lo, hi, metric: str) -> np.ndarray:
     return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 
 
-def _interpolate(a: MatrixMeasure, b: MatrixMeasure, theta: float, metric: str) -> MatrixMeasure:
-    """Point at metric fraction ``theta`` along the geodesic from a to b."""
-    if theta <= 0.0:
-        return a
-    if theta >= 1.0:
-        return b
-    if metric == "hellinger":
-        return hellinger_geodesic(a, b, [theta]).slices[0]
-    return fisher_rao_geodesic(a, b, [theta]).slices[0]
-
-
 def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
     """Resample a path by arc length so consecutive distances equalize.
 
     New slices are placed by geodesic interpolation inside the segment that
     contains each arc-length target, which is exact when the input traverses
-    a single geodesic (the intended use). Output times are uniform on the
-    input's time interval. A two-slice path is returned unchanged.
+    a single geodesic (the intended use); one geodesic call per segment
+    places all of its targets. Output times are uniform on the input's time
+    interval. A two-slice path is returned unchanged.
     """
     n_seg = path.n_slices - 1
     if n_seg < 1:
@@ -217,14 +207,17 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
         return path
     cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
     new_times = np.linspace(path.times[0], path.times[-1], path.n_slices)
+    targets = total * np.arange(1, n_seg) / n_seg
+    segments = np.clip(np.searchsorted(cumulative, targets, side="right") - 1, 0, n_seg - 1)
+    seg_len = lengths[segments]
+    thetas = np.where(seg_len <= 1e-15, 0.0, (targets - cumulative[segments]) / np.maximum(seg_len, 1e-15))
+    geodesic = hellinger_geodesic if metric == "hellinger" else fisher_rao_geodesic
     new_slices = [path.slices[0]]
-    for m in range(1, n_seg):
-        target = total * m / n_seg
-        j = int(np.searchsorted(cumulative, target, side="right") - 1)
-        j = min(max(j, 0), n_seg - 1)
-        seg_len = lengths[j]
-        theta = 0.0 if seg_len <= 1e-15 else (target - cumulative[j]) / seg_len
-        new_slices.append(_interpolate(path.slices[j], path.slices[j + 1], float(theta), metric))
+    for j in np.unique(segments):
+        a, b, th = path.slices[j], path.slices[j + 1], thetas[segments == j]
+        inner = th[(th > 0.0) & (th < 1.0)]
+        points = iter(geodesic(a, b, inner).slices if inner.size else ())
+        new_slices.extend(a if t <= 0.0 else b if t >= 1.0 else next(points) for t in th)
     new_slices.append(path.slices[-1])
     meta = dict(path.meta)
     meta["reparametrized"] = metric

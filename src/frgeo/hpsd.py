@@ -187,18 +187,6 @@ def cross_trace(root_a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(w).sum(axis=-1)
 
 
-def spectral_powers(w: np.ndarray, v: np.ndarray, *powers: float) -> list[np.ndarray]:
-    """Spectral powers of a PSD matrix or stack given by its eigendecomposition
-    ``(w, v)``, as :func:`solve_sylvester_eigh` takes it. Every power acts
-    on the :func:`zero_floor` eigenvalues, the convention of :func:`psd_sqrt`:
-    negative powers invert the nonzero ones only and keep the zero ones zero,
-    so rank-deficient matrices on the cone boundary stay finite."""
-    w = zero_floor(w)
-    on_range = w > 0.0
-    safe = np.where(on_range, w, 1.0)
-    return [from_spectrum(v, np.where(on_range, safe**p, 0.0) if p < 0 else w**p) for p in powers]
-
-
 def logdet(a: np.ndarray) -> float:
     """Sum of log eigenvalues of a positive-definite matrix.
 

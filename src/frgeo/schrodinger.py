@@ -5,10 +5,13 @@ The temperature-``epsilon`` problem minimizes
 sphere paths with pinned endpoints. The kinetic term is discretized through
 the closed-form Fisher-Rao distance between consecutive slices,
 ``(N/2) * sum_k d_FR(G_k, G_{k+1})^2``, and the Fisher term by the trapezoid
-rule. Interior slices are parametrized as ``G_i = C_i C_i* / (sum_j tr C_j
-C_j*)`` with free complex factors, which keeps every iterate PSD and exactly
-unit-mass without projections. The solver runs L-BFGS along the closed-form
-(adjoint) gradient of the objective in those factors.
+rule. Every slice is given by a factor, ``G_k = Y_k Y_k*``: the end factors
+are the roots of the endpoints, and the interior ones are ``Y_k = F_k / |F_k|``
+with free complex ``F_k``, which keeps every iterate PSD and exactly unit-mass
+without projections. Each ``d_B^2`` is the polar residual
+``min_W |Y_{k+1} - Y_k W|^2`` over unitaries (:func:`frgeo.bures.polar_residual`),
+which does not cancel at small steps. The solver runs L-BFGS along the
+closed-form gradient of the objective in the free factors.
 
 The module also provides the heat-flow recovery perturbation (which both
 initializes the solver and realizes the vanishing-temperature upper bound),
@@ -25,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bures import polar_residual
 from .entropy_flow import entropy, entropy_terms, heat_flow, slice_entropies
 from .exceptions import (
     AntipodalError,
@@ -41,10 +45,10 @@ from .fisher_rao import (
 from .hpsd import (
     EigenDecomposition,
     eigendecomposition,
+    from_spectrum,
     hermitian_part,
     psd_sqrt,
     spd_inverse,
-    spectral_powers,
     zero_floor,
 )
 from .measures import (
@@ -71,6 +75,8 @@ class SchrodingerConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.n_steps < 8:
             raise ValueError(f"n_steps must be at least 8, got {self.n_steps}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -113,38 +119,37 @@ class GaussianBridgeResult:
 
 
 class _Forward(NamedTuple):
-    """One evaluation of the discrete objective on stacked slices
-    ``(N+1, n, d, d)``, with the spectral pieces its gradient reuses."""
+    """One evaluation of the discrete objective on a factor stack
+    ``(N+1, n, d, d)``, with the pieces its gradient reuses."""
 
     kinetic: float
     fisher_term: float
-    slices: np.ndarray
+    factors: np.ndarray  # Y_k
+    slices: np.ndarray  # G_k = Y_k Y_k*
     eig: EigenDecomposition  # of every slice
-    roots: np.ndarray  # G_k^{1/2} for k < N
-    edge_eig: EigenDecomposition  # of M_k = G_k^{1/2} G_{k+1} G_k^{1/2}
+    residual: np.ndarray  # R_k = Y_{k+1} - Y_k W_k
+    polar: np.ndarray  # W_k
     dfr: np.ndarray  # d_FR(G_k, G_{k+1})
 
 
-def _stack_objective(slices: np.ndarray, weights: np.ndarray, epsilon: float) -> _Forward:
-    """The discrete objective of stacked slices ``(N+1, n, d, d)``, with the
-    spectral pieces its gradient reuses: one batched ``eigh`` of the slices
-    gives the roots and the Fisher term, and one of the edge matrices
-    ``M_k`` gives ``d_B^2`` through ``tr M_k^{1/2}``. Roots and edge sums
-    take the :func:`zero_floor` eigenvalues."""
-    n_steps = slices.shape[0] - 1
-    eig = eigendecomposition(slices)
-    roots = spectral_powers(eig.eigenvalues[:-1], eig.eigenvectors[:-1], 0.5)[0]
-    edge_eig = eigendecomposition(hermitian_part(roots @ slices[1:] @ roots))
-    traces = np.real(np.trace(slices, axis1=-2, axis2=-1))
-    cross = np.sqrt(zero_floor(edge_eig.eigenvalues)).sum(axis=-1)  # tr M_k^{1/2}
-    db_sq = np.clip(traces[:-1] + traces[1:] - 2.0 * cross, 0.0, None)
-    dfr = fisher_rao_from_hellinger(4.0 * db_sq.sum(axis=-1))
+def _stack_objective(factors: np.ndarray, weights: np.ndarray, epsilon: float) -> _Forward:
+    """The discrete objective of the slices ``G_k = Y_k Y_k*`` given by a
+    factor stack ``(N+1, n, d, d)``, with the pieces its gradient reuses:
+    one batched SVD of the edges gives ``d_B^2 = |R_k|^2`` per atom through
+    :func:`~frgeo.bures.polar_residual`, and one batched ``eigh`` of the
+    slices gives the Fisher term. The value depends on each ``Y_k`` only
+    through ``G_k``."""
+    n_steps = factors.shape[0] - 1
+    residual, polar = polar_residual(factors[:-1], factors[1:])
+    dfr = fisher_rao_from_hellinger(4.0 * (np.abs(residual) ** 2).sum(axis=(1, 2, 3)))
     kinetic = 0.5 * n_steps * float((dfr**2).sum())
+    slices = factors @ np.conj(np.swapaxes(factors, -1, -2))
+    eig = eigendecomposition(slices)
     fisher = entropy_terms(eig.eigenvalues, weights)[1]
     tw = np.full(n_steps + 1, 1.0 / n_steps)  # trapezoid rule
     tw[[0, -1]] /= 2.0
     fisher_term = 0.5 * epsilon**2 * float(np.dot(tw, fisher))
-    return _Forward(kinetic, fisher_term, slices, eig, roots, edge_eig, dfr)
+    return _Forward(kinetic, fisher_term, factors, slices, eig, residual, polar, dfr)
 
 
 def discrete_objective(
@@ -160,7 +165,7 @@ def discrete_objective(
         raise FRGeoError("discrete objective requires a uniform time grid")
     for k, g in enumerate(path.slices):
         check_probability(g, f"slice {k}")
-    fwd = _stack_objective(np.stack([g.atoms for g in path.slices]), lam.weights, epsilon)
+    fwd = _stack_objective(psd_sqrt(np.stack([g.atoms for g in path.slices])), lam.weights, epsilon)
     return fwd.kinetic, fwd.fisher_term
 
 
@@ -200,46 +205,33 @@ def _heat_flow_perturbation(path: MeasurePath, lam: ReferenceMeasure, epsilon: f
 # ---------------------------------------------------------------------------
 
 
-def _factors_to_slice(factors: np.ndarray) -> np.ndarray:
-    """Unit-mass PSD slice from free complex factors ``(..., n, d, d)``."""
-    g = factors @ np.conj(np.swapaxes(factors, -1, -2))
-    tau = np.real(np.trace(g, axis1=-2, axis2=-1)).sum(axis=-1)
-    return g / tau[..., None, None, None]
-
-
 def _bridge_gradient(
     factors: np.ndarray, fwd: _Forward, weights: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    """Closed-form gradient of the objective on the interior factors, built
-    from the pieces of the objective evaluation ``fwd`` at ``factors``
-    without a further decomposition.
+    """Closed-form gradient of the objective on the interior factors ``F_k``
+    of ``Y_k = F_k / |F_k|``, built from the pieces of the objective
+    evaluation ``fwd`` at ``factors`` without a further decomposition.
 
-    With ``M_k = G_k^{1/2} G_{k+1} G_k^{1/2}`` per atom, the Bures terms give
-    ``d_{G_{k+1}} d_B^2 = I - G_k^{1/2} M_k^{-1/2} G_k^{1/2}`` and
-    ``d_{G_k} d_B^2 = I - G_k^{-1/2} M_k^{1/2} G_k^{-1/2}``, chained through
-    ``f(x) = (4 arcsin(sqrt(x) / 4))^2`` at ``x = 4 sum_i d_B^2``; the Fisher
-    term gives ``-w_i^2 G_i^{-2}``. ``G_i = C_i C_i* / tau`` then maps the
-    slice gradient ``H`` to ``(2 / tau) (H_i C_i - s C_i)`` with
-    ``s = sum_i Re tr(H_i G_i)``. Negative powers invert on the range only
-    (:func:`~frgeo.hpsd.spectral_powers`).
+    By the envelope theorem, ``d_B^2 = min_W |Y_{k+1} - Y_k W|^2`` has the
+    gradient ``2 R_k`` in ``Y_{k+1}`` and ``-2 R_k W_k*`` in ``Y_k``, chained
+    through ``f(x) = (4 arcsin(sqrt(x) / 4))^2`` at ``x = 4 sum_i d_B^2``;
+    the Fisher term gives ``-(epsilon^2 / N) w_i^2 G_i^{-2} Y_i``, inverted
+    on the range only. The normalization then removes the radial part
+    ``Re <g_k, Y_k> Y_k`` of each slice's gradient and divides by ``|F_k|``.
     """
     n_steps = factors.shape[0] + 1
-    (w, v), (mu, u) = fwd.eig, fwd.edge_eig
-    inv_root, inv = spectral_powers(w[1:-1], v[1:-1], -0.5, -1.0)
-    edge_root = spectral_powers(mu[1:], u[1:], 0.5)[0]
-    edge_inv_root = spectral_powers(mu[:-1], u[:-1], -0.5)[0]
     # (N/2) * 4 * f'(x), with f'(x) = (theta/2) / sin(theta/2) -> 1 as x -> 0.
     coef = (2.0 * n_steps / np.sinc(fwd.dfr / (2.0 * np.pi)))[:, None, None, None]
-    eye = np.eye(factors.shape[-1])
-    left = fwd.roots[:-1]
-    h = (
-        coef[:-1] * (eye - left @ edge_inv_root @ left)
-        + coef[1:] * (eye - inv_root @ edge_root @ inv_root)
-        - (0.5 * epsilon**2 / n_steps) * weights[:, None, None] ** 2 * (inv @ inv)
-    )
-    tau = (np.abs(factors) ** 2).sum(axis=(1, 2, 3))
-    s = np.real(np.einsum("kijl,kilj->k", h, fwd.slices[1:-1]))
-    return (2.0 / tau)[:, None, None, None] * (h @ factors - s[:, None, None, None] * factors)
+    res = coef * fwd.residual
+    y = fwd.factors[1:-1]
+    w, v = fwd.eig
+    inv_sq = np.where(zero_floor(w[1:-1]) > 0.0, w[1:-1], np.inf) ** -2.0
+    g = 2.0 * (res[:-1] - res[1:] @ np.conj(np.swapaxes(fwd.polar[1:], -1, -2))) - (
+        epsilon**2 / n_steps
+    ) * weights[:, None, None] ** 2 * (from_spectrum(v[1:-1], inv_sq) @ y)
+    radial = np.real(np.einsum("kijl,kijl->k", np.conj(g), y))[:, None, None, None]
+    norms = np.sqrt((np.abs(factors) ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
+    return (g - radial * y) / norms
 
 
 def solve_bridge(
@@ -275,11 +267,13 @@ def solve_bridge(
         if init_path.n_slices != n_steps + 1:
             raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
     factors = psd_sqrt(np.stack([g.atoms for g in init_path.slices[1:-1]]))
+    ends = psd_sqrt(np.stack([g0.atoms, g1.atoms]))
 
     def objective(fac: np.ndarray) -> tuple[float, _Forward | None]:
         if not np.all(np.isfinite(fac)):
             return math.inf, None
-        stacked = np.concatenate([g0.atoms[None], _factors_to_slice(fac), g1.atoms[None]])
+        norms = np.sqrt((np.abs(fac) ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
+        stacked = np.concatenate([ends[:1], fac / norms, ends[1:]])
         if not np.all(np.isfinite(stacked)):
             return math.inf, None
         fwd = _stack_objective(stacked, lam.weights, cfg.epsilon)

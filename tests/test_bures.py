@@ -205,6 +205,11 @@ class TestRealEmbeddingCheck:
 
 
 class TestDynamicalSolver:
+    @pytest.mark.parametrize("max_iters", [-5, 0])
+    def test_max_iters_at_least_one(self, rng, max_iters):
+        with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
+            dynamical_bures_solver(random_spd(rng, 2), random_spd(rng, 2), 8, max_iters=max_iters)
+
     def test_factor_gradient_matches_finite_differences(self, rng):
         # The closed-form factor gradient drives the solver; check it
         # against central differences of the staggered-grid action.

@@ -251,13 +251,22 @@ class TestHeatflowCommand:
         assert lines[0] == "t,entropy,fisher,mass,tv_to_equilibrium"
         assert len(lines) == 10
 
-    def test_no_steps_writes_header_only(self, workdir):
-        # --steps -1 asks for no time samples: the table is the header alone.
-        out = os.path.join(workdir["dir"], "empty.csv")
-        assert main(["heatflow", workdir["g0"], "--steps", "-1", "--out", out]) == 0
-        with open(out) as f:
-            assert f.read().strip().splitlines() == ["t,entropy,fisher,mass,tv_to_equilibrium"]
-
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--t", "nan", "final flow time must be finite, got nan"),
+            ("--t", "inf", "final flow time must be finite, got inf"),
+            ("--steps", "-1", "steps must be at least 1, got -1"),
+            ("--steps", "0", "steps must be at least 1, got 0"),
+        ],
+        ids=["t-nan", "t-inf", "steps-negative", "steps-zero"],
+    )
+    def test_bad_time_grid_exit_3(self, workdir, capsys, flag, value, message):
+        out = os.path.join(workdir["dir"], "flow.csv")
+        assert main(["heatflow", workdir["g0"], flag, value, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_negative_time_exit_3(self, workdir, capsys):
         out = os.path.join(workdir["dir"], "flow.csv")
@@ -317,6 +326,15 @@ class TestBridgeCommand:
         assert "converged = False" in captured.out
         assert "stop_reason = budget" in captured.out
         assert "did not converge in 1 iterations (budget)" in captured.err
+
+    @pytest.mark.parametrize("max_iters", ["-5", "0"])
+    def test_max_iters_below_one_exit_3(self, workdir, capsys, max_iters):
+        out = os.path.join(workdir["dir"], "no_budget")
+        argv = ["bridge", workdir["g0"], workdir["g1"], "--epsilon", "0.3", "--steps", "8"]
+        assert main(argv + ["--max-iters", max_iters, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert f"max_iters must be at least 1, got {max_iters}" in captured.err
+        assert "converged" not in captured.out and "Traceback" not in captured.err
 
     def test_fine_grid_converges_within_small_budget(self, workdir, capsys):
         # Preconditioned in time, N = 96 needs a handful of iterations; plain

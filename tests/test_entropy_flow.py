@@ -110,6 +110,13 @@ class TestFisherInformation:
 
 
 class TestHeatFlow:
+    @pytest.mark.parametrize("t", [-0.5, math.nan])
+    def test_negative_or_nan_time_rejected(self, rng, t):
+        # NaN compares false with everything, so a plain `< 0` test misses it.
+        g = random_probability_measure(rng, 2, 2)
+        with pytest.raises(ValueError, match="flow time must be nonnegative"):
+            heat_flow(g, uniform_reference(g.support, 2), t)
+
     def test_fixed_point(self):
         lam = uniform_reference(make_support(3), 2)
         eq = reference_identity(lam)
@@ -368,6 +375,8 @@ class TestFlowTableClosedForm:
         g = random_finite_entropy_measure(rng, 2, 2)
         with pytest.raises(ValueError, match="flow time must be nonnegative, got -0.5"):
             flow_table(g, uniform_reference(g.support, 2), [0.0, 1.0, -0.5, -1.0])
+        with pytest.raises(ValueError, match="flow time must be nonnegative, got nan"):
+            flow_table(g, uniform_reference(g.support, 2), [0.0, math.nan, 1.0])
 
     def test_slice_entropies_match_per_slice_calls(self, rng):
         sup = make_support(3)

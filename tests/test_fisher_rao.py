@@ -434,6 +434,36 @@ class TestConstantSpeedReparametrize:
         with pytest.raises(ZeroLengthError):
             constant_speed_reparametrize(path, "hellinger")
 
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_one_geodesic_per_segment_with_targets(self, rng, monkeypatch, metric):
+        # Each segment holding arc-length targets makes one geodesic call
+        # (one SVD) for all of them, and the batch gives the slices of
+        # single-target calls bit for bit.
+        from frgeo import fisher_rao
+
+        path = self._warped_geodesic(rng, metric)
+        geodesic = hellinger_geodesic if metric == "hellinger" else fisher_rao_geodesic
+        lengths = fisher_rao._index_distances(path.slices, np.arange(16), np.arange(1, 17), metric)
+        cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
+        targets = lengths.sum() * np.arange(1, 16) / 16
+        segments = np.searchsorted(cumulative, targets, side="right") - 1
+        thetas = (targets - cumulative[segments]) / lengths[segments]
+        assert len(set(segments.tolist())) < len(targets)
+        want = [geodesic(path.slices[j], path.slices[j + 1], [t]).slices[0] for j, t in zip(segments, thetas)]
+
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        out = constant_speed_reparametrize(path, metric)
+        assert shapes == [(2, 2, 2)] * len(set(segments.tolist()))
+        for a, b in zip(out.slices[1:-1], want):
+            assert np.array_equal(a.atoms, b.atoms)
+
 
 class TestMetricSpeed:
     def test_constant_path_zero(self, rng):

@@ -22,7 +22,6 @@ from frgeo.hpsd import (
     real_embedding,
     solve_sylvester_velocity,
     spd_inverse,
-    spectral_powers,
     sym_product,
 )
 from frgeo.testing import random_hermitian, random_psd, random_spd
@@ -220,31 +219,6 @@ class TestHelpers:
         a = random_psd(rng, 4, rank=2)
         assert psd_rank(a) == 2
         assert psd_rank(np.zeros((3, 3))) == 0
-
-
-class TestSpectralPowers:
-    def test_positive_powers_floor_noise_eigenvalues(self, rng):
-        # A rank-1 matrix whose zero eigenvalues carry positive round-off
-        # noise below 1e-12 * lambda_max: positive powers take them as zero,
-        # the convention of psd_sqrt, so the bridge objective and its
-        # gradient see the same roots on the cone boundary.
-        a = random_psd(rng, 3, rank=1)
-        w, v = np.linalg.eigh(a)
-        lam = w[-1]
-        noisy = np.array([1e-16, 1e-14, 1.0]) * lam
-        root, cube_root = spectral_powers(noisy, v, 0.5, 1.0 / 3.0)
-        assert np.abs(root - a / np.sqrt(lam)).max() <= 1e-14 * np.sqrt(lam)
-        assert np.abs(cube_root - a / lam ** (2.0 / 3.0)).max() <= 1e-14 * lam ** (1.0 / 3.0)
-        assert np.abs(root - psd_sqrt(a)).max() <= 1e-14 * np.sqrt(lam)
-
-    def test_negative_powers_invert_the_range_only(self, rng):
-        # Noise eigenvalues at most 1e-12 * lambda_max are zero under the
-        # rank rule, so the inverse power is the pseudo-inverse.
-        a = random_psd(rng, 3, rank=1)
-        w, v = np.linalg.eigh(a)
-        lam = w[-1]
-        (pinv,) = spectral_powers(np.array([1e-16, 1e-13, 1.0]) * lam, v, -1.0)
-        assert np.abs(pinv - a / lam**2).max() <= 1e-14 / lam
 
 
 class TestRankRule:

@@ -1,6 +1,6 @@
 """Bures-Wasserstein geometry on single Hermitian-PSD fibers.
 
-Provides the closed-form squared distance, its spherical (unit-trace)
+Provides the squared distance as one polar residual, its spherical (unit-trace)
 companion, geodesics in polar form ``Y_t Y_t*`` (exact on the cone boundary),
 the complex-to-real embedding identity, and a dynamical solver that minimizes
 the kinetic action over discretized PSD paths with both endpoints pinned. The
@@ -16,10 +16,9 @@ import numpy as np
 
 from .exceptions import NotUnitTraceError
 from .hpsd import (
-    clamp_psd,
-    cross_trace,
     hermitian_part,
     is_positive_definite,
+    psd_spectrum,
     psd_sqrt,
     real_embedding,
     solve_sylvester_eigh,
@@ -64,20 +63,18 @@ class BuresActionResult:
 
 def bures_distance_sq_stack(a0: np.ndarray, a1: np.ndarray, labels=None) -> np.ndarray:
     """Squared Bures-Wasserstein distances between paired fibers of two
-    ``(..., d, d)`` stacks, one per pair; ``labels`` name the fibers in a
+    ``(..., d, d)`` stacks, one per pair, as the polar residual of
+    :func:`polar_endpoints`; ``labels`` name the fibers in a
     :class:`~frgeo.exceptions.NotPSDError`."""
-    tr0 = np.real(np.trace(a0, axis1=-2, axis2=-1))
-    tr1 = np.real(np.trace(a1, axis1=-2, axis2=-1))
-    a1 = clamp_psd(a1, labels=labels)
-    return np.maximum(tr0 + tr1 - 2.0 * cross_trace(psd_sqrt(a0, labels=labels), a1), 0.0)
+    return polar_endpoints(a0, a1, labels)[2]
 
 
 def bures_distance_sq(a0: np.ndarray, a1: np.ndarray) -> float:
     """Squared Bures-Wasserstein distance
-    ``tr a0 + tr a1 - 2 tr sqrt(sqrt(a0) a1 sqrt(a0))``.
-
-    The two trace orderings agree; this one puts ``a0`` outside. Both inputs
-    must be PSD (within the clamping floor).
+    ``tr a0 + tr a1 - 2 tr sqrt(sqrt(a0) a1 sqrt(a0))``, computed as the
+    polar residual ``min_U |a1^{1/2} U - a0^{1/2}|^2`` (:func:`polar_residual`),
+    which has no cancellation at small distances. Both inputs must be PSD
+    (within the clamping floor).
     """
     return float(bures_distance_sq_stack(a0, a1))
 
@@ -108,9 +105,9 @@ def polar_endpoints(a0: np.ndarray, a1: np.ndarray, labels=None):
     """``(a0^{1/2}, Y_1, d_B^2)`` for paired fibers of two ``(..., d, d)``
     stacks: ``Y_1 = a1^{1/2} U`` with ``U`` the unitary polar factor of
     ``a1^{1/2} a0^{1/2}`` (:func:`polar_residual`), and
-    ``d_B^2 = |Y_1 - a0^{1/2}|^2`` per fiber."""
-    r0 = psd_sqrt(a0, labels=labels)
-    r1 = psd_sqrt(a1, labels=labels)
+    ``d_B^2 = |Y_1 - a0^{1/2}|^2`` per fiber. Both roots come from one
+    ``eigh`` of the two stacks."""
+    r0, r1 = psd_sqrt(np.stack([a0, a1]), labels=labels)
     res, u = polar_residual(r1, r0)
     return r0, r1 @ u, (np.abs(res) ** 2).sum(axis=(-2, -1))
 
@@ -215,8 +212,8 @@ def dynamical_bures_solver(
         raise ValueError(f"n_steps must be at least 8, got {n_steps}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    a0 = clamp_psd(np.asarray(a0, dtype=complex))
-    a1 = clamp_psd(np.asarray(a1, dtype=complex))
+    a0 = psd_spectrum(np.asarray(a0, dtype=complex))[0]
+    a1 = psd_spectrum(np.asarray(a1, dtype=complex))[0]
     d = a0.shape[0]
     times = np.linspace(0.0, 1.0, n_steps + 1)
     scale = max(float(np.real(np.trace(a0))), float(np.real(np.trace(a1))))

@@ -32,7 +32,7 @@ from .fisher_rao import (
     fisher_rao_from_hellinger,
     fisher_rao_geodesic,
     hellinger_distance_sq,
-    hellinger_geodesic,
+    hellinger_geodesic_points,
     metric_speed,
     path_masses,
 )
@@ -124,7 +124,7 @@ def _cmd_geodesic(args) -> int:
         path = fisher_rao_geodesic(g0, g1, ts)
         metric = "fisher_rao"
     else:
-        path = hellinger_geodesic(g0, g1, ts)
+        path = hellinger_geodesic_points(g0, g1, ts)
         metric = "hellinger"
     fio.ensure_dir(args.out)
     fio.save_measure_path(os.path.join(args.out, "path.json"), path.times, path.slices)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bures
 from .exceptions import AntipodalError, FRGeoError, ZeroLengthError
-from .hpsd import cross_trace, from_spectrum, hermitian_part, psd_spectrum, sym_product, zero_floor
+from .hpsd import psd_sqrt, sym_product
 from .measures import MatrixMeasure, check_probability, check_same_support, mass, tv_distance
 
 ANTIPODAL_TOL = 1e-6
@@ -118,6 +118,16 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     return MeasurePath(geo.times, slices, geo.velocities, meta)
 
 
+def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
+    """The slices of :func:`hellinger_geodesic` without its velocities: one
+    polar SVD (:func:`~frgeo.bures.polar_endpoints`) and no velocity step."""
+    check_same_support(g0, g1)
+    ts = np.asarray(ts, dtype=float)
+    r0, y1, _ = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
+    points = bures.geodesic_factors(r0, y1, ts)[0]
+    return MeasurePath(ts, tuple(g0.with_atoms(atoms) for atoms in points), None, {"metric": "hellinger"})
+
+
 def _chord_parameter(theta: float, phi: float) -> float:
     """Cone-chord parameter hitting sphere-arc fraction ``theta``.
 
@@ -170,18 +180,17 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
 
 def _index_distances(slices, lo, hi, metric: str) -> np.ndarray:
     """Metric distances between the slice pairs ``(lo[k], hi[k])`` from one checked
-    decomposition of all slices: roots for the pair starts, clamped atoms for the ends."""
+    square root of all slices and one batched polar SVD of the pairs, oriented as
+    :func:`~frgeo.bures.polar_endpoints` orients them."""
     if metric not in ("hellinger", "fisher_rao"):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "fisher_rao":
         for k, g in enumerate(slices):
             check_probability(g, f"path slice {k}")
-    stack = np.stack([g.atoms for g in slices])
-    clamped, w, v = psd_spectrum(stack, labels=slices[0].support.point_ids)
-    roots = hermitian_part(from_spectrum(v, np.sqrt(zero_floor(w))))
-    traces = np.real(np.trace(stack, axis1=-2, axis2=-1))
-    d_sq = np.maximum(traces[lo] + traces[hi] - 2.0 * cross_trace(roots[lo], clamped[hi]), 0.0)
-    dh_sq = 4.0 * d_sq.sum(axis=-1)
+    roots = psd_sqrt(np.stack([g.atoms for g in slices]), labels=slices[0].support.point_ids)
+    res, _ = bures.polar_residual(roots[hi], roots[lo])
+    # Summed per atom, then per slice: the order of the pairwise route, bit for bit.
+    dh_sq = 4.0 * (np.abs(res) ** 2).sum(axis=(-2, -1)).sum(axis=-1)
     return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 
 
@@ -199,8 +208,8 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
         raise FRGeoError("need at least two slices to reparametrize")
     lengths = _index_distances(path.slices, np.arange(n_seg), np.arange(1, n_seg + 1), metric)
     total = float(lengths.sum())
-    # Squared distances bottom out at round-off (~1e-15), so lengths below
-    # ~1e-7 per segment are indistinguishable from zero.
+    # The polar residual puts a segment length's round-off floor near 1e-16;
+    # a path shorter than 1e-6 per segment is still treated as zero length.
     if total <= 1e-6 * len(lengths):
         raise ZeroLengthError(f"path has (numerically) zero length {total:.3e}")
     if n_seg == 1:
@@ -211,7 +220,7 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
     segments = np.clip(np.searchsorted(cumulative, targets, side="right") - 1, 0, n_seg - 1)
     seg_len = lengths[segments]
     thetas = np.where(seg_len <= 1e-15, 0.0, (targets - cumulative[segments]) / np.maximum(seg_len, 1e-15))
-    geodesic = hellinger_geodesic if metric == "hellinger" else fisher_rao_geodesic
+    geodesic = hellinger_geodesic_points if metric == "hellinger" else fisher_rao_geodesic
     new_slices = [path.slices[0]]
     for j in np.unique(segments):
         a, b, th = path.slices[j], path.slices[j + 1], thetas[segments == j]
@@ -228,8 +237,8 @@ def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
     """Finite-difference metric speeds, one per slice.
 
     Central differences at interior nodes (second-order on smooth paths),
-    one-sided at the endpoints. One ``eigh`` of the slice stack and one
-    ``eigvalsh`` for the cross traces of all pairs decompose each slice once.
+    one-sided at the endpoints. One ``eigh`` of the slice stack gives the
+    roots, and one batched SVD gives the polar residuals of all pairs.
     """
     m = path.n_slices
     if m < 2:

@@ -143,23 +143,6 @@ def _check_psd_floor(w: np.ndarray, floor: float, labels) -> np.ndarray:
     return lam_min < 0.0
 
 
-def clamp_psd(a: np.ndarray, floor: float = PSD_CLAMP_FLOOR, labels=None) -> np.ndarray:
-    """Validate PSD-ness within ``floor`` and clamp slightly negative
-    eigenvalues to zero.
-
-    Optimizer iterates routinely drift a hair below PSD, hence the clamping
-    rather than outright rejection. Raises :class:`NotPSDError` below the
-    floor. The check needs eigenvalues only; just the matrices that dip
-    below zero are decomposed again for the clamp.
-    """
-    negative = _check_psd_floor(np.linalg.eigvalsh(a), floor, labels)
-    if not negative.any():
-        return a
-    a = np.array(a)
-    a[negative] = psd_spectrum(a[negative], floor)[0]
-    return a
-
-
 def zero_floor(w: np.ndarray) -> np.ndarray:
     """The rank rule: eigenvalues at most ``RANK_RTOL * lambda_max`` of their
     own matrix, negatives included, become exact zero.
@@ -177,14 +160,6 @@ def psd_sqrt(a: np.ndarray, labels=None) -> np.ndarray:
     """Principal square root of a PSD matrix or stack via its eigendecomposition."""
     _, w, v = psd_spectrum(a, labels=labels)
     return hermitian_part(from_spectrum(v, np.sqrt(zero_floor(w))))
-
-
-def cross_trace(root_a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tr sqrt(root_a b root_a)`` per matrix pair, given ``root_a = a^{1/2}``,
-    with noise-level eigenvalues floored to zero (they would otherwise enter
-    as sqrt(noise) ~ 1e-8)."""
-    w = zero_floor(np.linalg.eigvalsh(hermitian_part(root_a @ b @ root_a)))
-    return np.sqrt(w).sum(axis=-1)
 
 
 def logdet(a: np.ndarray) -> float:

@@ -146,7 +146,7 @@ def _group_bures(rng: np.random.Generator) -> list[str]:
             expected = ts * np.real(np.trace(a1)) + (1 - ts) * np.real(np.trace(start)) - ts * (1 - ts) * s_sq
             traces = np.real(np.trace(geo.points, axis1=1, axis2=2))
             bad.expect(
-                np.max(np.abs(traces - expected)) <= 1e-13 * max(1.0, float(np.max(np.abs(expected)))),
+                np.max(np.abs(traces - expected)) <= 1e-14 * max(1.0, float(np.max(np.abs(expected)))),
                 "geodesic trace interpolation",
             )
 
@@ -201,13 +201,11 @@ def _group_fisher_rao(rng: np.random.Generator) -> list[str]:
         bad.expect(
             np.all(masses >= 1.0 - 2.0 * ts * (1.0 - ts) - 1e-9), "geodesic mass lower bound"
         )
-        # Bisection is checked only away from the d_B^2 trace formula's
-        # round-off floor (the one-point d = 1 sphere gives dfr ~ 3e-8 of noise).
-        if 1e-6 < dfr01 < np.pi - 1e-3:
+        if dfr01 < np.pi - 1e-3:
             fgeo = fisher_rao.fisher_rao_geodesic(g0, g1, [0.0, 0.5, 1.0])
             mid_pt = fgeo.slices[1]
             bad.expect(
-                abs(fisher_rao.fisher_rao_distance(g0, mid_pt) - dfr01 / 2) <= 1e-5 * dfr01,
+                abs(fisher_rao.fisher_rao_distance(g0, mid_pt) - dfr01 / 2) <= 1e-12 * dfr01 + 1e-15,
                 "geodesic midpoint bisection",
             )
             bad.expect(abs(measures.mass(mid_pt) - 1.0) <= 1e-8, "geodesic slice off sphere")

@@ -206,14 +206,11 @@ def test_criterion_08_geodesic_structure():
         g0 = random_probability_measure(rng, n, d, definite=True, support=sup)
         g1 = random_probability_measure(rng, n, d, definite=True, support=sup)
         dfr = fisher_rao_distance(g0, g1)
-        # Skip degenerate pairs: at the round-off floor of the d_B^2 trace
-        # formula (~3e-8, e.g. the one-point d = 1 sphere) the relative
-        # check is vacuous.
-        if dfr >= np.pi - 1e-3 or dfr <= 1e-6:
+        if dfr >= np.pi - 1e-3:
             continue
         mid = fisher_rao_geodesic(g0, g1, [0.0, 0.5, 1.0]).slices[1]
-        assert fisher_rao_distance(g0, mid) == pytest.approx(dfr / 2.0, rel=1e-5)
-        assert fisher_rao_distance(mid, g1) == pytest.approx(dfr / 2.0, rel=1e-5)
+        assert fisher_rao_distance(g0, mid) == pytest.approx(dfr / 2.0, rel=1e-13, abs=1e-15)
+        assert fisher_rao_distance(mid, g1) == pytest.approx(dfr / 2.0, rel=1e-13, abs=1e-15)
 
         ts = np.linspace(0.0, 1.0, 9)
         hgeo = hellinger_geodesic(g0, g1, ts)

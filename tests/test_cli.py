@@ -432,6 +432,10 @@ class TestSelftestCommand:
         assert out1 == out2
         assert "PASS" in out1
 
+    def test_seed_1_passes(self, capsys):
+        assert main(["selftest", "--seed", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_force_fail_exit_1(self, capsys):
         assert main(["selftest", "--seed", "0", "--force-fail"]) == 1
         assert "FAIL forced-failure-hook" in capsys.readouterr().out

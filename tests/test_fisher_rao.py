@@ -349,15 +349,24 @@ class TestFisherRaoGeodesic:
         g0, g1 = (g.with_atoms(g.atoms / mass(g)) for g in mixed_mode_pair)
         ts = np.linspace(0.0, 1.0, 9)
         path = fisher_rao_geodesic(g0, g1, ts)
-        # The geodesic takes d_FR from its polar SVD, the distance from the
-        # eigenvalue route: the two agree to round-off, the chord uses its own.
-        assert path.meta["distance"] == pytest.approx(fisher_rao_distance(g0, g1), rel=1e-12)
+        assert path.meta["distance"] == fisher_rao_distance(g0, g1)
         phi = path.meta["distance"] / 2.0
         chord = hellinger_geodesic(g0, g1, [_chord_parameter(t, phi) for t in ts])
         assert path.velocities is None
         assert path.slices[0] is g0 and path.slices[-1] is g1
         for s, g in zip(path.slices[1:-1], chord.slices[1:-1]):
             assert np.array_equal(s.atoms, g.atoms / mass(g))
+
+    def test_segment_lengths_equal_at_large_support(self, rng):
+        # n = 64, d = 4: the 16 segment lengths each match d_FR / 16 to
+        # round-off in the distance itself.
+        sup = make_support(64)
+        g0 = random_probability_measure(rng, 64, 4, support=sup)
+        g1 = random_probability_measure(rng, 64, 4, support=sup)
+        dfr = fisher_rao_distance(g0, g1)
+        path = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 17))
+        lengths = np.array([fisher_rao_distance(a, b) for a, b in zip(path.slices, path.slices[1:])])
+        assert np.abs(lengths - dfr / 16).max() <= 1e-13 * dfr / 16
 
     def test_constant_speed_between_all_samples(self, rng):
         sup = make_support(2)
@@ -436,8 +445,10 @@ class TestConstantSpeedReparametrize:
 
     @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
     def test_one_geodesic_per_segment_with_targets(self, rng, monkeypatch, metric):
-        # Each segment holding arc-length targets makes one geodesic call
-        # (one SVD) for all of them, and the batch gives the slices of
+        # The arc lengths take one eigh of all slices and one SVD of all
+        # segments. Each segment holding arc-length targets then makes one
+        # geodesic call for all of them: one eigh for the roots of its two
+        # ends and one SVD, with no velocity step. The batch gives the slices of
         # single-target calls bit for bit.
         from frgeo import fisher_rao
 
@@ -451,16 +462,16 @@ class TestConstantSpeedReparametrize:
         assert len(set(segments.tolist())) < len(targets)
         want = [geodesic(path.slices[j], path.slices[j + 1], [t]).slices[0] for j, t in zip(segments, thetas)]
 
-        shapes = []
-        svd = np.linalg.svd
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
 
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         out = constant_speed_reparametrize(path, metric)
-        assert shapes == [(2, 2, 2)] * len(set(segments.tolist()))
+        per_segment = [("eigh", (2, 2, 2, 2)), ("svd", (2, 2, 2))]
+        assert calls == [("eigh", (17, 2, 2, 2)), ("svd", (16, 2, 2, 2))] + per_segment * len(set(segments.tolist()))
         for a, b in zip(out.slices[1:-1], want):
             assert np.array_equal(a.atoms, b.atoms)
 
@@ -570,17 +581,12 @@ class TestOneDecompositionPerSlice:
                 assert np.array_equal(a.atoms, b.atoms), name
 
     def test_rank_deficient_end_slices_agree_to_roundoff(self, rng):
-        # A slice with rank-deficient atoms that ends a pair is clamped where
-        # eigh finds a null eigenvalue below zero; the pairwise route decides
-        # by eigvalsh, whose roundoff-level null eigenvalues can take the
-        # other sign. Either way the speeds agree to a few ulps.
         sup = make_support(4)
         for _ in range(20):
             gs = MatrixMeasure(sup, np.stack([random_psd(rng, 3, rank=int(rng.integers(1, 3))) for _ in range(4)]))
             g1 = random_measure(rng, 4, 3, definite=True, support=sup)
             path = hellinger_geodesic(g1, gs, np.linspace(0.0, 1.0, 5))
-            want = _oracle_speeds(path, "hellinger")
-            assert np.abs(metric_speed(path, "hellinger") - want).max() <= 1e-14 * want.max()
+            assert np.array_equal(metric_speed(path, "hellinger"), _oracle_speeds(path, "hellinger"))
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_slice_below_floor_names_its_point(self, rng, k):
@@ -598,7 +604,7 @@ class TestOneDecompositionPerSlice:
         with pytest.raises(NotPSDError, match="'p2'"):
             constant_speed_reparametrize(bad, "hellinger")
 
-    def test_one_eigh_and_one_eigvalsh_per_speed(self, rng, monkeypatch):
+    def test_one_eigh_and_one_svd_per_speed(self, rng, monkeypatch):
         calls = []
 
         def counted(name, fn):
@@ -609,13 +615,13 @@ class TestOneDecompositionPerSlice:
             return wrapped
 
         path = self._paths(rng)["definite"]
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         metric_speed(path, "fisher_rao")
-        assert calls == [("eigh", (9, 4, 3, 3)), ("eigvalsh", (9, 4, 3, 3))]
+        assert calls == [("eigh", (9, 4, 3, 3)), ("svd", (9, 4, 3, 3))]
         calls.clear()
         constant_speed_reparametrize(path, "fisher_rao")
-        assert calls[:2] == [("eigh", (9, 4, 3, 3)), ("eigvalsh", (8, 4, 3, 3))]
+        assert calls[:2] == [("eigh", (9, 4, 3, 3)), ("svd", (8, 4, 3, 3))]
 
 
 class TestTvComparison:

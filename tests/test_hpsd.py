@@ -11,13 +11,13 @@ from frgeo.exceptions import (
 )
 from frgeo.hpsd import (
     check_hermitian,
-    clamp_psd,
     eigendecomposition,
     frobenius_inner,
     frobenius_norm,
     hermitian_part,
     logdet,
     psd_rank,
+    psd_spectrum,
     psd_sqrt,
     real_embedding,
     solve_sylvester_velocity,
@@ -257,7 +257,7 @@ class TestStacks:
         xi = np.stack([random_hermitian(rng, 3) for _ in range(4)])
         for fn, args in (
             (psd_sqrt, (psd + 1e-12 * eye,)),
-            (clamp_psd, (psd,)),
+            (lambda a: psd_spectrum(a)[0], (psd,)),
             (spd_inverse, (spd,)),
             (solve_sylvester_velocity, (spd, xi)),
         ):
@@ -271,7 +271,7 @@ class TestStacks:
         with pytest.raises(NotPSDError, match="atom at point 'b'"):
             psd_sqrt(stack, labels=("a", "b", "c"))
         with pytest.raises(NotPSDError, match="atom at point 'b'"):
-            clamp_psd(stack[None], labels=("a", "b", "c"))
+            psd_spectrum(stack[None], labels=("a", "b", "c"))
         stack[2, 0, 1] = 0.5
         with pytest.raises(NotHermitianError, match=r"atom at point 'c' is not Hermitian: entry \(0, 1\)"):
             check_hermitian(stack, labels=("a", "b", "c"))

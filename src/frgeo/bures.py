@@ -16,19 +16,17 @@ import numpy as np
 
 from .exceptions import NotUnitTraceError
 from .hpsd import (
+    RANK_RTOL,
     hermitian_part,
-    is_positive_definite,
     psd_spectrum,
     psd_sqrt,
     real_embedding,
     solve_sylvester_eigh,
-    spectral_rank,
     zero_floor,
 )
 from .optim import lbfgs, time_preconditioner
 
 UNIT_TRACE_TOL = 1e-9
-GEODESIC_REG_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,8 @@ class FiberGeodesic:
 
     ``points[k]`` is the matrix (or stack) at ``times[k]``; ``velocities[k]``
     solves the continuity equation at that sample where the point is
-    nonsingular, and is None otherwise. ``meta`` records solver details
-    (regularization shift, convergence, ...); closed-form paths leave it empty.
+    nonsingular, and is None otherwise. ``meta`` records solver details (the
+    dynamical solver's ``mode``); closed-form paths leave it empty.
     """
 
     a0: np.ndarray
@@ -133,7 +131,7 @@ def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> Fib
     points, y_t, dy = geodesic_factors(r0, y1, ts)
     rates = 2.0 * hermitian_part(dy @ np.conj(np.swapaxes(y_t, -1, -2)))
     w, v = np.linalg.eigh(points)
-    definite = np.all(spectral_rank(w) == points.shape[-1], axis=-1)
+    definite = np.all(zero_floor(w)[..., 0] > 0.0, axis=-1)
     us = np.zeros_like(points)
     us[definite] = solve_sylvester_eigh(w[definite], v[definite], rates[definite])
     velocities = tuple(u if ok else None for u, ok in zip(us, definite))
@@ -206,7 +204,11 @@ def dynamical_bures_solver(
     shared L-BFGS routine (:func:`frgeo.optim.lbfgs`) descends on the factors
     along :func:`_factor_gradient`, preconditioned in time, from the square
     roots of the straight line (independent of the polar construction on
-    purpose). Singular inputs are shifted by ``1e-8 * max(tr a0, tr a1)``.
+    purpose). Nothing is shifted: it solves on the range ``Q`` of ``a0 + a1``
+    at the grid's resolution, the eigenvectors with eigenvalues above
+    ``2 N^2 RANK_RTOL`` of the largest (none is the apex), so the midpoints
+    stay definite when the ends share a kernel, or nearly do. The path is
+    lifted by ``Q . Q*``; lighter directions stay out of the action.
     """
     if n_steps < 8:
         raise ValueError(f"n_steps must be at least 8, got {n_steps}")
@@ -214,32 +216,31 @@ def dynamical_bures_solver(
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     a0 = psd_spectrum(np.asarray(a0, dtype=complex))[0]
     a1 = psd_spectrum(np.asarray(a1, dtype=complex))[0]
-    d = a0.shape[0]
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    scale = max(float(np.real(np.trace(a0))), float(np.real(np.trace(a1))))
-    if scale <= 0.0:
-        zeros = np.zeros((n_steps + 1, d, d), dtype=complex)
+    w, q = np.linalg.eigh(a0 + a1)
+    # From an end singular in a direction of weight w, the first midpoint
+    # weighs about dt^2 w / 2 there, which must pass the rank rule.
+    q = q[:, w > 2.0 * n_steps**2 * RANK_RTOL * max(w[-1], 0.0)]
+    if q.shape[1] == 0:
+        zeros = np.zeros((n_steps + 1,) + a0.shape, dtype=complex)
         path = FiberGeodesic(a0, a1, times, zeros, tuple([None] * (n_steps + 1)), {"mode": "apex"})
         return BuresActionResult(0.0, path, True, 0, "gradient_tol")
-    delta = 0.0
-    if not (is_positive_definite(a0) and is_positive_definite(a1)):
-        delta = GEODESIC_REG_SCALE * scale
-        a0 = a0 + delta * np.eye(d)
-        a1 = a1 + delta * np.eye(d)
-
+    qh = np.conj(q.T)
+    b0, b1 = hermitian_part(qh @ np.stack([a0, a1]) @ q)
     dt = 1.0 / n_steps
 
     def action(fac):
-        nodes = np.concatenate([a0[None], fac @ np.conj(np.swapaxes(fac, -1, -2)), a1[None]])
+        nodes = np.concatenate([b0[None], fac @ np.conj(np.swapaxes(fac, -1, -2)), b1[None]])
         value, us = _step_velocities(nodes, dt)
         return value, (nodes, us)
 
-    factors = psd_sqrt(a0 + times[1:-1, None, None] * (a1 - a0))
+    factors = psd_sqrt(b0 + times[1:-1, None, None] * (b1 - b0))
     res = lbfgs(
         action, lambda fac, aux: _factor_gradient(fac, aux[1], dt), factors, *action(factors),
         max_iters=max_iters, precondition=time_preconditioner(n_steps),
     )
-    nodes, us = res.aux
+    nodes, us = (hermitian_part(q @ x @ qh) for x in res.aux)
+    nodes[0], nodes[-1] = a0, a1
     velocities = tuple(us[min(k, n_steps - 1)] for k in range(n_steps + 1))
-    path = FiberGeodesic(a0, a1, times, nodes, velocities, {"mode": "dynamical", "delta": delta})
+    path = FiberGeodesic(a0, a1, times, nodes, velocities, {"mode": "dynamical"})
     return BuresActionResult(res.f, path, res.converged, res.iterations, res.stop_reason)

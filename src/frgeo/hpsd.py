@@ -94,21 +94,6 @@ def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (v * values[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def spectral_rank(w: np.ndarray) -> np.ndarray:
-    """Ranks from eigenvalues ``(..., d)``: the nonzero :func:`zero_floor` ones."""
-    return np.count_nonzero(zero_floor(w), axis=-1)
-
-
-def psd_rank(a: np.ndarray) -> int:
-    """Rank of a PSD matrix, counting eigenvalues above ``1e-12 * lambda_max``."""
-    return int(spectral_rank(np.linalg.eigvalsh(a)))
-
-
-def is_positive_definite(a: np.ndarray) -> bool:
-    """True when every eigenvalue exceeds ``1e-12 * lambda_max``."""
-    return psd_rank(a) == a.shape[-1]
-
-
 def _check_nonsingular(w: np.ndarray, what: str) -> None:
     """Raise :class:`SingularMatrixError` when a matrix of ascending eigenvalues ``w`` is singular."""
     singular = zero_floor(w)[..., 0] == 0.0
@@ -131,15 +116,17 @@ def psd_spectrum(a: np.ndarray, floor: float = PSD_CLAMP_FLOOR, labels=None):
 
 
 def _check_psd_floor(w: np.ndarray, floor: float, labels) -> np.ndarray:
-    """Raise :class:`NotPSDError` naming the matrix lowest below ``floor``
-    given ascending eigenvalues ``w``; else return which matrices dip below 0."""
-    lam_min = w[..., 0] if w.size else np.zeros(w.shape[:-1])
+    """Raise :class:`NotPSDError` naming the matrix lowest below ``floor``, or
+    the first with a non-finite eigenvalue (from a non-finite entry), given
+    eigenvalues ``w``; else return which matrices dip below 0."""
+    lam_min = w.min(axis=-1) if w.size else np.zeros(w.shape[:-1])
     worst = float(lam_min.min()) if lam_min.size else 0.0
-    if worst < floor:
-        where = "minimum eigenvalue"
+    if not worst >= floor:
+        where = "matrix"
         if labels is not None and lam_min.ndim:
-            where = f"atom at point '{labels[int(np.argmin(lam_min)) % len(labels)]}' has {where}"
-        raise NotPSDError(f"{where} {worst:.3e} below PSD floor {floor:.1e}")
+            where = f"atom at point '{labels[int(np.argmin(lam_min)) % len(labels)]}'"
+        low = f"minimum eigenvalue {worst:.3e} below PSD floor {floor:.1e}"
+        raise NotPSDError(f"{where} has {low if np.isfinite(worst) else 'a non-finite eigenvalue'}")
     return lam_min < 0.0
 
 

@@ -177,7 +177,7 @@ def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) 
     identity, which bounds their Fisher information. Requires finite
     endpoint entropies; with ``epsilon = 0`` the path is returned unchanged.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     _check_endpoint_entropies(path.slices[0], path.slices[-1], lam)
     return path if epsilon == 0.0 else _heat_flow_perturbation(path, lam, epsilon)
@@ -323,8 +323,8 @@ def gaussian_bridge_oracle(a0: np.ndarray, a1: np.ndarray, epsilon: float, ts) -
         raise FRGeoError("the Gaussian oracle handles real SPD matrices only")
     a0, a1 = (np.asarray(np.real(a), dtype=float) for a in (a0, a1))
     a0, a1 = (a0 + a0.T) / 2.0, (a1 + a1.T) / 2.0
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     inv_a0 = spd_inverse(np.stack([a0, a1]))[0]  # both marginals must be definite
     sigma_sq = 2.0 * epsilon
     root = psd_sqrt(a0)

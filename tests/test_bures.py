@@ -12,9 +12,9 @@ from frgeo.bures import (
     spherical_bures,
 )
 from frgeo.exceptions import NotPSDError, NotUnitTraceError
-from frgeo.hpsd import frobenius_inner, psd_sqrt
+from frgeo.hpsd import frobenius_inner, hermitian_part, psd_sqrt
 from frgeo.optim import lbfgs
-from frgeo.testing import random_complex, random_density, random_psd, random_spd
+from frgeo.testing import random_complex, random_density, random_hermitian, random_psd, random_spd
 
 
 class TestBuresDistanceSq:
@@ -268,6 +268,91 @@ class TestDynamicalSolver:
             errs.append(abs(res.value - closed) / closed)
         assert errs[0] <= 0.05
         assert errs[1] <= 0.6 * errs[0]
+
+    def test_singular_ends_pinned_exactly(self, rng):
+        # The end nodes are the clamped inputs themselves, not a shifted copy.
+        pairs = [
+            (random_psd(rng, 2, rank=1), random_spd(rng, 2)),
+            (np.zeros((2, 2), dtype=complex), random_psd(rng, 2, rank=1)),
+            (random_psd(rng, 2, rank=1), random_psd(rng, 2, rank=1)),
+        ]
+        for a0, a1 in pairs:
+            res = dynamical_bures_solver(a0, a1, 16)
+            assert res.converged
+            assert res.path.meta == {"mode": "dynamical"}
+            path = res.path
+            assert np.array_equal(path.points[0], path.a0) and np.array_equal(path.points[-1], path.a1)
+            tr = max(np.real(np.trace(a0)), np.real(np.trace(a1)))
+            assert np.abs(path.a0 - a0).max() <= 1e-14 * tr
+            assert np.abs(path.a1 - a1).max() <= 1e-14 * tr
+
+    def test_shared_kernel_solved_on_the_range(self, rng):
+        # Rank-2 ends in d = 3 with a common kernel vector v: every node keeps
+        # v in its kernel, and the error is second order as for definite ends.
+        q = np.linalg.eigh(random_hermitian(rng, 3)).eigenvectors
+        a0, a1 = (hermitian_part(q[:, :2] @ random_spd(rng, 2) @ np.conj(q[:, :2].T)) for _ in range(2))
+        v = q[:, 2]
+        closed = bures_distance_sq(a0, a1)
+        errs = []
+        for n_steps in (16, 64):
+            res = dynamical_bures_solver(a0, a1, n_steps)
+            assert res.converged
+            leak = np.abs(np.conj(v) @ res.path.points @ v)
+            assert leak.max() <= 1e-14 * np.real(np.trace(a0 + a1))
+            errs.append(abs(res.value - closed))
+        assert errs[1] <= 0.1 * errs[0]
+
+    @pytest.mark.parametrize("weight", [1e-11, 1e-9, 1e-7])
+    def test_light_direction_in_a_kernel(self, rng, weight):
+        # a1 is light along a0's kernel: 1e-11 passes the rank rule, but the
+        # grid's first midpoint, about dt^2 / 2 of it, does not. The solve
+        # leaves such a direction out rather than failing on it.
+        q = np.linalg.eigh(random_hermitian(rng, 3)).eigenvectors
+        a0 = hermitian_part((q * [1.0, 0.5, 0.0]) @ np.conj(q.T))
+        a1 = hermitian_part((q * [0.3, 0.8, weight]) @ np.conj(q.T))
+        closed = bures_distance_sq(a0, a1)
+        for n_steps in (16, 64):
+            res = dynamical_bures_solver(a0, a1, n_steps)
+            assert res.converged
+            assert abs(res.value - closed) <= 1e-3 * closed
+
+    def test_nearly_shared_kernel(self, rng):
+        # Rank-2 ends in d = 3 whose kernels differ by 1e-5 rad: a0 + a1 weighs
+        # about 1e-10 along them, which the rank rule resolves and the grid,
+        # whose first midpoints weigh dt^2 / 2 of it, does not.
+        q = np.linalg.eigh(random_hermitian(rng, 3)).eigenvectors
+        c, s = np.cos(1e-5), np.sin(1e-5)
+        tilted = q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        a0 = hermitian_part((q * [1.0, 0.5, 0.0]) @ np.conj(q.T))
+        a1 = hermitian_part((tilted * [0.3, 0.8, 0.0]) @ np.conj(tilted.T))
+        closed = bures_distance_sq(a0, a1)
+        for n_steps in (16, 64):
+            res = dynamical_bures_solver(a0, a1, n_steps)
+            assert res.converged
+            assert abs(res.value - closed) <= 1e-3 * closed
+
+    def test_apex(self):
+        zero = np.zeros((2, 2), dtype=complex)
+        res = dynamical_bures_solver(zero, zero, 8)
+        assert (res.value, res.converged, res.iterations) == (0.0, True, 0)
+        assert res.path.meta == {"mode": "apex"}
+        assert not res.path.points.any()
+
+    @pytest.mark.parametrize("entry", [(0, 0, np.nan), (0, 1, np.inf)])
+    def test_non_finite_input_is_not_psd(self, rng, entry):
+        # NaN fails every comparison, so the PSD floor tests for membership.
+        r, c, value = entry
+        bad = np.eye(2, dtype=complex)
+        bad[r, c] = bad[c, r] = value
+        good = random_spd(rng, 2)
+        for f in (
+            psd_sqrt,
+            lambda a: bures_distance_sq(a, good),
+            lambda a: bures_geodesic(a, good, [0.0, 0.5, 1.0]),
+            lambda a: dynamical_bures_solver(good, a, 8),
+        ):
+            with pytest.raises(NotPSDError, match="non-finite"):
+                f(bad)
 
     def test_iterations_flat_in_grid_size(self, rng):
         # Preconditioned in time, a solve takes a handful of iterations at

@@ -422,6 +422,14 @@ class TestSweepAndConvexity:
         slacks = [float(l.split(",")[3]) for l in lines[1:]]
         assert all(s >= -1e-6 for s in slacks)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0.25,nan,0.75"])
+    def test_convexity_non_finite_theta_exit_3(self, workdir, capsys, grid):
+        out = os.path.join(workdir["dir"], "conv.csv")
+        assert main(["convexity", workdir["g0"], workdir["g1"], "--theta-grid", grid, "--out", out]) == 3
+        assert "times must" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestSelftestCommand:
     def test_deterministic_and_exit_codes(self, capsys):

@@ -23,6 +23,7 @@ from frgeo.fisher_rao import (
     fisher_rao_geodesic,
     hellinger_distance_sq,
     hellinger_geodesic,
+    hellinger_geodesic_points,
     mass_interpolation_values,
     metric_speed,
     path_masses,
@@ -662,6 +663,21 @@ class TestMeasurePathValidation:
         g = random_probability_measure(rng, 1, 2)
         with pytest.raises(FRGeoError):
             MeasurePath(np.array([0.0, 1.5]), (g, g))
+
+    def test_nan_time_rejected(self, rng):
+        g = random_probability_measure(rng, 1, 2)
+        with pytest.raises(FRGeoError, match=r"times must be strictly increasing, got \[0.0, nan, 1.0\]"):
+            MeasurePath(np.array([0.0, np.nan, 1.0]), (g, g, g))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic, hellinger_geodesic_points])
+    @pytest.mark.parametrize("ts", [[0.0, np.nan, 1.0], [np.nan], [0.5, np.inf]])
+    def test_geodesics_check_times_first(self, rng, geodesic, ts):
+        # The time check runs before any arithmetic, so no warning precedes it.
+        sup = make_support(2)
+        g0, g1 = (random_probability_measure(rng, 2, 2, support=sup) for _ in range(2))
+        with pytest.raises(FRGeoError, match="times must"):
+            geodesic(g0, g1, ts)
 
     def test_metric_axioms(self, rng):
         # Symmetry / triangle / indiscernibility for both path metrics.

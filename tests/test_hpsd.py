@@ -16,7 +16,6 @@ from frgeo.hpsd import (
     frobenius_norm,
     hermitian_part,
     logdet,
-    psd_rank,
     psd_spectrum,
     psd_sqrt,
     real_embedding,
@@ -215,11 +214,6 @@ class TestHelpers:
         a = random_spd(rng, 3)
         assert np.allclose(spd_inverse(a) @ a, np.eye(3), atol=1e-10)
 
-    def test_psd_rank(self, rng):
-        a = random_psd(rng, 4, rank=2)
-        assert psd_rank(a) == 2
-        assert psd_rank(np.zeros((3, 3))) == 0
-
 
 class TestRankRule:
     """One relative rank rule: whether a matrix counts as singular does not
@@ -275,3 +269,8 @@ class TestStacks:
         stack[2, 0, 1] = 0.5
         with pytest.raises(NotHermitianError, match=r"atom at point 'c' is not Hermitian: entry \(0, 1\)"):
             check_hermitian(stack, labels=("a", "b", "c"))
+        # NaN fails every comparison; its eigenvalues must still fail the floor.
+        stack[1] = np.eye(2)
+        stack[1, 1, 1] = np.nan
+        with pytest.raises(NotPSDError, match="atom at point 'b' has a non-finite eigenvalue"):
+            psd_sqrt(stack, labels=("a", "b", "c"))

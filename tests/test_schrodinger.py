@@ -161,6 +161,12 @@ class TestRecoverySequence:
         path = fisher_rao_geodesic(g0, g1, np.linspace(0, 1, 9))
         assert recovery_sequence(path, lam, 0.0) is path
 
+    def test_nan_temperature_rejected(self, rng):
+        g0, g1, lam = finite_entropy_pair(rng)
+        path = fisher_rao_geodesic(g0, g1, np.linspace(0, 1, 9))
+        with pytest.raises(ValueError, match="epsilon must be nonnegative, got nan"):
+            recovery_sequence(path, lam, math.nan)
+
     def test_equilibrium_fixed(self):
         lam = uniform_reference(make_support(2), 2)
         eq = reference_identity(lam)
@@ -580,6 +586,12 @@ class TestGaussianOracle:
     def test_rejects_singular_marginal(self):
         with pytest.raises(SingularMatrixError):
             gaussian_bridge_oracle(np.eye(2), np.diag([1.0, 0.0]), 0.1, [0.5])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf])
+    def test_rejects_bad_temperature(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            gaussian_bridge_oracle(np.eye(2), np.eye(2), epsilon, [0.5])
 
     def test_rejects_complex_input(self, rng):
         a = np.eye(2) + 1j * np.array([[0.0, 0.5], [-0.5, 0.0]])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NotUnitTraceError
+from .exceptions import FRGeoError, NotUnitTraceError
 from .hpsd import (
     RANK_RTOL,
     hermitian_part,
@@ -24,9 +24,10 @@ from .hpsd import (
     solve_sylvester_eigh,
     zero_floor,
 )
-from .optim import lbfgs, time_preconditioner
+from .optim import lbfgs
 
 UNIT_TRACE_TOL = 1e-9
+MAX_ITERS = 20000  # iteration budget of the dynamical solver
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,17 @@ class BuresActionResult:
     converged: bool
     iterations: int
     stop_reason: str
+
+
+def check_times(ts) -> np.ndarray:
+    """``ts`` as a float array, else :class:`FRGeoError` unless the times
+    increase strictly within ``[0, 1]``; NaN fails both tests."""
+    times = np.asarray(ts, dtype=float)
+    if not np.all(np.diff(times) > 0.0):
+        raise FRGeoError(f"times must be strictly increasing, got {times.tolist()}")
+    if times.size and not (times[0] >= -1e-12 and times[-1] <= 1.0 + 1e-12):
+        raise FRGeoError(f"times must lie within [0, 1], got {times.tolist()}")
+    return times
 
 
 def bures_distance_sq_stack(a0: np.ndarray, a1: np.ndarray, labels=None) -> np.ndarray:
@@ -125,7 +137,9 @@ def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> Fib
 
     ``points[k]`` is the stack at ``ts[k]``; ``velocities[k]`` is the stack
     of fiber velocities when every fiber point there is definite, else None.
+    Times must increase strictly within ``[0, 1]`` (:func:`check_times`).
     """
+    ts = check_times(ts)
     a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
     r0, y1, _ = polar_endpoints(a0, a1, labels)
     points, y_t, dy = geodesic_factors(r0, y1, ts)
@@ -135,7 +149,7 @@ def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> Fib
     us = np.zeros_like(points)
     us[definite] = solve_sylvester_eigh(w[definite], v[definite], rates[definite])
     velocities = tuple(u if ok else None for u, ok in zip(us, definite))
-    return FiberGeodesic(a0, a1, np.asarray(ts, dtype=float), points, velocities)
+    return FiberGeodesic(a0, a1, ts, points, velocities)
 
 
 def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts) -> FiberGeodesic:
@@ -191,29 +205,23 @@ def _factor_gradient(factors: np.ndarray, us: np.ndarray, dt: float) -> np.ndarr
     return 2.0 * h @ factors
 
 
-def dynamical_bures_solver(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    n_steps: int,
-    max_iters: int = 20000,
-) -> BuresActionResult:
+def dynamical_bures_solver(a0: np.ndarray, a1: np.ndarray, n_steps: int) -> BuresActionResult:
     """Minimize the discretized kinetic action over paths joining ``a0, a1``.
 
     Both endpoints are pinned and the interior nodes are ``A_k = C_k C_k*``,
     so every path is PSD and joins ``a0`` to ``a1`` exactly. One run of the
-    shared L-BFGS routine (:func:`frgeo.optim.lbfgs`) descends on the factors
-    along :func:`_factor_gradient`, preconditioned in time, from the square
-    roots of the straight line (independent of the polar construction on
-    purpose). Nothing is shifted: it solves on the range ``Q`` of ``a0 + a1``
-    at the grid's resolution, the eigenvectors with eigenvalues above
-    ``2 N^2 RANK_RTOL`` of the largest (none is the apex), so the midpoints
-    stay definite when the ends share a kernel, or nearly do. The path is
-    lifted by ``Q . Q*``; lighter directions stay out of the action.
+    shared L-BFGS routine (:func:`frgeo.optim.lbfgs`, at most ``MAX_ITERS``
+    iterations) descends on the factors along :func:`_factor_gradient`,
+    preconditioned in time, from the square roots of the straight line
+    (independent of the polar construction on purpose). Nothing is shifted:
+    it solves on the range ``Q`` of ``a0 + a1`` at the grid's resolution, the
+    eigenvectors with eigenvalues above ``2 N^2 RANK_RTOL`` of the largest
+    (none is the apex), so the midpoints stay definite when the ends share a
+    kernel, or nearly do. The path is lifted by ``Q . Q*``; lighter
+    directions stay out of the action.
     """
     if n_steps < 8:
         raise ValueError(f"n_steps must be at least 8, got {n_steps}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     a0 = psd_spectrum(np.asarray(a0, dtype=complex))[0]
     a1 = psd_spectrum(np.asarray(a1, dtype=complex))[0]
     times = np.linspace(0.0, 1.0, n_steps + 1)
@@ -236,8 +244,7 @@ def dynamical_bures_solver(
 
     factors = psd_sqrt(b0 + times[1:-1, None, None] * (b1 - b0))
     res = lbfgs(
-        action, lambda fac, aux: _factor_gradient(fac, aux[1], dt), factors, *action(factors),
-        max_iters=max_iters, precondition=time_preconditioner(n_steps),
+        action, lambda fac, aux: _factor_gradient(fac, aux[1], dt), factors, *action(factors), max_iters=MAX_ITERS
     )
     nodes, us = (hermitian_part(q @ x @ qh) for x in res.aux)
     nodes[0], nodes[-1] = a0, a1

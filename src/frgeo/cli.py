@@ -116,6 +116,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"steps must be at least 1, got {args.steps}")
     g0 = _load_measure(args.g0)
     g1 = _load_measure(args.g1)
     lam = _load_reference(args.reference, g0)
@@ -201,7 +203,7 @@ def _cmd_convexity(args) -> int:
     g1 = _load_measure(args.g1)
     lam = _load_reference(args.reference, g0)
     thetas = _parse_floats(args.theta_grid, "theta grid")
-    rows = convexity_experiment(g0, g1, lam, thetas, check=False)
+    rows = convexity_experiment(g0, g1, lam, thetas)
     table = [(theta, lhs, rhs, rhs - lhs) for theta, lhs, rhs in rows]
     fio.write_csv(args.out, ["theta", "entropy_lhs", "bound_rhs", "slack"], table)
     worst = min(rhs - lhs for _, lhs, rhs in rows)
@@ -265,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g1")
     p.add_argument("--reference", default=None)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--steps", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--steps", type=int, default=SchrodingerConfig.n_steps)
+    p.add_argument("--max-iters", type=int, default=SchrodingerConfig.max_iters)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_bridge)
 

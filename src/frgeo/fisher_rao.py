@@ -47,7 +47,7 @@ class MeasurePath:
         object.__setattr__(self, "slices", tuple(self.slices))
         if times.ndim != 1 or len(times) != len(self.slices):
             raise FRGeoError("times and slices must have matching lengths")
-        check_times(times)
+        bures.check_times(times)
         for g in self.slices[1:]:
             check_same_support(self.slices[0], g)
         if self.velocities is not None and len(self.velocities) != len(self.slices):
@@ -56,17 +56,6 @@ class MeasurePath:
     @property
     def n_slices(self) -> int:
         return len(self.slices)
-
-
-def check_times(ts) -> np.ndarray:
-    """``ts`` as a float array, else :class:`FRGeoError` unless the times
-    increase strictly within ``[0, 1]``; NaN fails both tests."""
-    times = np.asarray(ts, dtype=float)
-    if not np.all(np.diff(times) > 0.0):
-        raise FRGeoError(f"times must be strictly increasing, got {times.tolist()}")
-    if times.size and not (times[0] >= -1e-12 and times[-1] <= 1.0 + 1e-12):
-        raise FRGeoError(f"times must lie within [0, 1], got {times.tolist()}")
-    return times
 
 
 def hellinger_distance_sq(g0: MatrixMeasure, g1: MatrixMeasure) -> float:
@@ -119,7 +108,6 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     The resulting path moves at constant Hellinger speed. Per-slice
     velocities are attached whenever every fiber admits one.
     """
-    ts = check_times(ts)
     check_same_support(g0, g1)
     geo = bures.bures_geodesic_stack(g0.atoms, g1.atoms, ts, g0.support.point_ids)
     slices = tuple(g0.with_atoms(atoms) for atoms in geo.points)
@@ -130,7 +118,7 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
 def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """The slices of :func:`hellinger_geodesic` without its velocities: one
     polar SVD (:func:`~frgeo.bures.polar_endpoints`) and no velocity step."""
-    ts = check_times(ts)
+    ts = bures.check_times(ts)
     check_same_support(g0, g1)
     r0, y1, _ = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
     points = bures.geodesic_factors(r0, y1, ts)[0]
@@ -162,7 +150,7 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     underlying cone geodesic passes through the apex. ``meta["distance"]`` is
     ``d_FR(G_0, G_1)``.
     """
-    ts = check_times(ts)
+    ts = bures.check_times(ts)
     check_probability(g0, "first measure")
     check_probability(g1, "second measure")
     check_same_support(g0, g1)

@@ -4,6 +4,8 @@ projections and the complex-to-real embedding.
 Every matrix function here runs through a single eigendecomposition backend
 (`numpy.linalg.eigh`) so that the tolerance policy lives in one place:
 
+* a matrix is Hermitian when no entry deviates from its mirror by more than
+  ``1e-9``,
 * eigenvalues in ``[-1e-10, 0)`` are clamped to zero when validating PSD-ness,
 * one rank rule, :func:`zero_floor`, for every rank and singularity decision:
   eigenvalues at most ``1e-12 * lambda_max`` of their own matrix are zero, and
@@ -30,7 +32,7 @@ from .exceptions import (
     SingularMatrixError,
 )
 
-HERMITIAN_ATOL = 1e-12
+HERMITIAN_ATOL = 1e-9
 PSD_CLAMP_FLOOR = -1e-10
 RANK_RTOL = 1e-12
 
@@ -47,13 +49,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
 
 
-def check_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL, labels=None) -> None:
-    """Raise :class:`NotHermitianError` naming the worst offending entry, and
+def check_hermitian(a: np.ndarray, labels=None) -> None:
+    """Raise :class:`NotHermitianError` when an entry deviates from its mirror
+    by more than ``HERMITIAN_ATOL``, naming the worst offending entry, and
     the matrix holding it by its label when ``labels`` is given. A non-finite
     entry fails too, named as such: its deviation is NaN or infinite."""
     dev = np.abs(a - np.conj(np.swapaxes(a, -1, -2)))
     worst = float(dev.max()) if dev.size else 0.0
-    if worst <= atol:
+    if worst <= HERMITIAN_ATOL:
         return
     bad = ~np.isfinite(a)
     idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad if bad.any() else dev)), dev.shape))
@@ -63,7 +66,7 @@ def check_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL, labels=None) ->
     if bad.any():
         raise NotHermitianError(f"{label} has a non-finite entry at {idx}")
     raise NotHermitianError(
-        f"{label} is not Hermitian: entry {idx} deviates by {worst:.3e} (tolerance {atol:.1e})"
+        f"{label} is not Hermitian: entry {idx} deviates by {worst:.3e} (tolerance {HERMITIAN_ATOL:.1e})"
     )
 
 
@@ -102,32 +105,26 @@ def _check_nonsingular(w: np.ndarray, what: str) -> None:
         raise SingularMatrixError(f"{what} is singular: eigenvalue {lo:.3e} at or below {RANK_RTOL:.0e} * lambda_max {hi:.3e}")
 
 
-def psd_spectrum(a: np.ndarray, floor: float = PSD_CLAMP_FLOOR, labels=None):
+def psd_spectrum(a: np.ndarray, labels=None):
     """One checked decomposition of a PSD matrix or stack: ``(clamped,
-    eigenvalues, eigenvectors)``, with eigenvalues in ``[floor, 0)`` clamped
-    to zero in both. :class:`NotPSDError` names the matrix lowest below
-    ``floor``."""
+    eigenvalues, eigenvectors)``, with eigenvalues in ``[PSD_CLAMP_FLOOR, 0)``
+    clamped to zero in both. :class:`NotPSDError` names the matrix lowest
+    below the floor, or the first with a non-finite eigenvalue (from a
+    non-finite entry)."""
     w, v = np.linalg.eigh(a)
-    negative = _check_psd_floor(w, floor, labels)
+    lam_min = w.min(axis=-1) if w.size else np.zeros(w.shape[:-1])
+    worst = float(lam_min.min()) if lam_min.size else 0.0
+    if not worst >= PSD_CLAMP_FLOOR:
+        where = "matrix"
+        if labels is not None and lam_min.ndim:
+            where = f"atom at point '{labels[int(np.argmin(lam_min)) % len(labels)]}'"
+        low = f"minimum eigenvalue {worst:.3e} below PSD floor {PSD_CLAMP_FLOOR:.1e}"
+        raise NotPSDError(f"{where} has {low if np.isfinite(worst) else 'a non-finite eigenvalue'}")
+    negative = lam_min < 0.0
     clipped = np.clip(w, 0.0, None)
     if negative.any():
         a = np.where(negative[..., None, None], hermitian_part(from_spectrum(v, clipped)), a)
     return a, clipped, v
-
-
-def _check_psd_floor(w: np.ndarray, floor: float, labels) -> np.ndarray:
-    """Raise :class:`NotPSDError` naming the matrix lowest below ``floor``, or
-    the first with a non-finite eigenvalue (from a non-finite entry), given
-    eigenvalues ``w``; else return which matrices dip below 0."""
-    lam_min = w.min(axis=-1) if w.size else np.zeros(w.shape[:-1])
-    worst = float(lam_min.min()) if lam_min.size else 0.0
-    if not worst >= floor:
-        where = "matrix"
-        if labels is not None and lam_min.ndim:
-            where = f"atom at point '{labels[int(np.argmin(lam_min)) % len(labels)]}'"
-        low = f"minimum eigenvalue {worst:.3e} below PSD floor {floor:.1e}"
-        raise NotPSDError(f"{where} has {low if np.isfinite(worst) else 'a non-finite eigenvalue'}")
-    return lam_min < 0.0
 
 
 def zero_floor(w: np.ndarray) -> np.ndarray:

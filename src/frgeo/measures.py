@@ -26,7 +26,6 @@ from .hpsd import check_hermitian, hermitian_part
 
 SPHERE_MASS_TOL = 1e-8
 ZERO_TRACE_FLOOR = 1e-14
-ATOM_HERMITIAN_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,9 @@ class Support:
         return len(self.point_ids)
 
 
-def make_support(n: int, prefix: str = "p") -> Support:
+def make_support(n: int) -> Support:
     """Support with labels ``p1 .. pn``."""
-    return Support(tuple(f"{prefix}{i + 1}" for i in range(n)))
+    return Support(tuple(f"p{i + 1}" for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,8 @@ class MatrixMeasure:
     """Finitely supported measure with Hermitian matrix atoms.
 
     ``atoms`` has shape ``(n, d, d)``; a zero atom is allowed. Atoms are
-    hermitized on construction, after a symmetry check at 1e-9 whose
+    hermitized on construction, after the symmetry check of
+    :func:`~frgeo.hpsd.check_hermitian` (tolerance 1e-9), whose
     :class:`NotHermitianError` names the atom's point and the entry, so that
     downstream spectral calls never see asymmetric round-off.
     """
@@ -73,7 +73,7 @@ class MatrixMeasure:
             raise SupportMismatchError(
                 f"{atoms.shape[0]} atoms for {self.support.n} support points"
             )
-        check_hermitian(atoms, atol=ATOM_HERMITIAN_ATOL, labels=self.support.point_ids)
+        check_hermitian(atoms, labels=self.support.point_ids)
         object.__setattr__(self, "atoms", hermitian_part(atoms))
 
     @property
@@ -191,27 +191,15 @@ def trace_density(g: MatrixMeasure, i: int) -> np.ndarray:
     return g.atoms[i] / tr
 
 
-def lebesgue_split(
-    g: MatrixMeasure, lam: "ReferenceMeasure | np.ndarray"
-) -> tuple[MatrixMeasure, MatrixMeasure]:
-    """Split into the part carried by ``weights > 0`` and the rest.
+def lebesgue_split(g: MatrixMeasure, lam: ReferenceMeasure) -> tuple[MatrixMeasure, MatrixMeasure]:
+    """Split into the part carried by the reference's ``weights > 0`` and the
+    rest.
 
     The two parts sum back to ``g`` atomwise; on a finite support this is the
-    whole content of the Lebesgue decomposition against the reference. Only
-    the zero pattern of the weights matters, so a raw nonnegative weight
-    vector (e.g. all zeros, the fully singular case) is accepted in place of
-    a normalized :class:`ReferenceMeasure`.
+    whole content of the Lebesgue decomposition against the reference.
     """
-    if isinstance(lam, ReferenceMeasure):
-        check_reference_support(g, lam)
-        weights = lam.weights
-    else:
-        weights = np.asarray(lam, dtype=float)
-        if weights.shape != (g.n,):
-            raise SupportMismatchError(
-                f"weight vector has shape {weights.shape}, expected ({g.n},)"
-            )
-    pos = weights > 0.0
+    check_reference_support(g, lam)
+    pos = lam.weights > 0.0
     ac = np.where(pos[:, None, None], g.atoms, 0.0)
     sing = np.where(pos[:, None, None], 0.0, g.atoms)
     return g.with_atoms(ac), g.with_atoms(sing)

@@ -8,15 +8,15 @@ Every accepted step strictly decreases the objective.
 
 This module owns the one step and stop policy of both solvers (the
 dynamical Bures action and the Schrödinger bridge); a caller passes only
-its problem, an iteration budget and its initial inverse Hessian ``H0``.
-Both solvers descend on a stack of interior slices whose kinetic term is a
-second difference in time, so both pass :func:`time_preconditioner`, the
-inverse of the time Laplacian: a Sobolev (H¹-in-time) gradient (Neuberger,
-*Sobolev Gradients and Differential Equations*, LNM 1670, 1997) that keeps
-the iteration count flat in the number of time steps. Quasi-Newton steps
-start at ``t = 1``, steepest-descent steps ``-H0 g`` (the first, and after a
-memory reset) at ``STEP_INIT``, and backtracking multiplies ``t`` by
-``STEP_SHRINK``. A descent stops on ``gradient_tol`` (the dual norm
+its problem and an iteration budget. Both solvers descend on a stack of
+interior slices whose kinetic term is a second difference in time, so the
+stack fixes the initial inverse Hessian ``H0``: :func:`time_preconditioner`
+of its ``N - 1`` slices, the inverse of the time Laplacian, a Sobolev
+(H¹-in-time) gradient (Neuberger, *Sobolev Gradients and Differential
+Equations*, LNM 1670, 1997) that keeps the iteration count flat in the
+number of time steps. Quasi-Newton steps start at ``t = 1``,
+steepest-descent steps ``-H0 g`` (the first, and after a memory reset) at
+``STEP_INIT``, and backtracking multiplies ``t`` by ``STEP_SHRINK``. A descent stops on ``gradient_tol`` (the dual norm
 ``sqrt(g.H0 g)`` at most ``GRADIENT_RTOL * max(1, |f|)``), on ``stall`` (the
 line search failed at the round-off floor: the model decrease of its first
 trial was at most ``OBJECTIVE_RTOL * |f|``), on ``line_search_exhausted`` or
@@ -73,8 +73,8 @@ def time_preconditioner(n_steps: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def _direction(g: np.ndarray, pairs: list, h0: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``-H g`` for the inverse-Hessian estimate of the stored pairs, from
-    ``(s.y / y.H0 y) H0`` (Nocedal & Wright, §7.2); both solvers pass the
-    inverse time Laplacian as ``H0``, whose norm the stop test uses."""
+    ``(s.y / y.H0 y) H0`` (Nocedal & Wright, §7.2), with ``H0`` the inverse
+    time Laplacian of the stack, whose norm the stop test uses."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
@@ -95,10 +95,11 @@ def lbfgs(
     aux: Any,
     *,
     max_iters: int,
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> LbfgsResult:
-    """Minimize ``fun`` from ``x`` (with ``(f, aux) = fun(x)`` given) in at
-    most ``max_iters`` iterations, under the module's step and stop policy.
+    """Minimize ``fun`` over stacks shaped like ``x`` (``N - 1`` time slices
+    on the leading axis), from ``x`` with ``(f, aux) = fun(x)`` given, in at
+    most ``max_iters`` iterations, under the module's step and stop policy
+    with ``H0 = time_preconditioner(N)``.
 
     ``fun`` returns the objective and auxiliary data that ``grad(x, aux)``
     reuses; a non-finite objective rejects the trial step. Backtracking runs
@@ -107,11 +108,8 @@ def lbfgs(
     ``-t0 g.p / 2`` at the first trial ``t0`` was at most
     ``OBJECTIVE_RTOL * |f|``; otherwise a quasi-Newton one resets the memory
     and a steepest-descent one is ``line_search_exhausted``.
-
-    ``precondition`` applies the positive definite initial inverse Hessian
-    ``H0`` (default the identity) of the module's step and stop policy.
     """
-    h0 = precondition or (lambda v: v)
+    h0 = time_preconditioner(len(x) + 1)
     g = grad(x, aux)
     hg = h0(g)
     pairs: list = []

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bures import polar_residual
+from .bures import check_times, polar_residual
 from .entropy_flow import entropy, entropy_terms, heat_flow, slice_entropies
 from .exceptions import (
     AntipodalError,
@@ -59,7 +59,7 @@ from .measures import (
     check_same_support,
     tv_distance,
 )
-from .optim import lbfgs, time_preconditioner
+from .optim import lbfgs
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,6 @@ def solve_bridge(
         obj,
         fwd,
         max_iters=cfg.max_iters,
-        precondition=time_preconditioner(n_steps),
     )
     fwd = res.aux
     slices = [g0, *(g0.with_atoms(atoms) for atoms in fwd.slices[1:-1]), g1]
@@ -316,8 +315,10 @@ def gaussian_bridge_oracle(a0: np.ndarray, a1: np.ndarray, epsilon: float, ts) -
 
     where ``C + C^T + sigma^2 I`` is the symmetric part of
     ``a0^{1/2} D a0^{-1/2}``. A singular marginal raises
-    :class:`SingularMatrixError`.
+    :class:`SingularMatrixError`, and times that do not increase strictly
+    within ``[0, 1]`` raise :class:`FRGeoError` before any arithmetic.
     """
+    ts = check_times(ts)
     a0, a1 = np.asarray(a0), np.asarray(a1)
     if max(np.abs(np.imag(a0)).max(), np.abs(np.imag(a1)).max()) > 1e-12:
         raise FRGeoError("the Gaussian oracle handles real SPD matrices only")
@@ -330,7 +331,6 @@ def gaussian_bridge_oracle(a0: np.ndarray, a1: np.ndarray, epsilon: float, ts) -
     root = psd_sqrt(a0)
     d = psd_sqrt(4.0 * root @ a1 @ root + sigma_sq**2 * np.eye(a0.shape[0]))
     cross = hermitian_part(root @ d @ psd_sqrt(inv_a0))
-    ts = np.asarray(ts, dtype=float)
     t = ts[:, None, None]
     points = (1.0 - t) ** 2 * a0 + t**2 * a1 + t * (1.0 - t) * cross
     return GaussianBridgeResult(ts, points)
@@ -366,11 +366,11 @@ def gamma_sweep(
     g1: MatrixMeasure,
     lam: ReferenceMeasure,
     epsilons,
-    cfg: SchrodingerConfig | None = None,
+    cfg: SchrodingerConfig,
     jobs: int = 1,
 ) -> list[SweepRow]:
     """Solve the bridge along a descending temperature schedule, one cold
-    solve per row.
+    solve per row, each with ``cfg`` at the row's temperature.
 
     ``jobs`` only chooses where the rows run: in a pool of
     ``min(jobs, len(epsilons))`` processes when that is more than one, else
@@ -385,8 +385,6 @@ def gamma_sweep(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be strictly descending")
-    if cfg is None:
-        cfg = SchrodingerConfig(epsilon=epsilons[0])
     cfgs = [replace(cfg, epsilon=eps) for eps in epsilons]
     times = np.linspace(0.0, 1.0, cfg.n_steps + 1)
     row = partial(_sweep_row, g0, g1, lam, fisher_rao_geodesic(g0, g1, times))
@@ -405,13 +403,13 @@ def convexity_experiment(
     g1: MatrixMeasure,
     lam: ReferenceMeasure,
     thetas,
-    check: bool = True,
 ) -> list[tuple[float, float, float]]:
     """Entropy along the sphere geodesic against the strengthened chord bound
     ``(1 - theta) E0 + theta E1 - (1/4) theta (1 - theta) d_FR^2``.
 
-    Returns rows ``(theta, entropy_at_theta, bound)``; with ``check`` the
-    half-convexity inequality is asserted at tolerance 1e-6.
+    Returns rows ``(theta, entropy_at_theta, bound)`` in ascending ``theta``;
+    comparing them is the caller's job (``frgeo convexity`` fails on a slack
+    below -1e-6).
     """
     e0, e1 = entropy(g0, lam), entropy(g1, lam)
     if math.isinf(e0) or math.isinf(e1):
@@ -419,12 +417,7 @@ def convexity_experiment(
     thetas = sorted(float(t) for t in thetas)
     path = fisher_rao_geodesic(g0, g1, thetas)
     dfr_sq = path.meta["distance"] ** 2
-    rows = []
-    for theta, lhs in zip(thetas, slice_entropies(path.slices, lam)[0].tolist()):
-        rhs = (1.0 - theta) * e0 + theta * e1 - 0.25 * theta * (1.0 - theta) * dfr_sq
-        if check and lhs > rhs + 1e-6:
-            raise FRGeoError(
-                f"half-convexity violated at theta={theta}: entropy {lhs!r} > bound {rhs!r}"
-            )
-        rows.append((theta, lhs, rhs))
-    return rows
+    return [
+        (theta, lhs, (1.0 - theta) * e0 + theta * e1 - 0.25 * theta * (1.0 - theta) * dfr_sq)
+        for theta, lhs in zip(thetas, slice_entropies(path.slices, lam)[0].tolist())
+    ]

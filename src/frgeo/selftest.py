@@ -292,7 +292,7 @@ def _group_schrodinger(rng: np.random.Generator) -> list[str]:
     mid = schrodinger.gaussian_bridge_oracle(a, a, 0.3, [0.5]).points[0]
     bad.expect(float(np.linalg.eigvalsh(mid - a).min()) >= -1e-10, "entropic midpoint not inflated")
 
-    rows = schrodinger.convexity_experiment(g0, g1, lam, [0.25, 0.5, 0.75], check=False)
+    rows = schrodinger.convexity_experiment(g0, g1, lam, [0.25, 0.5, 0.75])
     for theta, lhs, rhs in rows:
         bad.expect(lhs <= rhs + 1e-6, f"half-convexity violated at theta={theta}")
     return bad

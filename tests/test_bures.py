@@ -11,7 +11,7 @@ from frgeo.bures import (
     dynamical_bures_solver,
     spherical_bures,
 )
-from frgeo.exceptions import NotPSDError, NotUnitTraceError
+from frgeo.exceptions import FRGeoError, NotPSDError, NotUnitTraceError
 from frgeo.hpsd import frobenius_inner, hermitian_part, psd_sqrt
 from frgeo.optim import lbfgs
 from frgeo.testing import random_complex, random_density, random_hermitian, random_psd, random_spd
@@ -114,6 +114,18 @@ class TestBuresGeodesic:
             for t, p in zip([0.25, 0.5, 0.75], geo.points):
                 assert np.sqrt(bures_distance_sq(a0, p)) == pytest.approx(t * dist, rel=1e-8, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ts", [[np.nan, 3.0], [0.5, 0.2], [0.0, 1.5]])
+    @pytest.mark.parametrize(
+        "geodesic",
+        [bures_geodesic, lambda a0, a1, ts: bures.bures_geodesic_stack(a0[None], a1[None], ts)],
+        ids=["fiber", "stack"],
+    )
+    def test_rejects_times_before_any_arithmetic(self, geodesic, ts):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(FRGeoError, match="times must"):
+            geodesic(eye, 2.0 * eye, ts)
+
     def test_endpoints_match(self, rng):
         a0, a1 = random_spd(rng, 3), random_psd(rng, 3)
         geo = bures_geodesic(a0, a1, [0.0, 1.0])
@@ -211,11 +223,6 @@ class TestRealEmbeddingCheck:
 
 
 class TestDynamicalSolver:
-    @pytest.mark.parametrize("max_iters", [-5, 0])
-    def test_max_iters_at_least_one(self, rng, max_iters):
-        with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
-            dynamical_bures_solver(random_spd(rng, 2), random_spd(rng, 2), 8, max_iters=max_iters)
-
     def test_factor_gradient_matches_finite_differences(self, rng):
         # The closed-form factor gradient drives the solver; check it
         # against central differences of the staggered-grid action.
@@ -364,9 +371,13 @@ class TestDynamicalSolver:
             assert res.converged
             assert res.iterations <= 25, n_steps
 
-    def test_iteration_budget_flag(self, rng):
-        a0, a1 = random_spd(rng, 2), random_spd(rng, 2)
-        res = dynamical_bures_solver(a0, a1, 8, max_iters=3)
+    def test_iteration_budget_flag(self, rng, monkeypatch):
+        def three_iterations(*args, **kwargs):
+            assert kwargs["max_iters"] == bures.MAX_ITERS
+            return lbfgs(*args, **{**kwargs, "max_iters": 3})
+
+        monkeypatch.setattr(bures, "lbfgs", three_iterations)
+        res = dynamical_bures_solver(random_spd(rng, 2), random_spd(rng, 2), 8)
         assert not res.converged
         assert res.stop_reason == "budget"
         assert res.iterations <= 3

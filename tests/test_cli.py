@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from frgeo import io as fio
+from frgeo import cli, io as fio
 from frgeo.cli import main
 from frgeo.measures import (
     MatrixMeasure,
@@ -93,6 +93,15 @@ class TestGeodesicCommand:
         with open(os.path.join(out, "path.csv")) as f:
             header = f.readline().strip().split(",")
         assert header == ["time", "mass", "entropy", "speed"]
+
+    @pytest.mark.parametrize("steps", ["0", "-1", "-5"])
+    def test_steps_below_one_exit_3(self, workdir, capsys, steps):
+        # Checked before anything runs, so no output directory appears.
+        out = os.path.join(workdir["dir"], "geo")
+        assert main(["geodesic", workdir["g0"], workdir["g1"], "--steps", steps, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert f"steps must be at least 1, got {steps}" in err and "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_hellinger_metric(self, workdir):
         out = os.path.join(workdir["dir"], "geo_h")
@@ -421,6 +430,17 @@ class TestSweepAndConvexity:
         assert lines[0] == "theta,entropy_lhs,bound_rhs,slack"
         slacks = [float(l.split(",")[3]) for l in lines[1:]]
         assert all(s >= -1e-6 for s in slacks)
+
+    def test_convexity_violation_exit_1(self, workdir, capsys, monkeypatch):
+        # The CLI's slack check is the only half-convexity check; a row whose
+        # entropy exceeds its bound fails it after the CSV is written.
+        monkeypatch.setattr(cli, "convexity_experiment", lambda *args: [(0.25, 0.0, 0.0), (0.5, 1.0, 0.5)])
+        out = os.path.join(workdir["dir"], "conv.csv")
+        assert main(["convexity", workdir["g0"], workdir["g1"], "--out", out]) == 1
+        assert "half-convexity bound violated" in capsys.readouterr().err
+        with open(out) as f:
+            lines = f.read().strip().splitlines()
+        assert [float(l.split(",")[3]) for l in lines[1:]] == [0.0, -0.5]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("grid", ["nan", "inf", "0.25,nan,0.75"])

@@ -179,12 +179,6 @@ class TestLebesgueSplit:
         assert np.array_equal(ac.atoms, g.atoms)
         assert tv_norm(sing) == 0.0
 
-    def test_fully_singular(self, rng):
-        g = random_measure(rng, 2, 2)
-        ac, sing = lebesgue_split(g, np.array([0.0, 0.0]))
-        assert tv_norm(ac) == 0.0
-        assert np.array_equal(sing.atoms, g.atoms)
-
     def test_mixed_pointwise(self, rng):
         g = random_measure(rng, 2, 2)
         lam = ReferenceMeasure(g.support, 2, np.array([0.5, 0.0]))

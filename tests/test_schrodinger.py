@@ -593,6 +593,12 @@ class TestGaussianOracle:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             gaussian_bridge_oracle(np.eye(2), np.eye(2), epsilon, [0.5])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ts", [[np.nan, 2.0], [0.5, 0.2], [-0.5, 0.5]])
+    def test_rejects_times_before_any_arithmetic(self, ts):
+        with pytest.raises(FRGeoError, match="times must"):
+            gaussian_bridge_oracle(np.eye(2), np.eye(2), 0.2, ts)
+
     def test_rejects_complex_input(self, rng):
         a = np.eye(2) + 1j * np.array([[0.0, 0.5], [-0.5, 0.0]])
         with pytest.raises(FRGeoError):
@@ -622,7 +628,7 @@ class TestGammaSweep:
     def test_requires_descending_epsilons(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)
         with pytest.raises(ValueError):
-            gamma_sweep(g0, g1, lam, [0.1, 0.5])
+            gamma_sweep(g0, g1, lam, [0.1, 0.5], SchrodingerConfig(epsilon=0.1, n_steps=8))
 
     def test_failing_rows_flagged_and_sweep_continues(self, rng):
         # Infinite-entropy endpoints make every bridge solve fail; the sweep
@@ -654,7 +660,7 @@ class TestGammaSweep:
     def test_rejects_jobs_below_one(self, rng, jobs):
         g0, g1, lam = finite_entropy_pair(rng)
         with pytest.raises(ValueError, match="jobs"):
-            gamma_sweep(g0, g1, lam, [0.5, 0.2], jobs=jobs)
+            gamma_sweep(g0, g1, lam, [0.5, 0.2], SchrodingerConfig(epsilon=0.5, n_steps=8), jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 0])
     def test_rejects_empty_epsilons_first(self, rng, monkeypatch, jobs):
@@ -668,7 +674,7 @@ class TestGammaSweep:
         monkeypatch.setattr(schrodinger, "solve_bridge", no_work)
         g0, g1, lam = finite_entropy_pair(rng)
         with pytest.raises(ValueError, match="^epsilons must not be empty$"):
-            gamma_sweep(g0, g1, lam, [], jobs=jobs)
+            gamma_sweep(g0, g1, lam, [], SchrodingerConfig(epsilon=0.5, n_steps=8), jobs=jobs)
 
     @pytest.mark.parametrize("jobs, epsilons, pools", [(5000, [0.5, 0.2, 0.1], [3]), (2, [0.5], [])])
     def test_pool_has_at_most_one_worker_per_row(self, rng, monkeypatch, jobs, epsilons, pools):
@@ -718,7 +724,7 @@ class TestConvexityExperiment:
             g0, g1, lam = finite_entropy_pair(
                 rng, n=int(rng.integers(1, 4)), d=int(rng.integers(1, 4))
             )
-            rows = convexity_experiment(g0, g1, lam, thetas, check=True)
+            rows = convexity_experiment(g0, g1, lam, thetas)
             for theta, lhs, rhs in rows:
                 assert lhs <= rhs + 1e-6
 

@@ -40,6 +40,7 @@ from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
     check_probability,
+    check_reference_support,
     tv_distance,
     uniform_reference,
 )
@@ -85,7 +86,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def _path_columns(path: MeasurePath, lam: ReferenceMeasure, metric: str) -> list[list[float]]:
     """The columns t, mass, entropy, fisher and speed of a path, one entry per slice."""
-    entropies, fishers = slice_entropies(path.slices, lam)
+    check_reference_support(path, lam)
+    entropies, fishers = slice_entropies(path.atoms, lam)
     return [c.tolist() for c in (path.times, path_masses(path), entropies, fishers, metric_speed(path, metric))]
 
 

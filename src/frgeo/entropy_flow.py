@@ -79,7 +79,8 @@ def entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
 def fisher_information(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
     """Entropy production ``sum_i w_i tr[(G_i / w_i)^{-1} - I]`` over the
     positive-weight atoms; ``inf`` on singular densities."""
-    return float(slice_entropies([g], lam)[1][0])
+    check_reference_support(g, lam)
+    return float(entropy_terms(np.linalg.eigvalsh(g.atoms), lam.weights)[1])
 
 
 def heat_flow(g: MatrixMeasure, lam: ReferenceMeasure, t: float) -> MatrixMeasure:
@@ -89,9 +90,13 @@ def heat_flow(g: MatrixMeasure, lam: ReferenceMeasure, t: float) -> MatrixMeasur
     check_reference_support(g, lam)
     if not t >= 0.0:
         raise ValueError(f"flow time must be nonnegative, got {t}")
-    target = reference_identity(lam)
-    decay = math.exp(-t)
-    return g.with_atoms(target.atoms + decay * (g.atoms - target.atoms))
+    return g.with_atoms(flow_atoms(g.atoms, lam, math.exp(-t)))
+
+
+def flow_atoms(atoms: np.ndarray, lam: ReferenceMeasure, decay) -> np.ndarray:
+    """:func:`heat_flow`'s ``L + decay (G - L)`` on an atom stack, ``decay`` broadcast against it."""
+    target = reference_identity(lam).atoms
+    return target + decay * (atoms - target)
 
 
 def heat_flow_residual(g: MatrixMeasure, lam: ReferenceMeasure, t: float, dt: float) -> float:
@@ -172,12 +177,10 @@ def von_neumann_entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
     return float(np.dot(lam.weights[pos], xlogx.sum(axis=-1)))
 
 
-def slice_entropies(slices, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`entropy` and :func:`fisher_information` of each measure in
-    ``slices``, from one eigenvalue call over all their atoms."""
-    for g in slices:
-        check_reference_support(g, lam)
-    atoms = np.reshape([g.atoms for g in slices], (-1, lam.n, lam.dim, lam.dim))
+def slice_entropies(atoms: np.ndarray, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`entropy` and :func:`fisher_information` of each slice of an atom
+    stack ``(T, n, d, d)`` on the support of ``lam`` (a path's ``atoms``),
+    from one eigenvalue call over the whole stack."""
     fibers, fishers = entropy_terms(np.linalg.eigvalsh(atoms), lam.weights)
     return np.array([np.dot(lam.weights, f) for f in fibers]), fishers
 

@@ -21,41 +21,52 @@ import numpy as np
 
 from . import bures
 from .exceptions import AntipodalError, FRGeoError, ZeroLengthError
-from .hpsd import psd_sqrt, sym_product
-from .measures import MatrixMeasure, check_probability, check_same_support, mass, tv_distance
+from .hpsd import check_hermitian, hermitian_part, psd_sqrt, sym_product
+from .measures import MatrixMeasure, Support, check_probability, check_same_support, mass, tv_distance
 
 ANTIPODAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class MeasurePath:
-    """Time-indexed sequence of measures on a shared support.
-
-    ``velocities`` is either None or one optional ``(n, d, d)`` Hermitian
-    stack per slice, representing the continuity-equation potential. ``meta``
-    records construction details (sphere flag, discrete ODE residual, ...).
+    """Time-indexed measures on one support, held as one atom stack
+    ``(len(times), n, d, d)`` that is checked and hermitized once, as
+    :class:`MatrixMeasure` checks one measure; each access to ``slices``
+    builds one measure per time. ``velocities`` is either None or one
+    optional ``(n, d, d)`` Hermitian stack per slice, representing the
+    continuity-equation potential. ``meta`` records construction details
+    (sphere flag, discrete ODE residual, ...).
     """
 
     times: np.ndarray
-    slices: tuple[MatrixMeasure, ...]
+    support: Support
+    atoms: np.ndarray
     velocities: tuple | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "slices", tuple(self.slices))
-        if times.ndim != 1 or len(times) != len(self.slices):
-            raise FRGeoError("times and slices must have matching lengths")
+        atoms = np.asarray(self.atoms, dtype=complex)
+        if times.ndim != 1 or atoms.ndim != 4 or atoms.shape[:3] != (len(times), self.support.n, atoms.shape[3]):
+            raise FRGeoError(f"atoms must have shape ({times.size}, {self.support.n}, d, d), got {atoms.shape}")
         bures.check_times(times)
-        for g in self.slices[1:]:
-            check_same_support(self.slices[0], g)
-        if self.velocities is not None and len(self.velocities) != len(self.slices):
+        check_hermitian(atoms, labels=self.support.point_ids)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "atoms", hermitian_part(atoms))
+        if self.velocities is not None and len(self.velocities) != len(atoms):
             raise FRGeoError("velocities must align with slices")
 
     @property
     def n_slices(self) -> int:
-        return len(self.slices)
+        return len(self.atoms)
+
+    @property
+    def dim(self) -> int:
+        return int(self.atoms.shape[-1])
+
+    @property
+    def slices(self) -> tuple[MatrixMeasure, ...]:
+        return tuple(MatrixMeasure(self.support, atoms) for atoms in self.atoms)
 
 
 def hellinger_distance_sq(g0: MatrixMeasure, g1: MatrixMeasure) -> float:
@@ -91,12 +102,12 @@ def cone_scaling_check(
     return lhs, rhs
 
 
-def _discrete_ode_residual(times, slices, velocities) -> float:
+def _discrete_ode_residual(times, atoms, velocities) -> float:
     """Max TV residual of ``(G_{k+1} - G_k)/dt = (G_k U_k)^Sym`` over steps
     with a velocity attached."""
     resids = (
-        np.linalg.norm((b.atoms - a.atoms) / (t1 - t0) - sym_product(a.atoms, u), axis=(1, 2)).sum()
-        for t0, t1, a, b, u in zip(times, times[1:], slices, slices[1:], velocities)
+        np.linalg.norm((b - a) / (t1 - t0) - sym_product(a, u), axis=(1, 2)).sum()
+        for t0, t1, a, b, u in zip(times, times[1:], atoms, atoms[1:], velocities)
         if u is not None
     )
     return float(max(resids, default=0.0))
@@ -110,9 +121,8 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """
     check_same_support(g0, g1)
     geo = bures.bures_geodesic_stack(g0.atoms, g1.atoms, ts, g0.support.point_ids)
-    slices = tuple(g0.with_atoms(atoms) for atoms in geo.points)
-    meta = {"metric": "hellinger", "ode_residual": _discrete_ode_residual(geo.times, slices, geo.velocities)}
-    return MeasurePath(geo.times, slices, geo.velocities, meta)
+    meta = {"metric": "hellinger", "ode_residual": _discrete_ode_residual(geo.times, geo.points, geo.velocities)}
+    return MeasurePath(geo.times, g0.support, geo.points, geo.velocities, meta)
 
 
 def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
@@ -122,7 +132,7 @@ def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> Measu
     check_same_support(g0, g1)
     r0, y1, _ = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
     points = bures.geodesic_factors(r0, y1, ts)[0]
-    return MeasurePath(ts, tuple(g0.with_atoms(atoms) for atoms in points), None, {"metric": "hellinger"})
+    return MeasurePath(ts, g0.support, points, None, {"metric": "hellinger"})
 
 
 def _chord_parameter(theta: float, phi: float) -> float:
@@ -163,28 +173,24 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
         )
     meta = {"metric": "fisher_rao", "spherical": True, "distance": dfr}
     if dfr <= 1e-15:
-        return MeasurePath(ts, tuple(g0 for _ in ts), None, meta)
+        return MeasurePath(ts, g0.support, np.broadcast_to(g0.atoms, (len(ts), *g0.atoms.shape)), None, meta)
     phi = dfr / 2.0
     chord_ts = np.array([_chord_parameter(float(th), phi) for th in ts])
     chord = bures.geodesic_factors(r0, y1, chord_ts)[0]
-    masses = np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)
-    slices = [
-        g0 if theta <= 0.0 else g1 if theta >= 1.0 else g0.with_atoms(atoms / m)
-        for theta, atoms, m in zip(ts, chord, masses)
-    ]
-    return MeasurePath(ts, tuple(slices), None, meta)
+    atoms = chord / np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)[:, None, None, None]
+    atoms[ts <= 0.0], atoms[ts >= 1.0] = g0.atoms, g1.atoms
+    return MeasurePath(ts, g0.support, atoms, None, meta)
 
 
-def _index_distances(slices, lo, hi, metric: str) -> np.ndarray:
-    """Metric distances between the slice pairs ``(lo[k], hi[k])`` from one checked
-    square root of all slices and one batched polar SVD of the pairs, oriented as
-    :func:`~frgeo.bures.polar_endpoints` orients them."""
+def _index_distances(path: MeasurePath, lo, hi, metric: str) -> np.ndarray:
+    """Metric distances between the slice pairs ``(lo[k], hi[k])`` of a path from one
+    checked square root of its atom stack and one batched polar SVD of the pairs,
+    oriented as :func:`~frgeo.bures.polar_endpoints` orients them."""
     if metric not in ("hellinger", "fisher_rao"):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "fisher_rao":
-        for k, g in enumerate(slices):
-            check_probability(g, f"path slice {k}")
-    roots = psd_sqrt(np.stack([g.atoms for g in slices]), labels=slices[0].support.point_ids)
+        check_probability(path, "path slice")
+    roots = psd_sqrt(path.atoms, labels=path.support.point_ids)
     res, _ = bures.polar_residual(roots[hi], roots[lo])
     # Summed per atom, then per slice: the order of the pairwise route, bit for bit.
     dh_sq = 4.0 * (np.abs(res) ** 2).sum(axis=(-2, -1)).sum(axis=-1)
@@ -203,7 +209,7 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
     n_seg = path.n_slices - 1
     if n_seg < 1:
         raise FRGeoError("need at least two slices to reparametrize")
-    lengths = _index_distances(path.slices, np.arange(n_seg), np.arange(1, n_seg + 1), metric)
+    lengths = _index_distances(path, np.arange(n_seg), np.arange(1, n_seg + 1), metric)
     total = float(lengths.sum())
     # The polar residual puts a segment length's round-off floor near 1e-16;
     # a path shorter than 1e-6 per segment is still treated as zero length.
@@ -218,16 +224,15 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
     seg_len = lengths[segments]
     thetas = np.where(seg_len <= 1e-15, 0.0, (targets - cumulative[segments]) / np.maximum(seg_len, 1e-15))
     geodesic = hellinger_geodesic_points if metric == "hellinger" else fisher_rao_geodesic
-    new_slices = [path.slices[0]]
-    for j in np.unique(segments):
-        a, b, th = path.slices[j], path.slices[j + 1], thetas[segments == j]
-        inner = th[(th > 0.0) & (th < 1.0)]
-        points = iter(geodesic(a, b, inner).slices if inner.size else ())
-        new_slices.extend(a if t <= 0.0 else b if t >= 1.0 else next(points) for t in th)
-    new_slices.append(path.slices[-1])
+    slices, atoms = path.slices, path.atoms.copy()
+    atoms[1:-1] = np.where((thetas <= 0.0)[:, None, None, None], path.atoms[segments], path.atoms[segments + 1])
+    inner = (thetas > 0.0) & (thetas < 1.0)
+    for j in np.unique(segments[inner]):
+        rows = inner & (segments == j)
+        atoms[1:-1][rows] = geodesic(slices[j], slices[j + 1], thetas[rows]).atoms
     meta = dict(path.meta)
     meta["reparametrized"] = metric
-    return MeasurePath(new_times, tuple(new_slices), None, meta)
+    return MeasurePath(new_times, path.support, atoms, None, meta)
 
 
 def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
@@ -243,7 +248,7 @@ def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
     # Pairs (0, 1), (k - 1, k + 1) for interior k, and (m - 2, m - 1).
     lo = np.concatenate([[0], np.arange(m - 2), [m - 2]])
     hi = np.concatenate([[1], np.arange(2, m), [m - 1]])
-    dist = _index_distances(path.slices, lo, hi, metric)
+    dist = _index_distances(path, lo, hi, metric)
     return dist / (path.times[hi] - path.times[lo])
 
 
@@ -253,15 +258,14 @@ def velocity_speed(path: MeasurePath) -> np.ndarray | None:
     if path.velocities is None:
         return None
     return np.array([
-        np.nan if u is None else np.sqrt(max(float(np.real(np.vdot(u, g.atoms @ u))), 0.0))
-        for g, u in zip(path.slices, path.velocities)
+        np.nan if u is None else np.sqrt(max(float(np.real(np.vdot(u, atoms @ u))), 0.0))
+        for atoms, u in zip(path.atoms, path.velocities)
     ])
 
 
 def tv_comparison_check(g0: MatrixMeasure, g1: MatrixMeasure) -> tuple[float, float, float]:
     """The two-sided comparison chain between the Hellinger and TV distances:
     ``(d_H^2 / (4 sqrt(d)), ||G1 - G0||_TV, sqrt(m0 + m1) * d_H)``."""
-    check_same_support(g0, g1)
     dh_sq = hellinger_distance_sq(g0, g1)
     lower = dh_sq / (4.0 * np.sqrt(g0.dim))
     mid = tv_distance(g0, g1)
@@ -270,7 +274,7 @@ def tv_comparison_check(g0: MatrixMeasure, g1: MatrixMeasure) -> tuple[float, fl
 
 
 def path_masses(path: MeasurePath) -> np.ndarray:
-    return np.array([mass(g) for g in path.slices])
+    return np.real(np.trace(path.atoms, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def mass_interpolation_values(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> np.ndarray:

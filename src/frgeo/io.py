@@ -205,13 +205,13 @@ def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
     doc = _read_json(path)
     if not isinstance(doc, list):
         raise MeasureFormatError("path document must be a JSON array")
-    times, slices = [], []
+    entries = []
     for k, entry in enumerate(doc):
         if not isinstance(entry, dict) or "time" not in entry or "measure" not in entry:
             raise MeasureFormatError("each path entry must carry 'time' and 'measure'")
-        times.append(float(_float_array(entry["time"], (), f"time of path entry {k}")))
-        slices.append(measure_from_doc(entry["measure"]))
-    return times, slices
+        time = float(_float_array(entry["time"], (), f"time of path entry {k}"))
+        entries.append((time, measure_from_doc(entry["measure"])))
+    return [t for t, _ in entries], [g for _, g in entries]
 
 
 def format_csv_value(v) -> str:

@@ -172,13 +172,15 @@ def mass(g: MatrixMeasure) -> float:
     return float(np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum())
 
 
-def check_probability(g: MatrixMeasure, label: str) -> None:
+def check_probability(g, label: str) -> None:
     """Require membership in the unit-trace-mass sphere,
     ``|mass - 1| <= SPHERE_MASS_TOL``, else raise :class:`NotProbabilityError`
-    naming the measure by ``label``."""
-    m = mass(g)
-    if abs(m - 1.0) > SPHERE_MASS_TOL:
-        raise NotProbabilityError(f"{label} has mass {m!r}, expected 1 within {SPHERE_MASS_TOL:.0e}")
+    naming the measure by ``label``. ``g`` may also be a path (an atom stack
+    ``(T, n, d, d)``), whose slices are named by ``label`` and their index."""
+    for k, m in np.ndenumerate(np.real(np.trace(g.atoms, axis1=-2, axis2=-1)).sum(axis=-1)):
+        if abs(m - 1.0) > SPHERE_MASS_TOL:
+            name = " ".join([label, *map(str, k)])
+            raise NotProbabilityError(f"{name} has mass {float(m)!r}, expected 1 within {SPHERE_MASS_TOL:.0e}")
 
 
 def trace_density(g: MatrixMeasure, i: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bures import check_times, polar_residual
-from .entropy_flow import entropy, entropy_terms, heat_flow, slice_entropies
+from .entropy_flow import entropy, entropy_terms, flow_atoms, slice_entropies
 from .exceptions import (
     AntipodalError,
     FRGeoError,
@@ -57,7 +57,6 @@ from .measures import (
     check_probability,
     check_reference_support,
     check_same_support,
-    tv_distance,
 )
 from .optim import lbfgs
 
@@ -159,19 +158,19 @@ def discrete_objective(
     ``kinetic = (N/2) sum_k d_FR(G_k, G_{k+1})^2`` and the trapezoid Fisher
     term weighted by ``epsilon^2 / 2``. Infinity propagates from singular
     interior slices."""
-    check_reference_support(path.slices[0], lam)
+    check_reference_support(path, lam)
     steps = np.diff(path.times)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise FRGeoError("discrete objective requires a uniform time grid")
-    for k, g in enumerate(path.slices):
-        check_probability(g, f"slice {k}")
-    fwd = _stack_objective(psd_sqrt(np.stack([g.atoms for g in path.slices])), lam.weights, epsilon)
+    check_probability(path, "slice")
+    fwd = _stack_objective(psd_sqrt(path.atoms), lam.weights, epsilon)
     return fwd.kinetic, fwd.fisher_term
 
 
 def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) -> MeasurePath:
     """Heat-flow perturbation ``G_k -> S_{h(t_k)}(G_k)`` with
-    ``h(t) = epsilon * min(t, 1 - t)``.
+    ``h(t) = epsilon * min(t, 1 - t)``, as one broadcast of the affine flow
+    (:func:`~frgeo.entropy_flow.flow_atoms`) over the atom stack.
 
     Endpoints are untouched; interior slices mix toward the weighted
     identity, which bounds their Fisher information. Requires finite
@@ -179,7 +178,7 @@ def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) 
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    _check_endpoint_entropies(path.slices[0], path.slices[-1], lam)
+    _check_endpoint_entropies(*(MatrixMeasure(path.support, atoms) for atoms in path.atoms[[0, -1]]), lam)
     return path if epsilon == 0.0 else _heat_flow_perturbation(path, lam, epsilon)
 
 
@@ -191,13 +190,10 @@ def _check_endpoint_entropies(g0: MatrixMeasure, g1: MatrixMeasure, lam: Referen
 
 def _heat_flow_perturbation(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) -> MeasurePath:
     """:func:`recovery_sequence` for ``epsilon > 0``, without its endpoint checks."""
-    slices = []
-    for t, g in zip(path.times, path.slices):
-        h = epsilon * min(float(t), 1.0 - float(t))
-        slices.append(heat_flow(g, lam, h) if h > 0.0 else g)
-    meta = dict(path.meta)
-    meta["recovery_epsilon"] = epsilon
-    return MeasurePath(path.times, tuple(slices), None, meta)
+    h = epsilon * np.minimum(path.times, 1.0 - path.times)[:, None, None, None]
+    decay = np.vectorize(math.exp)(-h)  # the decay heat_flow takes, bit for bit
+    atoms = np.where(h > 0.0, flow_atoms(path.atoms, lam, decay), path.atoms)
+    return MeasurePath(path.times, path.support, atoms, None, {**path.meta, "recovery_epsilon": epsilon})
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def solve_bridge(
             raise AntipodalError(f"endpoints at distance {dfr!r} >= pi - 1e-6")
         if init_path.n_slices != n_steps + 1:
             raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
-    factors = psd_sqrt(np.stack([g.atoms for g in init_path.slices[1:-1]]))
+    factors = psd_sqrt(init_path.atoms[1:-1])
     ends = psd_sqrt(np.stack([g0.atoms, g1.atoms]))
 
     def objective(fac: np.ndarray) -> tuple[float, _Forward | None]:
@@ -291,10 +287,10 @@ def solve_bridge(
         fwd,
         max_iters=cfg.max_iters,
     )
-    fwd = res.aux
-    slices = [g0, *(g0.with_atoms(atoms) for atoms in fwd.slices[1:-1]), g1]
-    path = MeasurePath(times, slices, None, {"spherical": True, "epsilon": cfg.epsilon, "metric": "fisher_rao"})
-    return BridgeResult(path, fwd.kinetic, fwd.fisher_term, res.f, res.converged, res.iterations, res.stop_reason)
+    atoms = res.aux.slices.copy()
+    atoms[0], atoms[-1] = g0.atoms, g1.atoms
+    path = MeasurePath(times, g0.support, atoms, meta={"spherical": True, "epsilon": cfg.epsilon, "metric": "fisher_rao"})
+    return BridgeResult(path, res.aux.kinetic, res.aux.fisher_term, res.f, res.converged, res.iterations, res.stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +348,7 @@ def _sweep_row(
         result = solve_bridge(g0, g1, lam, cfg)
     except FRGeoError as exc:
         return SweepRow(cfg.epsilon, math.nan, math.nan, math.nan, math.nan, False, str(exc))
-    gap = max(
-        tv_distance(result.path.slices[k], geodesic.slices[k])
-        for k in range(result.path.n_slices)
-    )
+    gap = float(np.linalg.norm(result.path.atoms - geodesic.atoms, axis=(-2, -1)).sum(axis=-1).max())
     return SweepRow(
         cfg.epsilon, result.objective, result.kinetic, result.fisher_term, gap, result.converged
     )
@@ -419,5 +412,5 @@ def convexity_experiment(
     dfr_sq = path.meta["distance"] ** 2
     return [
         (theta, lhs, (1.0 - theta) * e0 + theta * e1 - 0.25 * theta * (1.0 - theta) * dfr_sq)
-        for theta, lhs in zip(thetas, slice_entropies(path.slices, lam)[0].tolist())
+        for theta, lhs in zip(thetas, slice_entropies(path.atoms, lam)[0].tolist())
     ]

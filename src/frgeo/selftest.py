@@ -262,13 +262,9 @@ def _group_schrodinger(rng: np.random.Generator) -> list[str]:
         abs(res.objective - res.kinetic - res.fisher_term) <= 1e-12 * max(1.0, res.objective),
         "objective decomposition",
     )
-    for k, g in enumerate(res.path.slices):
-        bad.expect(abs(measures.mass(g) - 1.0) <= 1e-8, f"slice {k} off sphere")
-    bad.expect(
-        measures.tv_distance(res.path.slices[0], g0) <= 1e-10
-        and measures.tv_distance(res.path.slices[-1], g1) <= 1e-10,
-        "bridge endpoints moved",
-    )
+    for k, m in enumerate(fisher_rao.path_masses(res.path)):
+        bad.expect(abs(m - 1.0) <= 1e-8, f"slice {k} off sphere")
+    bad.expect(np.array_equal(res.path.atoms[[0, -1]], [g0.atoms, g1.atoms]), "bridge endpoints moved")
     times = np.linspace(0.0, 1.0, cfg.n_steps + 1)
     geo = fisher_rao.fisher_rao_geodesic(g0, g1, times)
     rec = schrodinger.recovery_sequence(geo, lam, eps)

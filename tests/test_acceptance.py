@@ -5,6 +5,7 @@ criterion is reported through the usual pytest failure for that test.
 Desk scale throughout: d in 1..4, small supports, N <= 64 time steps.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -37,8 +38,10 @@ from frgeo.fisher_rao import (
 )
 from frgeo.hpsd import hermitian_part, psd_sqrt
 from frgeo.measures import (
+    ReferenceMeasure,
     make_support,
     mass,
+    reference_identity,
     tv_distance,
     uniform_reference,
 )
@@ -255,7 +258,67 @@ def test_criterion_09_heat_flow_and_entropy():
             assert production == pytest.approx(f, rel=1e-3)
         v = entropy_gradient_potential(g, lam)
         assert tangent_norm_sq(v) == pytest.approx(f, rel=1e-9, abs=1e-9)
-    _report("criterion-09 heat flow and entropy", "semigroup, decay, production, gradient norm")
+
+    # The flow is the entropy's gradient flow for d_FR, and the entropy is
+    # (1/2)-convex along its geodesics (criterion 12): together they give the
+    # evolution variational inequality at K = 1/2 (Daneri & Savare 2008).
+    margins = [_evi_margin(g, h, lam, lambda m, t: heat_flow(m, lam, t)) for g, h, lam, _ in _evi_draws()]
+    assert min(margins) >= -EVI_SLACK
+    _report(
+        "criterion-09 heat flow and entropy",
+        f"semigroup, decay, production, gradient norm; EVI(1/2) worst margin {min(margins):.1e}",
+    )
+
+
+EVI_STEP = 1e-5  # flow time step of the one-sided difference
+EVI_SLACK = 1e-8  # its round-off and O(h^2) truncation
+
+
+@functools.lru_cache(maxsize=1)
+def _evi_draws():
+    """300 seeded finite-entropy pairs ``(G, H, lam, other)`` on one support with
+    ``1e-4 <= d_FR^2 <= (pi - 0.3)^2``; ``other`` is a non-uniform reference."""
+    rng = np.random.default_rng(9)
+    draws = []
+    while len(draws) < 300:
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        sup = make_support(n)
+        lam = uniform_reference(sup, d)
+        g, h = (
+            random_finite_entropy_measure(rng, n, d, blend=float(rng.uniform(0.05, 0.95)), support=sup, lam=lam)
+            for _ in range(2)
+        )
+        w = rng.uniform(0.2, 1.0, n)
+        if 1e-4 <= fisher_rao_distance(g, h) ** 2 <= (np.pi - 0.3) ** 2:
+            draws.append((g, h, lam, ReferenceMeasure(sup, d, w / (d * w.sum()))))
+    return draws
+
+
+def _evi_margin(g, h, lam, flow):
+    """``E(H) - E(G) - [(1/2) d/dt d_FR^2(S_t G, H)|_0 + (1/4) d_FR^2(G, H)]``
+    for the flow ``S_t = flow(., t)``, with the derivative from the one-sided
+    second-order difference ``(-3 f(0) + 4 f(s) - f(2s)) / (2s)``."""
+    f0, f1, f2 = (fisher_rao_distance(flow(g, t), h) ** 2 for t in (0.0, EVI_STEP, 2.0 * EVI_STEP))
+    slope = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * EVI_STEP)
+    return entropy(h, lam) - entropy(g, lam) - (0.5 * slope + 0.25 * f0)
+
+
+def test_criterion_09_evi_detects_a_wrong_flow():
+    """The EVI check has power: a flow at the wrong rate, or toward the
+    wrong equilibrium, breaks it on some of the first 100 draws."""
+
+    def failures(rate, toward_other):
+        count = 0
+        for g, h, lam, other in _evi_draws()[:100]:
+            eq = reference_identity(other if toward_other else lam).atoms
+            flow = lambda m, t: m.with_atoms(eq + math.exp(-rate * t) * (m.atoms - eq))
+            count += _evi_margin(g, h, lam, flow) < -EVI_SLACK
+        return count
+
+    half, double, off_target = failures(0.5, False), failures(2.0, False), failures(1.0, True)
+    # They fail on 45, 7 and 14 of these draws.
+    assert half >= 30 and double >= 3 and off_target >= 7
+    _report("criterion-09 EVI power", f"wrong flows fail on {half}, {double} and {off_target} of 100 draws")
 
 
 def test_criterion_10_recovery_upper_bound():

@@ -383,7 +383,7 @@ class TestFlowTableClosedForm:
         lam = uniform_reference(sup, 2)
         slices = [random_finite_entropy_measure(rng, 3, 2, support=sup) for _ in range(4)]
         slices.append(MatrixMeasure(sup, np.stack([np.diag([0.5, 0.0]), np.eye(2) / 6, np.eye(2) / 6]).astype(complex)))
-        entropies, fishers = slice_entropies(slices, lam)
+        entropies, fishers = slice_entropies(np.stack([g.atoms for g in slices]), lam)
         assert entropies.tolist() == [entropy(g, lam) for g in slices]
         assert fishers.tolist() == [fisher_information(g, lam) for g in slices]
         assert entropies[-1] == fishers[-1] == math.inf

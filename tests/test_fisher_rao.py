@@ -8,6 +8,7 @@ from frgeo.bures import bures_distance_sq, bures_geodesic
 from frgeo.exceptions import (
     AntipodalError,
     FRGeoError,
+    NotHermitianError,
     NotProbabilityError,
     NotPSDError,
     SupportMismatchError,
@@ -354,7 +355,7 @@ class TestFisherRaoGeodesic:
         phi = path.meta["distance"] / 2.0
         chord = hellinger_geodesic(g0, g1, [_chord_parameter(t, phi) for t in ts])
         assert path.velocities is None
-        assert path.slices[0] is g0 and path.slices[-1] is g1
+        assert np.array_equal(path.atoms[0], g0.atoms) and np.array_equal(path.atoms[-1], g1.atoms)
         for s, g in zip(path.slices[1:-1], chord.slices[1:-1]):
             assert np.array_equal(s.atoms, g.atoms / mass(g))
 
@@ -393,7 +394,7 @@ class TestConstantSpeedReparametrize:
             inner = hellinger_geodesic(g0, g1, warped)
         else:
             inner = fisher_rao_geodesic(g0, g1, warped)
-        return MeasurePath(np.linspace(0, 1, 17), inner.slices)
+        return MeasurePath(np.linspace(0, 1, 17), inner.support, inner.atoms)
 
     @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
     def test_quadratic_warp_equalizes(self, rng, metric):
@@ -435,12 +436,12 @@ class TestConstantSpeedReparametrize:
         sup = make_support(1)
         g0 = random_probability_measure(rng, 1, 2, support=sup)
         g1 = random_probability_measure(rng, 1, 2, support=sup)
-        path = MeasurePath(np.array([0.0, 1.0]), (g0, g1))
+        path = MeasurePath(np.array([0.0, 1.0]), sup, np.stack([g0.atoms, g1.atoms]))
         assert constant_speed_reparametrize(path, "hellinger") is path
 
     def test_zero_length(self, rng):
         g = random_probability_measure(rng, 2, 2)
-        path = MeasurePath(np.array([0.0, 0.5, 1.0]), (g, g, g))
+        path = MeasurePath(np.array([0.0, 0.5, 1.0]), g.support, np.stack([g.atoms] * 3))
         with pytest.raises(ZeroLengthError):
             constant_speed_reparametrize(path, "hellinger")
 
@@ -455,7 +456,7 @@ class TestConstantSpeedReparametrize:
 
         path = self._warped_geodesic(rng, metric)
         geodesic = hellinger_geodesic if metric == "hellinger" else fisher_rao_geodesic
-        lengths = fisher_rao._index_distances(path.slices, np.arange(16), np.arange(1, 17), metric)
+        lengths = fisher_rao._index_distances(path, np.arange(16), np.arange(1, 17), metric)
         cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
         targets = lengths.sum() * np.arange(1, 16) / 16
         segments = np.searchsorted(cumulative, targets, side="right") - 1
@@ -480,7 +481,7 @@ class TestConstantSpeedReparametrize:
 class TestMetricSpeed:
     def test_constant_path_zero(self, rng):
         g = random_probability_measure(rng, 2, 2)
-        path = MeasurePath(np.array([0.0, 0.5, 1.0]), (g, g, g))
+        path = MeasurePath(np.array([0.0, 0.5, 1.0]), g.support, np.stack([g.atoms] * 3))
         assert np.allclose(metric_speed(path, "fisher_rao"), 0.0, atol=1e-7)
 
     def test_geodesic_speed_constant(self, rng):
@@ -506,7 +507,7 @@ class TestMetricSpeed:
 
     def test_no_velocities_returns_none(self, rng):
         g = random_probability_measure(rng, 2, 2)
-        path = MeasurePath(np.array([0.0, 1.0]), (g, g))
+        path = MeasurePath(np.array([0.0, 1.0]), g.support, np.stack([g.atoms] * 2))
         assert velocity_speed(path) is None
 
     def test_heat_flow_initial_speed_is_gradient_norm(self, rng):
@@ -521,17 +522,17 @@ class TestMetricSpeed:
         f = fisher_information(g, lam)
         dt = 1e-4
         times = np.array([0.0, dt, 2 * dt])
-        path = MeasurePath(times, tuple(heat_flow(g, lam, float(t)) for t in times))
+        path = MeasurePath(times, sup, np.stack([heat_flow(g, lam, float(t)).atoms for t in times]))
         speed0 = metric_speed(path, "fisher_rao")[0]
         assert np.isfinite(speed0)
         assert speed0 == pytest.approx(np.sqrt(f), rel=1e-3)
 
 
-def _oracle_distances(slices, lo, hi, metric):
-    """Distances between the slice pairs ``(lo[k], hi[k])`` from
+def _oracle_distances(path, lo, hi, metric):
+    """Distances between the slice pairs ``(lo[k], hi[k])`` of a path from
     ``bures_distance_sq_stack`` on the start and end stacks."""
-    stack = np.stack([g.atoms for g in slices])
-    dh_sq = 4.0 * bures.bures_distance_sq_stack(stack[lo], stack[hi], slices[0].support.point_ids).sum(axis=-1)
+    stack = path.atoms
+    dh_sq = 4.0 * bures.bures_distance_sq_stack(stack[lo], stack[hi], path.support.point_ids).sum(axis=-1)
     return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 
 
@@ -539,7 +540,7 @@ def _oracle_speeds(path, metric):
     m = path.n_slices
     lo = np.r_[0, np.arange(m - 2), m - 2]
     hi = np.r_[1, np.arange(2, m), m - 1]
-    return _oracle_distances(path.slices, lo, hi, metric) / (path.times[hi] - path.times[lo])
+    return _oracle_distances(path, lo, hi, metric) / (path.times[hi] - path.times[lo])
 
 
 class TestOneDecompositionPerSlice:
@@ -559,8 +560,8 @@ class TestOneDecompositionPerSlice:
         from_singular = fisher_rao_geodesic(gs, g1, np.linspace(0.0, 1.0, 7))
         dipped = gs.with_atoms(gs.atoms - 1e-12 * np.eye(3))
         assert np.linalg.eigvalsh(dipped.atoms)[:, 0].max() < -9e-13
-        slices = [dipped if k % 2 else g for k, g in enumerate(definite.slices)]
-        clamped = MeasurePath(definite.times, slices)
+        atoms = np.stack([dipped.atoms if k % 2 else a for k, a in enumerate(definite.atoms)])
+        clamped = MeasurePath(definite.times, sup, atoms)
         return {"definite": definite, "from_singular": from_singular, "clamped": clamped}
 
     @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
@@ -595,11 +596,9 @@ class TestOneDecompositionPerSlice:
         g0 = random_measure(rng, 3, 2, definite=True, support=sup)
         g1 = random_measure(rng, 3, 2, definite=True, support=sup)
         path = hellinger_geodesic(g0, g1, np.linspace(0.0, 1.0, 5))
-        atoms = path.slices[k].atoms.copy()
-        atoms[1] -= (np.linalg.eigvalsh(atoms[1])[0] + 1e-6) * np.eye(2)
-        slices = list(path.slices)
-        slices[k] = slices[k].with_atoms(atoms)
-        bad = MeasurePath(path.times, slices)
+        atoms = path.atoms.copy()
+        atoms[k, 1] -= (np.linalg.eigvalsh(atoms[k, 1])[0] + 1e-6) * np.eye(2)
+        bad = MeasurePath(path.times, sup, atoms)
         with pytest.raises(NotPSDError, match="'p2'"):
             metric_speed(bad, "hellinger")
         with pytest.raises(NotPSDError, match="'p2'"):
@@ -657,17 +656,62 @@ class TestMeasurePathValidation:
     def test_times_must_increase(self, rng):
         g = random_probability_measure(rng, 1, 2)
         with pytest.raises(FRGeoError):
-            MeasurePath(np.array([0.0, 0.5, 0.5]), (g, g, g))
+            MeasurePath(np.array([0.0, 0.5, 0.5]), g.support, np.stack([g.atoms] * 3))
 
     def test_times_within_unit_interval(self, rng):
         g = random_probability_measure(rng, 1, 2)
         with pytest.raises(FRGeoError):
-            MeasurePath(np.array([0.0, 1.5]), (g, g))
+            MeasurePath(np.array([0.0, 1.5]), g.support, np.stack([g.atoms] * 2))
 
     def test_nan_time_rejected(self, rng):
         g = random_probability_measure(rng, 1, 2)
         with pytest.raises(FRGeoError, match=r"times must be strictly increasing, got \[0.0, nan, 1.0\]"):
-            MeasurePath(np.array([0.0, np.nan, 1.0]), (g, g, g))
+            MeasurePath(np.array([0.0, np.nan, 1.0]), g.support, np.stack([g.atoms] * 3))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 2, 2), (3, 2, 2, 3), (1, 3, 2, 2, 2)])
+    def test_atoms_must_be_one_stack_per_time(self, shape):
+        with pytest.raises(FRGeoError, match=r"atoms must have shape \(3, 2, d, d\)"):
+            MeasurePath(np.linspace(0.0, 1.0, 3), make_support(2), np.zeros(shape))
+
+    def test_atom_count_must_match_the_support(self, rng):
+        g = random_probability_measure(rng, 3, 2)
+        with pytest.raises(FRGeoError, match=r"shape \(2, 4, d, d\), got \(2, 3, 2, 2\)"):
+            MeasurePath(np.array([0.0, 1.0]), make_support(4), np.stack([g.atoms] * 2))
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
+    def test_non_hermitian_or_non_finite_atom_names_its_point(self, rng, bad):
+        g = random_probability_measure(rng, 3, 2)
+        atoms = np.stack([g.atoms] * 3)
+        atoms[1, 2, 0, 1] += bad
+        with pytest.raises(NotHermitianError, match="'p3'"):
+            MeasurePath(np.linspace(0.0, 1.0, 3), g.support, atoms)
+
+    def test_stack_is_hermitized_once_and_slices_view_it(self, rng):
+        g0, g1 = (random_probability_measure(rng, 3, 2, support=make_support(3)) for _ in range(2))
+        atoms = np.stack([g0.atoms, g1.atoms])
+        atoms[:, :, 0, 1] += 1e-12j  # within the Hermitian tolerance
+        path = MeasurePath(np.array([0.0, 1.0]), g0.support, atoms)
+        assert np.array_equal(path.atoms, (atoms + np.conj(np.swapaxes(atoms, -1, -2))) / 2.0)
+        assert path.dim == 2 and path.n_slices == 2
+        assert all(s.support == g0.support for s in path.slices)
+        for k, s in enumerate(path.slices):
+            assert np.array_equal(s.atoms, path.atoms[k])
+
+    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic, hellinger_geodesic_points])
+    def test_slices_match_the_stack_bit_for_bit(self, rng, geodesic):
+        sup = make_support(3)
+        g0, g1 = (random_probability_measure(rng, 3, 2, support=sup) for _ in range(2))
+        path = geodesic(g0, g1, np.linspace(0.0, 1.0, 6))
+        for k, s in enumerate(path.slices):
+            assert np.array_equal(s.atoms, path.atoms[k])
+
+    @pytest.mark.parametrize("ts", [np.linspace(0.0, 1.0, 5), [0.0, 1.0], [0.5]])
+    def test_zero_distance_geodesic_is_its_endpoint_exactly(self, rng, ts):
+        g = random_probability_measure(rng, 3, 2)
+        path = fisher_rao_geodesic(g, g.with_atoms(g.atoms.copy()), ts)
+        assert path.meta["distance"] <= 1e-15
+        for s in path.slices:
+            assert np.array_equal(s.atoms, g.atoms)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic, hellinger_geodesic_points])

@@ -103,7 +103,7 @@ class TestDiscreteObjective:
         lam = uniform_reference(make_support(2), 2)
         eq = reference_identity(lam)
         times = np.linspace(0, 1, 9)
-        path = MeasurePath(times, tuple(eq for _ in times))
+        path = MeasurePath(times, eq.support, np.stack([eq.atoms for _ in times]))
         kin, fis = discrete_objective(path, lam, 0.3)
         assert kin == pytest.approx(0.0, abs=1e-12)
         assert fis == pytest.approx(0.0, abs=1e-12)
@@ -137,10 +137,10 @@ class TestDiscreteObjective:
     def test_rejects_off_sphere_slice(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)
         path = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 9))
-        slices = list(path.slices)
-        slices[4] = slices[4].with_atoms(1.01 * slices[4].atoms)
+        atoms = path.atoms.copy()
+        atoms[4] *= 1.01
         with pytest.raises(NotProbabilityError, match="slice 4"):
-            discrete_objective(MeasurePath(path.times, slices), lam, 0.1)
+            discrete_objective(MeasurePath(path.times, path.support, atoms), lam, 0.1)
 
     def test_infinite_on_singular_interior(self, rng):
         sup = make_support(2)
@@ -150,7 +150,7 @@ class TestDiscreteObjective:
             sup,
             np.stack([np.diag([0.5, 0.0]), np.diag([0.25, 0.25])]).astype(complex),
         )
-        path = MeasurePath(np.linspace(0, 1, 9), tuple([g] * 4 + [singular] + [g] * 4))
+        path = MeasurePath(np.linspace(0, 1, 9), sup, np.stack([g.atoms] * 4 + [singular.atoms] + [g.atoms] * 4))
         kin, fis = discrete_objective(path, lam, 0.2)
         assert math.isinf(fis)
 
@@ -171,10 +171,23 @@ class TestRecoverySequence:
         lam = uniform_reference(make_support(2), 2)
         eq = reference_identity(lam)
         times = np.linspace(0, 1, 9)
-        path = MeasurePath(times, tuple(eq for _ in times))
+        path = MeasurePath(times, eq.support, np.stack([eq.atoms for _ in times]))
         out = recovery_sequence(path, lam, 0.3)
         for s in out.slices:
             assert tv_distance(s, eq) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 2.0])
+    def test_one_broadcast_is_the_per_slice_heat_flow(self, rng, eps):
+        from frgeo.entropy_flow import heat_flow
+
+        g0, g1, lam = finite_entropy_pair(rng, n=3, d=2)
+        path = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 13))
+        out = recovery_sequence(path, lam, eps)
+        assert out.meta["recovery_epsilon"] == eps
+        for t, g, s in zip(path.times, path.slices, out.slices):
+            h = eps * min(float(t), 1.0 - float(t))
+            want = heat_flow(g, lam, h) if h > 0.0 else g
+            assert np.array_equal(s.atoms, want.atoms)
 
     def test_endpoints_untouched(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)
@@ -211,7 +224,7 @@ class TestRecoverySequence:
             sup, np.stack([np.diag([0.5, 0.0]), np.diag([0.25, 0.25])]).astype(complex)
         )
         g1 = random_finite_entropy_measure(rng, 2, 2, support=sup, lam=lam)
-        path = MeasurePath(np.array([0.0, 0.5, 1.0]), (singular, g1, g1))
+        path = MeasurePath(np.array([0.0, 0.5, 1.0]), sup, np.stack([singular.atoms, g1.atoms, g1.atoms]))
         with pytest.raises(InfiniteEndpointEntropyError):
             recovery_sequence(path, lam, 0.1)
 
@@ -408,7 +421,7 @@ class TestSolveBridge:
         cfg = SchrodingerConfig(epsilon=0.1, n_steps=8)
         with pytest.raises(AntipodalError):
             solve_bridge(g0, g1, lam, cfg)
-        init = MeasurePath(np.linspace(0.0, 1.0, 9), tuple([g0] * 8 + [g1]), None, {})
+        init = MeasurePath(np.linspace(0.0, 1.0, 9), sup, np.stack([g0.atoms] * 8 + [g1.atoms]), None, {})
         with pytest.raises(AntipodalError):
             solve_bridge(g0, g1, lam, cfg, init_path=init)
 
@@ -615,6 +628,17 @@ class TestGammaSweep:
         for a, b in zip(rows, rows[1:]):
             assert b.objective <= a.objective * 1.01
             assert b.tv_gap <= a.tv_gap * 1.05 + 1e-9
+
+    def test_gap_is_the_largest_slice_tv_distance(self, rng):
+        from frgeo.schrodinger import _sweep_row
+
+        g0, g1, lam = finite_entropy_pair(rng, n=3, d=2)
+        cfg = SchrodingerConfig(epsilon=0.2, n_steps=8)
+        geodesic = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 9))
+        row = _sweep_row(g0, g1, lam, geodesic, cfg)
+        path = solve_bridge(g0, g1, lam, cfg).path
+        assert row.tv_gap > 0.0
+        assert row.tv_gap == max(tv_distance(a, b) for a, b in zip(path.slices, geodesic.slices))
 
     def test_identical_endpoints_all_zero_gap(self):
         lam = uniform_reference(make_support(2), 2)

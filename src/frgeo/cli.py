@@ -17,6 +17,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -84,11 +85,11 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _path_columns(path: MeasurePath, lam: ReferenceMeasure, metric: str) -> list[list[float]]:
+def _path_columns(path: MeasurePath, lam: ReferenceMeasure, speeds: np.ndarray) -> list[list[float]]:
     """The columns t, mass, entropy, fisher and speed of a path, one entry per slice."""
     check_reference_support(path, lam)
     entropies, fishers = slice_entropies(path.atoms, lam)
-    return [c.tolist() for c in (path.times, path_masses(path), entropies, fishers, metric_speed(path, metric))]
+    return [c.tolist() for c in (path.times, path_masses(path), entropies, fishers, speeds)]
 
 
 def _cmd_distance(args) -> int:
@@ -124,18 +125,16 @@ def _cmd_geodesic(args) -> int:
     g1 = _load_measure(args.g1)
     lam = _load_reference(args.reference, g0)
     ts = np.linspace(0.0, 1.0, args.steps + 1)
-    if args.metric == "fisher-rao":
-        path = fisher_rao_geodesic(g0, g1, ts)
-        metric = "fisher_rao"
-    else:
-        path = hellinger_geodesic_points(g0, g1, ts)
-        metric = "hellinger"
+    geodesic = fisher_rao_geodesic if args.metric == "fisher-rao" else hellinger_geodesic_points
+    path = geodesic(g0, g1, ts)
+    # Constant speed, d(G_s, G_t) = |s - t| d(G_0, G_1): every slice moves at the distance.
+    speeds = np.full(path.n_slices, path.meta["distance"])
     fio.ensure_dir(args.out)
     fio.save_measure_path(os.path.join(args.out, "path.json"), path.times, path.slices)
     fio.write_csv(
         os.path.join(args.out, "path.csv"),
         ["time", "mass", "entropy", "speed"],
-        [(t, m, e, v) for t, m, e, _, v in zip(*_path_columns(path, lam, metric))],
+        [(t, m, e, v) for t, m, e, _, v in zip(*_path_columns(path, lam, speeds))],
     )
     print(f"wrote {args.out}/path.json and {args.out}/path.csv ({path.n_slices} slices)")
     return EXIT_OK
@@ -163,7 +162,8 @@ def _cmd_bridge(args) -> int:
     result = solve_bridge(g0, g1, lam, cfg)
     fio.ensure_dir(args.out)
     fio.save_measure_path(os.path.join(args.out, "path.json"), result.path.times, result.path.slices)
-    rows = zip(*_path_columns(result.path, lam, "fisher_rao"))
+    # A bridge is not a geodesic: its speeds are finite differences.
+    rows = zip(*_path_columns(result.path, lam, metric_speed(result.path, "fisher_rao")))
     fio.write_csv(os.path.join(args.out, "slices.csv"), ["t", "mass", "entropy", "fisher", "speed"], rows)
     print(f"objective = {result.objective!r}")
     print(f"kinetic = {result.kinetic!r}")
@@ -229,7 +229,9 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_SELFTEST_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="frgeo",
         description="Distances, geodesics, heat flow and Schrödinger bridges "

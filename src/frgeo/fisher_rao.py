@@ -127,12 +127,14 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
 
 def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """The slices of :func:`hellinger_geodesic` without its velocities: one
-    polar SVD (:func:`~frgeo.bures.polar_endpoints`) and no velocity step."""
+    polar SVD (:func:`~frgeo.bures.polar_endpoints`) and no velocity step.
+    ``meta["distance"]`` is ``d_H(G_0, G_1)``, from the polar residual of that SVD."""
     ts = bures.check_times(ts)
     check_same_support(g0, g1)
-    r0, y1, _ = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
+    r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
     points = bures.geodesic_factors(r0, y1, ts)[0]
-    return MeasurePath(ts, g0.support, points, None, {"metric": "hellinger"})
+    meta = {"metric": "hellinger", "distance": float(np.sqrt(4.0 * d_sq.sum()))}
+    return MeasurePath(ts, g0.support, points, None, meta)
 
 
 def _chord_parameter(theta: float, phi: float) -> float:
@@ -158,7 +160,7 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     ``d_FR(G_s, G_t) = |s - t| d_FR(G_0, G_1)``. Raises
     :class:`AntipodalError` within ``1e-6`` of the diameter ``pi``, where the
     underlying cone geodesic passes through the apex. ``meta["distance"]`` is
-    ``d_FR(G_0, G_1)``.
+    ``d_FR(G_0, G_1)``; identical endpoints give exactly 0 and the constant path.
     """
     ts = bures.check_times(ts)
     check_probability(g0, "first measure")
@@ -166,7 +168,8 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     check_same_support(g0, g1)
     # d_H^2 from the polar residual of the SVD the chord needs anyway.
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
-    dfr = float(fisher_rao_from_hellinger(4.0 * d_sq.sum()))
+    # The polar residual of identical endpoints reads round-off, not 0.
+    dfr = 0.0 if np.array_equal(g0.atoms, g1.atoms) else float(fisher_rao_from_hellinger(4.0 * d_sq.sum()))
     if dfr >= np.pi - ANTIPODAL_TOL:
         raise AntipodalError(
             f"endpoints at distance {dfr!r} >= pi - 1e-6: sphere projection undefined"

@@ -262,6 +262,7 @@ def solve_bridge(
             raise AntipodalError(f"endpoints at distance {dfr!r} >= pi - 1e-6")
         if init_path.n_slices != n_steps + 1:
             raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
+        check_same_support(init_path, g0)
     factors = psd_sqrt(init_path.atoms[1:-1])
     ends = psd_sqrt(np.stack([g0.atoms, g1.atoms]))
 

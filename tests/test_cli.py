@@ -6,13 +6,14 @@ import pytest
 
 from frgeo import cli, io as fio
 from frgeo.cli import main
+from frgeo.fisher_rao import MeasurePath, metric_speed
 from frgeo.measures import (
     MatrixMeasure,
     Support,
     make_support,
     uniform_reference,
 )
-from frgeo.testing import random_finite_entropy_measure, random_measure
+from frgeo.testing import random_finite_entropy_measure, random_measure, random_psd
 
 
 @pytest.fixture
@@ -122,8 +123,46 @@ class TestGeodesicCommand:
         with open(os.path.join(out, "path.csv")) as f:
             lines = f.read().strip().splitlines()
         speeds = [float(l.split(",")[3]) for l in lines[1:]]
-        # Constant-speed geodesic: the speed column is flat.
-        assert max(speeds) - min(speeds) <= 0.02 * max(speeds)
+        # Constant-speed geodesic: every row holds the same speed.
+        assert speeds[0] > 0.0 and speeds == [speeds[0]] * 9
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize("start", ["definite", "singular"])
+    @pytest.mark.parametrize("metric", ["fisher-rao", "hellinger"])
+    def test_speed_column_is_the_finite_difference_speed(self, tmp_path, seed, start, metric):
+        # The column is the geodesic's distance; finite differences of the
+        # written slices read the same constant.
+        rng = np.random.default_rng(seed)
+        sup = make_support(64)
+        g1 = random_finite_entropy_measure(rng, 64, 4, support=sup)
+        if start == "singular":
+            atoms = np.stack([random_psd(rng, 4, rank=2) for _ in range(64)])
+            g0 = MatrixMeasure(sup, atoms / np.real(np.trace(atoms, axis1=1, axis2=2)).sum())
+        else:
+            g0 = random_finite_entropy_measure(rng, 64, 4, support=sup)
+        p0, p1, out = str(tmp_path / "g0.json"), str(tmp_path / "g1.json"), str(tmp_path / "geo")
+        fio.save_measure(p0, g0)
+        fio.save_measure(p1, g1)
+        assert main(["geodesic", p0, p1, "--metric", metric, "--out", out]) == 0
+        times, slices = fio.load_measure_path(os.path.join(out, "path.json"))
+        path = MeasurePath(times, sup, np.stack([g.atoms for g in slices]))
+        with open(os.path.join(out, "path.csv")) as f:
+            speeds = np.array([float(l.split(",")[3]) for l in f.read().splitlines()[1:]])
+        expected = metric_speed(path, metric.replace("-", "_"))
+        assert np.abs(speeds - expected).max() <= 1e-12 * expected.max()
+
+    def test_identical_files_give_the_constant_path(self, tmp_path):
+        # The measure of the seeded CLI check, whose polar residual with
+        # itself is round-off above 0.
+        g0 = random_finite_entropy_measure(np.random.default_rng(7), 8, 3)
+        p0, out = str(tmp_path / "g0.json"), str(tmp_path / "geo")
+        fio.save_measure(p0, g0)
+        assert main(["geodesic", p0, p0, "--out", out]) == 0
+        _, slices = fio.load_measure_path(os.path.join(out, "path.json"))
+        assert len(slices) == 17 and all(np.array_equal(g.atoms, g0.atoms) for g in slices)
+        with open(os.path.join(out, "path.csv")) as f:
+            rows = [l.split(",") for l in f.read().splitlines()[1:]]
+        assert {r[2] for r in rows} == {rows[0][2]} and all(float(r[3]) == 0.0 for r in rows)
 
     def test_hellinger_mixed_fiber_modes(self, mixed_mode_pair, fiber_formulas, tmp_path):
         from frgeo.bures import bures_geodesic
@@ -171,6 +210,24 @@ class TestGeodesicCommand:
         assert main(["geodesic", p0, p1, "--metric", "hellinger", "--steps", "4", "--out", out]) == 0
         _, slices = fio.load_measure_path(os.path.join(out, "path.json"))
         assert np.abs(slices[-1].atoms - g1.atoms).max() <= 1e-15
+
+
+class TestParserReuse:
+    def test_one_parser_serves_successive_calls(self, workdir, capsys):
+        # The parser is built once per process; no option value leaks from
+        # one call into the next.
+        assert cli.build_parser() is cli.build_parser()
+        short, default = os.path.join(workdir["dir"], "short"), os.path.join(workdir["dir"], "default")
+        argv = ["geodesic", workdir["g0"], workdir["g1"]]
+        assert main([*argv, "--metric", "hellinger", "--steps", "4", "--out", short]) == 0
+        assert main([*argv, "--out", default]) == 0
+        assert len(fio.load_measure_path(os.path.join(short, "path.json"))[1]) == 5
+        slices = fio.load_measure_path(os.path.join(default, "path.json"))[1]
+        assert len(slices) == 17
+        assert all(abs(np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum() - 1.0) <= 1e-12 for g in slices)
+        assert main([*argv, "--steps", "four", "--out", default]) == 2
+        assert main(["distance", workdir["g0"], workdir["g1"]]) == 0
+        assert capsys.readouterr().out.startswith("wrote")
 
 
 class TestMeasureFileErrors:

@@ -42,6 +42,7 @@ from frgeo.measures import (
 )
 from frgeo.testing import (
     random_density,
+    random_finite_entropy_measure,
     random_measure,
     random_probability_measure,
     random_psd,
@@ -229,6 +230,16 @@ class TestHellingerGeodesic:
         expected = mass_interpolation_values(g0, g1, ts)
         assert np.abs(masses - expected).max() <= 2e-14 * (mass(g0) + mass(g1))
 
+    @pytest.mark.parametrize("start", ["definite", "singular", "zero"])
+    def test_points_record_the_hellinger_distance(self, rng, start):
+        # meta["distance"] comes from the geodesic's own polar residual.
+        sup = make_support(64)
+        rank = {"definite": None, "singular": 2, "zero": 0}[start]
+        g0 = MatrixMeasure(sup, np.stack([random_psd(rng, 4, rank=rank) for _ in range(64)]))
+        g1 = random_measure(rng, 64, 4, support=sup)
+        path = hellinger_geodesic_points(g0, g1, np.linspace(0.0, 1.0, 17))
+        assert path.meta["distance"] == pytest.approx(np.sqrt(hellinger_distance_sq(g0, g1)), rel=1e-14)
+
     def test_ode_residual_recorded_and_small(self, rng):
         sup = make_support(2)
         g0 = random_measure(rng, 2, 2, definite=True, support=sup)
@@ -316,6 +327,16 @@ class TestFisherRaoGeodesic:
         path = fisher_rao_geodesic(g, g, [0.0, 0.5, 1.0])
         for s in path.slices:
             assert tv_distance(s, g) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 16])
+    def test_identical_endpoints_give_zero_distance_and_the_endpoint(self, steps):
+        # The measure of the seeded CLI check: its polar residual with itself
+        # reads about 3e-15, not 0, so only equality of the atoms decides.
+        g0 = random_finite_entropy_measure(np.random.default_rng(7), 8, 3)
+        assert 0.0 < fisher_rao_from_hellinger(hellinger_distance_sq(g0, g0))
+        path = fisher_rao_geodesic(g0, g0.with_atoms(g0.atoms.copy()), np.linspace(0.0, 1.0, steps + 1))
+        assert path.meta["distance"] == 0.0
+        assert np.array_equal(path.atoms, np.broadcast_to(g0.atoms, path.atoms.shape))
 
     def test_antipodal_raises(self):
         sup = Support(("x",))
@@ -709,7 +730,7 @@ class TestMeasurePathValidation:
     def test_zero_distance_geodesic_is_its_endpoint_exactly(self, rng, ts):
         g = random_probability_measure(rng, 3, 2)
         path = fisher_rao_geodesic(g, g.with_atoms(g.atoms.copy()), ts)
-        assert path.meta["distance"] <= 1e-15
+        assert path.meta["distance"] == 0.0
         for s in path.slices:
             assert np.array_equal(s.atoms, g.atoms)
 

@@ -12,6 +12,7 @@ from frgeo.exceptions import (
     InfiniteEndpointEntropyError,
     NotProbabilityError,
     SingularMatrixError,
+    SupportMismatchError,
 )
 from frgeo.fisher_rao import (
     MeasurePath,
@@ -390,6 +391,16 @@ class TestSolveBridge:
         cfg = SchrodingerConfig(epsilon=0.3, n_steps=8)
         bad = fisher_rao_geodesic(g0, g1, np.linspace(0, 1, 5))
         with pytest.raises(FRGeoError):
+            solve_bridge(g0, g1, lam, cfg, init_path=bad)
+
+    @pytest.mark.parametrize("labels", [tuple(f"q{i}" for i in range(8)), ("p2", "p1", *(f"p{i}" for i in range(3, 9)))])
+    def test_init_path_on_another_support_rejected(self, rng, labels):
+        # Same shape and grid, other (or reordered) point labels than the endpoints' p1..p8.
+        g0, g1, lam = finite_entropy_pair(rng, n=8)
+        cfg = SchrodingerConfig(epsilon=0.3, n_steps=8)
+        geo = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 9))
+        bad = MeasurePath(geo.times, Support(labels), geo.atoms)
+        with pytest.raises(SupportMismatchError, match="different supports"):
             solve_bridge(g0, g1, lam, cfg, init_path=bad)
 
     def test_infinite_endpoint_entropy_rejected(self, rng):

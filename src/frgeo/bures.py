@@ -1,4 +1,4 @@
-"""Bures-Wasserstein geometry on single Hermitian-PSD fibers.
+"""Bures-Wasserstein geometry on Hermitian-PSD fibers and stacks of them.
 
 Provides the squared distance as one polar residual, its spherical (unit-trace)
 companion, geodesics in polar form ``Y_t Y_t*`` (exact on the cone boundary),
@@ -71,22 +71,14 @@ def check_times(ts) -> np.ndarray:
     return times
 
 
-def bures_distance_sq_stack(a0: np.ndarray, a1: np.ndarray, labels=None) -> np.ndarray:
-    """Squared Bures-Wasserstein distances between paired fibers of two
-    ``(..., d, d)`` stacks, one per pair, as the polar residual of
-    :func:`polar_endpoints`; ``labels`` name the fibers in a
+def bures_distance_sq(a0: np.ndarray, a1: np.ndarray, labels=None) -> float | np.ndarray:
+    """Squared Bures-Wasserstein distance ``tr a0 + tr a1 - 2 tr sqrt(sqrt(a0) a1 sqrt(a0))``
+    between two fibers (a ``float``) or the paired fibers of two ``(n, d, d)`` stacks (one per
+    pair), as the polar residual of :func:`polar_endpoints`, which has no cancellation at small
+    distances. Inputs must be PSD (within the clamping floor); ``labels`` name the fibers in a
     :class:`~frgeo.exceptions.NotPSDError`."""
-    return polar_endpoints(a0, a1, labels)[2]
-
-
-def bures_distance_sq(a0: np.ndarray, a1: np.ndarray) -> float:
-    """Squared Bures-Wasserstein distance
-    ``tr a0 + tr a1 - 2 tr sqrt(sqrt(a0) a1 sqrt(a0))``, computed as the
-    polar residual ``min_U |a1^{1/2} U - a0^{1/2}|^2`` (:func:`polar_residual`),
-    which has no cancellation at small distances. Both inputs must be PSD
-    (within the clamping floor).
-    """
-    return float(bures_distance_sq_stack(a0, a1))
+    d_sq = polar_endpoints(a0, a1, labels)[2]
+    return float(d_sq) if d_sq.ndim == 0 else d_sq
 
 
 def spherical_bures(a0: np.ndarray, a1: np.ndarray) -> float:
@@ -123,21 +115,26 @@ def polar_endpoints(a0: np.ndarray, a1: np.ndarray, labels=None):
 
 
 def geodesic_factors(r0: np.ndarray, y1: np.ndarray, ts):
-    """Points ``(len(ts), n, d, d)`` of :func:`bures_geodesic_stack` with
-    their factors ``Y_t = (1 - t) r0 + t y1`` (from :func:`polar_endpoints`)
-    and the factor velocity ``y1 - r0``."""
-    t = np.asarray(ts, dtype=float)[:, None, None, None]
+    """Points ``(len(ts), *r0.shape)`` of :func:`bures_geodesic` with their
+    factors ``Y_t = (1 - t) r0 + t y1`` (from :func:`polar_endpoints`) and
+    the factor velocity ``y1 - r0``."""
+    t = np.asarray(ts, dtype=float).reshape(-1, *[1] * r0.ndim)
     y_t = (1.0 - t) * r0 + t * y1
     return hermitian_part(y_t @ np.conj(np.swapaxes(y_t, -1, -2))), y_t, y1 - r0
 
 
-def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeodesic:
-    """Geodesic samples between paired fibers of two ``(n, d, d)`` stacks,
-    each fiber as :func:`bures_geodesic` builds it.
+def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeodesic:
+    """Geodesic samples between two PSD fibers, or the paired fibers of two ``(n, d, d)`` stacks.
 
-    ``points[k]`` is the stack at ``ts[k]``; ``velocities[k]`` is the stack
-    of fiber velocities when every fiber point there is definite, else None.
-    Times must increase strictly within ``[0, 1]`` (:func:`check_times`).
+    The path is ``a_t = Y_t Y_t*`` with ``Y_t = (1 - t) a0^{1/2} + t a1^{1/2} U``,
+    where ``U`` is the unitary polar factor of ``a1^{1/2} a0^{1/2}`` (one
+    batched SVD). This holds for singular ``a0`` as well, so the endpoints
+    and the mass interpolation are exact on the cone boundary; for definite
+    ``a0`` it is the optimal-map path ``M_t a0 M_t``. ``points[k]`` is the
+    fiber (or stack) at ``ts[k]``; ``velocities[k]`` solves
+    ``(a_t u + u a_t) / 2 = d a_t / dt`` when every fiber point there is
+    definite, else is None. Times must increase strictly within ``[0, 1]``
+    (:func:`check_times`); ``labels`` name the fibers in a ``NotPSDError``.
     """
     ts = check_times(ts)
     a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
@@ -145,26 +142,11 @@ def bures_geodesic_stack(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> Fib
     points, y_t, dy = geodesic_factors(r0, y1, ts)
     rates = 2.0 * hermitian_part(dy @ np.conj(np.swapaxes(y_t, -1, -2)))
     w, v = np.linalg.eigh(points)
-    definite = np.all(zero_floor(w)[..., 0] > 0.0, axis=-1)
+    definite = (zero_floor(w)[..., 0] > 0.0).reshape(len(ts), -1).all(axis=1)
     us = np.zeros_like(points)
     us[definite] = solve_sylvester_eigh(w[definite], v[definite], rates[definite])
     velocities = tuple(u if ok else None for u, ok in zip(us, definite))
     return FiberGeodesic(a0, a1, ts, points, velocities)
-
-
-def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts) -> FiberGeodesic:
-    """Geodesic samples between PSD fibers.
-
-    The path is ``a_t = Y_t Y_t*`` with ``Y_t = (1 - t) a0^{1/2} + t a1^{1/2} U``,
-    where ``U`` is the unitary polar factor of ``a1^{1/2} a0^{1/2}`` (one
-    batched SVD). This holds for singular ``a0`` as well, so the endpoints
-    and the mass interpolation are exact on the cone boundary; for definite
-    ``a0`` it is the optimal-map path ``M_t a0 M_t``. Velocities solve
-    ``(a_t u + u a_t) / 2 = d a_t / dt`` where ``a_t`` is definite.
-    """
-    geo = bures_geodesic_stack(np.asarray(a0)[None], np.asarray(a1)[None], ts)
-    velocities = tuple(None if u is None else u[0] for u in geo.velocities)
-    return FiberGeodesic(geo.a0[0], geo.a1[0], geo.times, geo.points[:, 0], velocities)
 
 
 def bures_real_embedding_check(a0: np.ndarray, a1: np.ndarray) -> tuple[float, float]:

@@ -72,7 +72,7 @@ class MeasurePath:
 def hellinger_distance_sq(g0: MatrixMeasure, g1: MatrixMeasure) -> float:
     """Four times the fiberwise sum of squared Bures distances."""
     check_same_support(g0, g1)
-    return 4.0 * float(bures.bures_distance_sq_stack(g0.atoms, g1.atoms, g0.support.point_ids).sum())
+    return 4.0 * float(bures.bures_distance_sq(g0.atoms, g1.atoms, g0.support.point_ids).sum())
 
 
 def fisher_rao_from_hellinger(dh_sq):
@@ -120,7 +120,7 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     velocities are attached whenever every fiber admits one.
     """
     check_same_support(g0, g1)
-    geo = bures.bures_geodesic_stack(g0.atoms, g1.atoms, ts, g0.support.point_ids)
+    geo = bures.bures_geodesic(g0.atoms, g1.atoms, ts, g0.support.point_ids)
     meta = {"metric": "hellinger", "ode_residual": _discrete_ode_residual(geo.times, geo.points, geo.velocities)}
     return MeasurePath(geo.times, g0.support, geo.points, geo.velocities, meta)
 
@@ -128,13 +128,16 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
 def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """The slices of :func:`hellinger_geodesic` without its velocities: one
     polar SVD (:func:`~frgeo.bures.polar_endpoints`) and no velocity step.
-    ``meta["distance"]`` is ``d_H(G_0, G_1)``, from the polar residual of that SVD."""
+    ``meta["distance"]`` is ``d_H(G_0, G_1)``, from the polar residual of that
+    SVD; identical endpoints give exactly 0 and the constant path."""
     ts = bures.check_times(ts)
     check_same_support(g0, g1)
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
-    points = bures.geodesic_factors(r0, y1, ts)[0]
+    if np.array_equal(g0.atoms, g1.atoms):  # their polar residual reads round-off, not 0
+        constant = np.broadcast_to(g0.atoms, (len(ts), *g0.atoms.shape))
+        return MeasurePath(ts, g0.support, constant, None, {"metric": "hellinger", "distance": 0.0})
     meta = {"metric": "hellinger", "distance": float(np.sqrt(4.0 * d_sq.sum()))}
-    return MeasurePath(ts, g0.support, points, None, meta)
+    return MeasurePath(ts, g0.support, bures.geodesic_factors(r0, y1, ts)[0], None, meta)
 
 
 def _chord_parameter(theta: float, phi: float) -> float:

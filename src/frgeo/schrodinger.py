@@ -100,7 +100,6 @@ class SweepRow:
     fisher_term: float
     tv_gap: float
     converged: bool
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -345,10 +344,7 @@ def _sweep_row(
     geodesic: MeasurePath,
     cfg: SchrodingerConfig,
 ) -> SweepRow:
-    try:
-        result = solve_bridge(g0, g1, lam, cfg)
-    except FRGeoError as exc:
-        return SweepRow(cfg.epsilon, math.nan, math.nan, math.nan, math.nan, False, str(exc))
+    result = solve_bridge(g0, g1, lam, cfg)
     gap = float(np.linalg.norm(result.path.atoms - geodesic.atoms, axis=(-2, -1)).sum(axis=-1).max())
     return SweepRow(
         cfg.epsilon, result.objective, result.kinetic, result.fisher_term, gap, result.converged
@@ -369,8 +365,8 @@ def gamma_sweep(
     ``jobs`` only chooses where the rows run: in a pool of
     ``min(jobs, len(epsilons))`` processes when that is more than one, else
     in this process; the rows are the same either way. Output rows follow
-    the given temperature order; a failed row is flagged with its error and
-    the sweep continues.
+    the given temperature order. A row's error propagates: it comes from a
+    precondition on the endpoints, which every row shares.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:

@@ -329,12 +329,8 @@ _GROUPS: list[tuple[str, Callable[[np.random.Generator], list[str]]]] = [
 ]
 
 
-def run_selftest(seed: int = 0, force_fail: bool = False) -> list[InvariantResult]:
-    """Run every invariant group on instances drawn from ``seed``.
-
-    ``force_fail`` injects a failing group (harness hook used to test the
-    CLI exit-code contract).
-    """
+def run_selftest(seed: int = 0) -> list[InvariantResult]:
+    """Run every invariant group on instances drawn from ``seed``."""
     results = []
     for idx, (name, fn) in enumerate(_GROUPS):
         rng = np.random.default_rng([seed, idx])
@@ -344,6 +340,4 @@ def run_selftest(seed: int = 0, force_fail: bool = False) -> list[InvariantResul
             failures = [f"raised {type(exc).__name__}: {exc}"]
         detail = "; ".join(failures[:3])
         results.append(InvariantResult(name, not failures, detail))
-    if force_fail:
-        results.append(InvariantResult("forced-failure-hook", False, "failure injected by flag"))
     return results

@@ -118,7 +118,7 @@ class TestBuresGeodesic:
     @pytest.mark.parametrize("ts", [[np.nan, 3.0], [0.5, 0.2], [0.0, 1.5]])
     @pytest.mark.parametrize(
         "geodesic",
-        [bures_geodesic, lambda a0, a1, ts: bures.bures_geodesic_stack(a0[None], a1[None], ts)],
+        [bures_geodesic, lambda a0, a1, ts: bures_geodesic(a0[None], a1[None], ts)],
         ids=["fiber", "stack"],
     )
     def test_rejects_times_before_any_arithmetic(self, geodesic, ts):

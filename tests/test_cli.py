@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from frgeo import cli, io as fio
+from frgeo import cli, selftest, io as fio
 from frgeo.cli import main
 from frgeo.fisher_rao import MeasurePath, metric_speed
 from frgeo.measures import (
@@ -294,7 +294,35 @@ class TestMeasureFileErrors:
         err = capsys.readouterr().err
         assert "support" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("weights", ["[NaN, 0.25]", '["0.25", 0.25]'], ids=["nan", "string"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "measure document must be a JSON object"),
+            ('{"dim": 1, "support": ["p"]}', "measure document missing field 'atoms'"),
+            ('{"dim": 1, "support": ["p"], "atoms": [{"point": "p"}]}', "each atom must be an object with 'point' and 'matrix'"),
+            ('{"dim": 1, "support": ["p"], "atoms": [{"matrix": [[[1, 0]]]}]}', "each atom must be an object with 'point' and 'matrix'"),
+            ('{"dim": 1, "support": ["p"], "atoms": [{"point": "q", "matrix": [[[1, 0]]]}]}', "atom point 'q' is not in the support"),
+            (
+                '{"dim": 1, "support": ["p", "q"], "atoms": [{"point": "p", "matrix": [[[1, 0]]]}, {"point": "p", "matrix": [[[1, 0]]]}]}',
+                "duplicate atom for point 'p'",
+            ),
+            (
+                '{"dim": 2, "support": ["p"], "atoms": [{"point": "p", "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}]}',
+                "atom at point 'p' ([re, im] pairs) must have shape (2, 2, 2), got (3, 3, 2)",
+            ),
+        ],
+        ids=["not-an-object", "missing-field", "no-matrix", "no-point", "point-not-in-support", "duplicate-atom", "3x3-in-dim-2"],
+    )
+    def test_malformed_measure_document_exit_2(self, tmp_path, capsys, text, message):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["distance", str(p), str(p)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "weights", ["[NaN, 0.25]", '["0.25", 0.25]', "[0.5, 0.5]"], ids=["nan", "string", "not-normalized"]
+    )
     def test_malformed_weight_exit_2_names_weights(self, workdir, capsys, weights):
         p = os.path.join(workdir["dir"], "bad_lam.json")
         with open(p, "w") as f:
@@ -303,6 +331,31 @@ class TestMeasureFileErrors:
         assert main(["heatflow", workdir["g0"], "--reference", p, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "weights" in err and "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            (["geodesic", "g0", "g1"], "afile/x"),
+            (["heatflow", "g0"], "afile/x"),
+            (["convexity", "g0", "g1"], "afile/x"),
+            (["bridge", "g0", "g1", "--epsilon", "0.3", "--steps", "8"], "afile"),
+            (["gamma-sweep", "g0", "g1", "--epsilons", "0.5", "--steps", "8"], "afile/x"),
+        ],
+        ids=["geodesic", "heatflow", "convexity", "bridge", "gamma-sweep"],
+    )
+    def test_output_beneath_a_regular_file_exit_2(self, workdir, capsys, command, out):
+        # "afile" is a regular file: a directory cannot be made there, nor a file beneath it.
+        afile = os.path.join(workdir["dir"], "afile")
+        with open(afile, "w") as f:
+            f.write("not a directory\n")
+        argv = [workdir.get(arg, arg) for arg in command]
+        assert main(argv + ["--out", os.path.join(workdir["dir"], out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and afile in err and "Traceback" not in err
+        with open(afile) as f:
+            assert f.read() == "not a directory\n"
 
 
 class TestHeatflowCommand:
@@ -476,6 +529,50 @@ class TestSweepAndConvexity:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_gamma_sweep_infinite_entropy_exit_3(self, tmp_path, workdir, capsys, jobs):
+        # Every row's solve fails on the endpoint, so the sweep stops with
+        # the precondition, from a worker pool too, and writes no table.
+        sup = make_support(2)
+        singular = MatrixMeasure(sup, np.stack([np.diag([0.5, 0.0]), np.diag([0.25, 0.25])]).astype(complex))
+        p = str(tmp_path / "sing.json")
+        fio.save_measure(p, singular)
+        out = os.path.join(workdir["dir"], "sweep.csv")
+        argv = ["gamma-sweep", p, workdir["g1"], "--epsilons", "0.5,0.2", "--steps", "8", "--jobs", jobs]
+        assert main(argv + ["--out", out]) == 3
+        captured = capsys.readouterr()
+        assert "error: precondition violated:" in captured.err and "initial endpoint has infinite entropy" in captured.err
+        assert captured.out == "" and not os.path.exists(out)
+
+    def test_gamma_sweep_unconverged_row_exit_4(self, workdir, capsys, monkeypatch):
+        from frgeo.schrodinger import SweepRow
+
+        rows = [SweepRow(0.5, 1.0, 0.75, 0.25, 0.125, True), SweepRow(0.2, 0.5, 0.375, 0.125, 0.0625, False)]
+        monkeypatch.setattr(cli, "gamma_sweep", lambda *args, **kwargs: rows)
+        out = os.path.join(workdir["dir"], "sweep.csv")
+        assert main(["gamma-sweep", workdir["g0"], workdir["g1"], "--epsilons", "0.5,0.2", "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert "error: at least one sweep row did not converge" in captured.err
+        assert "epsilon=0.5: objective_x2=2.0 tv_gap=0.125 (converged)" in captured.out
+        assert "epsilon=0.2: objective_x2=1.0 tv_gap=0.0625 (not converged)" in captured.out
+        with open(out) as f:
+            lines = f.read().strip().splitlines()
+        assert [l.split(",")[:2] for l in lines[1:]] == [["0.5", "2"], ["0.20000000000000001", "1"]]
+
+    @pytest.mark.parametrize(
+        "command, option, value, message",
+        [
+            ("gamma-sweep", "--epsilons", "0.2,abc", "cannot parse epsilon list '0.2,abc'"),
+            ("convexity", "--theta-grid", ",", "empty theta grid ','"),
+        ],
+    )
+    def test_unparsable_list_exit_2(self, workdir, capsys, command, option, value, message):
+        out = os.path.join(workdir["dir"], "table.csv")
+        assert main([command, workdir["g0"], workdir["g1"], option, value, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_convexity_csv(self, workdir):
         out = os.path.join(workdir["dir"], "conv.csv")
         code = main(
@@ -521,9 +618,17 @@ class TestSelftestCommand:
         assert main(["selftest", "--seed", "1"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
-    def test_force_fail_exit_1(self, capsys):
-        assert main(["selftest", "--seed", "0", "--force-fail"]) == 1
-        assert "FAIL forced-failure-hook" in capsys.readouterr().out
+    def test_failing_group_exit_1(self, capsys, monkeypatch):
+        passing = ("passing-group", lambda rng: [])
+        monkeypatch.setattr(selftest, "_GROUPS", [passing, ("failing-group", lambda rng: ["injected failure"])])
+        assert main(["selftest", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "PASS passing-group" in out and "FAIL failing-group: injected failure" in out
+        assert "1/2 invariant groups passed (seed 0)" in out
+
+    def test_force_fail_option_is_gone(self, capsys):
+        assert main(["selftest", "--force-fail"]) == 2
+        assert "unrecognized arguments: --force-fail" in capsys.readouterr().err
 
 
 class TestRoundTripThroughCli:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgeo import bures
 from frgeo.bures import bures_distance_sq, bures_geodesic
 from frgeo.exceptions import (
     AntipodalError,
@@ -273,7 +272,7 @@ class TestStackedAgainstFibers:
         assert fibers[0].velocities[0] is None
         assert all(u is not None for fp in fibers[::2] for u in fp.velocities[1:])
         definite = MatrixMeasure(make_support(2), g0.atoms[::2]), MatrixMeasure(make_support(2), g1.atoms[::2])
-        geo = bures.bures_geodesic_stack(definite[0].atoms, definite[1].atoms, ts)
+        geo = bures_geodesic(definite[0].atoms, definite[1].atoms, ts)
         fiber_formulas.check_path(*definite, ts, geo.points, geo.velocities)
         for k in range(1, len(ts)):
             us = np.stack([fp.velocities[k] for fp in fibers[::2]])
@@ -328,13 +327,14 @@ class TestFisherRaoGeodesic:
         for s in path.slices:
             assert tv_distance(s, g) <= 1e-12
 
+    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic_points])
     @pytest.mark.parametrize("steps", [1, 16])
-    def test_identical_endpoints_give_zero_distance_and_the_endpoint(self, steps):
+    def test_identical_endpoints_give_zero_distance_and_the_endpoint(self, steps, geodesic):
         # The measure of the seeded CLI check: its polar residual with itself
         # reads about 3e-15, not 0, so only equality of the atoms decides.
         g0 = random_finite_entropy_measure(np.random.default_rng(7), 8, 3)
         assert 0.0 < fisher_rao_from_hellinger(hellinger_distance_sq(g0, g0))
-        path = fisher_rao_geodesic(g0, g0.with_atoms(g0.atoms.copy()), np.linspace(0.0, 1.0, steps + 1))
+        path = geodesic(g0, g0.with_atoms(g0.atoms.copy()), np.linspace(0.0, 1.0, steps + 1))
         assert path.meta["distance"] == 0.0
         assert np.array_equal(path.atoms, np.broadcast_to(g0.atoms, path.atoms.shape))
 
@@ -551,9 +551,9 @@ class TestMetricSpeed:
 
 def _oracle_distances(path, lo, hi, metric):
     """Distances between the slice pairs ``(lo[k], hi[k])`` of a path from
-    ``bures_distance_sq_stack`` on the start and end stacks."""
+    ``bures_distance_sq`` on the start and end stacks."""
     stack = path.atoms
-    dh_sq = 4.0 * bures.bures_distance_sq_stack(stack[lo], stack[hi], path.support.point_ids).sum(axis=-1)
+    dh_sq = 4.0 * bures_distance_sq(stack[lo], stack[hi], path.support.point_ids).sum(axis=-1)
     return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 
 
@@ -566,7 +566,7 @@ def _oracle_speeds(path, metric):
 
 class TestOneDecompositionPerSlice:
     """Speeds and arc lengths decompose every slice once; they match the
-    pairwise ``bures_distance_sq_stack`` route bit for bit."""
+    pairwise ``bures_distance_sq`` route on stacks bit for bit."""
 
     def _paths(self, rng):
         sup = make_support(4)

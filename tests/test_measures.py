@@ -20,6 +20,8 @@ from frgeo.measures import (
     MatrixMeasure,
     ReferenceMeasure,
     Support,
+    check_reference_support,
+    check_same_support,
     lebesgue_split,
     make_support,
     mass,
@@ -110,6 +112,33 @@ class TestMatrixMeasureChecks:
         atoms[1, 1, 0] = value
         with pytest.raises(NotHermitianError, match=r"atom at point 'q' has a non-finite entry at \(1, 0\)"):
             MatrixMeasure(Support(("p", "q")), atoms)
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3)], ids=["not-a-stack", "not-square"])
+    def test_atoms_must_be_n_d_d(self, shape):
+        with pytest.raises(FRGeoError, match=r"atoms must have shape \(n, d, d\), got"):
+            MatrixMeasure(make_support(2), np.zeros(shape, dtype=complex))
+
+    def test_one_atom_per_point(self):
+        with pytest.raises(SupportMismatchError, match="^3 atoms for 2 support points$"):
+            MatrixMeasure(make_support(2), np.zeros((3, 2, 2), dtype=complex))
+
+    def test_one_weight_per_point(self):
+        with pytest.raises(FRGeoError, match=r"weights must have shape \(2,\), got \(4,\)"):
+            ReferenceMeasure(make_support(2), 1, np.full(4, 0.25))
+
+    def test_pairs_need_the_same_dim(self):
+        sup = make_support(2)
+        with pytest.raises(SupportMismatchError, match="^measures have different dims 1 and 2$"):
+            check_same_support(MatrixMeasure.zeros(sup, 1), MatrixMeasure.zeros(sup, 2))
+
+    def test_reference_needs_the_same_support_and_dim(self):
+        g = MatrixMeasure.zeros(make_support(2), 2)
+        with pytest.raises(SupportMismatchError, match="^measure and reference live on different supports$"):
+            check_reference_support(g, uniform_reference(make_support(3), 2))
+        with pytest.raises(SupportMismatchError, match="^measure dim 2 != reference dim 1$"):
+            check_reference_support(g, uniform_reference(make_support(2), 1))
 
 
 class TestTvNorm:
@@ -244,6 +273,22 @@ class TestReferenceMeasure:
 
 
 class TestMeasureFiles:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"time": 0.0}', "path document must be a JSON array"),
+            ("[3]", "each path entry must carry 'time' and 'measure'"),
+            ('[{"time": 0.0}]', "each path entry must carry 'time' and 'measure'"),
+            ('[{"measure": {}}]', "each path entry must carry 'time' and 'measure'"),
+        ],
+        ids=["not-an-array", "entry-not-an-object", "no-measure", "no-time"],
+    )
+    def test_path_loader_rejects_malformed_documents(self, tmp_path, text, message):
+        p = tmp_path / "path.json"
+        p.write_text(text)
+        with pytest.raises(MeasureFormatError, match=f"^{message}$"):
+            fio.load_measure_path(str(p))
+
     def test_round_trip_bit_identical(self, rng, tmp_path):
         g = random_measure(rng, 3, 2)
         p = os.path.join(tmp_path, "m.json")

@@ -635,7 +635,7 @@ class TestGammaSweep:
         cfg = SchrodingerConfig(epsilon=0.5, n_steps=12)
         rows = gamma_sweep(g0, g1, lam, [0.5, 0.2, 0.1], cfg)
         assert [r.epsilon for r in rows] == [0.5, 0.2, 0.1]
-        assert all(r.error is None and r.converged for r in rows)
+        assert all(r.converged for r in rows)
         for a, b in zip(rows, rows[1:]):
             assert b.objective <= a.objective * 1.01
             assert b.tv_gap <= a.tv_gap * 1.05 + 1e-9
@@ -665,9 +665,11 @@ class TestGammaSweep:
         with pytest.raises(ValueError):
             gamma_sweep(g0, g1, lam, [0.1, 0.5], SchrodingerConfig(epsilon=0.1, n_steps=8))
 
-    def test_failing_rows_flagged_and_sweep_continues(self, rng):
-        # Infinite-entropy endpoints make every bridge solve fail; the sweep
-        # must flag each row and still return the full table.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_endpoint_error_propagates(self, rng, jobs):
+        # Infinite-entropy endpoints make every bridge solve fail the same
+        # way, whatever the temperature; the sweep raises that error, also
+        # out of a worker pool.
         sup = make_support(2)
         lam = uniform_reference(sup, 2)
         singular = MatrixMeasure(
@@ -675,10 +677,8 @@ class TestGammaSweep:
         )
         g1 = random_finite_entropy_measure(rng, 2, 2, support=sup, lam=lam)
         cfg = SchrodingerConfig(epsilon=0.5, n_steps=8)
-        rows = gamma_sweep(singular, g1, lam, [0.5, 0.2], cfg)
-        assert len(rows) == 2
-        assert all(r.error is not None and not r.converged for r in rows)
-        assert all(math.isnan(r.objective) for r in rows)
+        with pytest.raises(InfiniteEndpointEntropyError):
+            gamma_sweep(singular, g1, lam, [0.5, 0.2], cfg, jobs=jobs)
 
     def test_parallel_rows_match_cold_runs(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bures
 from .exceptions import AntipodalError, FRGeoError, ZeroLengthError
-from .hpsd import check_hermitian, hermitian_part, psd_sqrt, sym_product
+from .hpsd import check_hermitian, hermitian_part, psd_spectrum, psd_sqrt, sym_product, zero_floor
 from .measures import MatrixMeasure, Support, check_probability, check_same_support, mass, tv_distance
 
 ANTIPODAL_TOL = 1e-6
@@ -117,9 +117,18 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """Fiberwise Bures geodesic through every atom.
 
     The resulting path moves at constant Hellinger speed. Per-slice
-    velocities are attached whenever every fiber admits one.
+    velocities are attached whenever every fiber admits one. Identical
+    endpoints give the constant path, with zero velocities where every
+    fiber is definite.
     """
     check_same_support(g0, g1)
+    if np.array_equal(g0.atoms, g1.atoms):  # their polar factors carry round-off, not 0
+        ts = bures.check_times(ts)
+        w = psd_spectrum(g0.atoms, labels=g0.support.point_ids)[1]
+        definite = (zero_floor(w)[..., 0] > 0.0).all()
+        velocities = tuple(np.zeros_like(g0.atoms) if definite else None for _ in ts)
+        constant = np.broadcast_to(g0.atoms, (len(ts), *g0.atoms.shape))
+        return MeasurePath(ts, g0.support, constant, velocities, {"metric": "hellinger", "ode_residual": 0.0})
     geo = bures.bures_geodesic(g0.atoms, g1.atoms, ts, g0.support.point_ids)
     meta = {"metric": "hellinger", "ode_residual": _discrete_ode_residual(geo.times, geo.points, geo.velocities)}
     return MeasurePath(geo.times, g0.support, geo.points, geo.velocities, meta)

@@ -9,10 +9,16 @@ Reference schema::
 
     { "dim": d, "support": ["p1", ...], "weights": [...] }
 
-``dim`` is a JSON integer of at least 1 and ``support`` a list of strings.
-Every other number goes through :func:`_float_array`, which admits only finite
-JSON numbers, and comes out through the % specs of :func:`_float_values`,
-whose 17 significant digits round-trip bit-identically.
+Path schema: a JSON array of ``{ "time": t, "measure": {...} }`` entries.
+
+``dim`` is a JSON integer of at least 1, ``support`` a list of strings and
+each atom's ``point`` a string of the support, looked up in a hash set so a
+measure loads in time linear in ``n``. Every other number goes through
+:func:`_float_array`, which admits only finite JSON numbers, and comes out
+through the % specs of :func:`_float_values`, whose 17 significant digits
+round-trip bit-identically. Path files are written and read one entry at a
+time: the writer checks every row, then formats and writes each slice in
+turn, and the loader converts each entry's measure as the parser closes it.
 """
 
 from __future__ import annotations
@@ -118,12 +124,14 @@ def measure_from_doc(doc: dict) -> MatrixMeasure:
     if not isinstance(entries, list) or len(entries) != support.n:
         got = len(entries) if isinstance(entries, list) else type(entries)
         raise MeasureFormatError(f"expected {support.n} atoms (one per support point), got {got}")
-    by_point = {}
+    known, by_point = set(support.point_ids), {}
     for entry in entries:
         if not isinstance(entry, dict) or "point" not in entry or "matrix" not in entry:
             raise MeasureFormatError("each atom must be an object with 'point' and 'matrix'")
-        pid = str(entry["point"])
-        if pid not in support.point_ids:
+        pid = entry["point"]
+        if not isinstance(pid, str):
+            raise MeasureFormatError(f"atom point must be a JSON string, got {json.dumps(pid)}")
+        if pid not in known:
             raise MeasureFormatError(f"atom point '{pid}' is not in the support")
         if pid in by_point:
             raise MeasureFormatError(f"duplicate atom for point '{pid}'")
@@ -153,10 +161,10 @@ def reference_from_doc(doc: dict) -> ReferenceMeasure:
         raise MeasureFormatError(str(exc)) from exc
 
 
-def _read_json(path: str):
+def _read_json(path: str, object_hook=None):
     with open(path, "r", encoding="utf-8") as f:
         try:
-            return json.load(f, parse_int=_parse_int)
+            return json.load(f, parse_int=_parse_int, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise MeasureFormatError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -184,34 +192,59 @@ def load_reference(path: str) -> ReferenceMeasure:
     return reference_from_doc(_read_json(path))
 
 
-def save_measure_path(path: str, times: Sequence[float], slices: Sequence[MatrixMeasure]) -> None:
-    """A path as a JSON array of measure documents keyed by time.
+def _path_row(t, g: MatrixMeasure) -> np.ndarray:
+    """The time and the ``[re, im]`` atom values of one path slice, flattened."""
+    return np.concatenate([[t], np.asarray(g.atoms, dtype=complex).ravel().view(float)])
 
-    The measure template of :func:`_measure_template` is built once per
-    support and pattern of integral atom values, so each slice costs one
-    % format of its time and atom values.
+
+def save_measure_path(path: str, times: Sequence[float], slices: Sequence[MatrixMeasure]) -> None:
+    """A path as a JSON array of measure documents keyed by time, written
+    one slice at a time.
+
+    Every row is checked before the file is opened, so a length mismatch or
+    a non-finite value leaves an existing file untouched. The measure
+    template of :func:`_measure_template` is built once per support and
+    pattern of integral atom values, so each slice costs one % format of its
+    time and atom values.
     """
-    templates, docs = {}, []
-    for t, g in zip(times, slices, strict=True):
-        x, specs = _float_values(np.concatenate([[t], np.asarray(g.atoms, dtype=complex).ravel().view(float)]))
-        key = (g.support, g.dim, specs[1:].tobytes())
-        if key not in templates:
-            templates[key] = _measure_template(g.dim, g.support, specs[1:])
-        docs.append(f'{{"time": {specs[0]}, "measure": {templates[key]}}}' % x)
-    _write_line(path, f"[{', '.join(docs)}]")
+    rows = list(zip(times, slices, strict=True))
+    for t, g in rows:
+        if not np.isfinite(_path_row(t, g)).all():
+            _float_values(_path_row(t, g))  # raises, naming the value
+    templates = {}
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("[")
+        for k, (t, g) in enumerate(rows):
+            x, specs = _float_values(_path_row(t, g))
+            key = (g.support, g.dim, specs[1:].tobytes())
+            if key not in templates:
+                templates[key] = _measure_template(g.dim, g.support, specs[1:])
+            f.write(", " if k else "")
+            f.write(f'{{"time": {specs[0]}, "measure": {templates[key]}}}' % x)
+        f.write("]\n")
+
+
+def _path_entry(obj: dict) -> dict:
+    """JSON object hook of :func:`load_measure_path`: the measure of an object
+    carrying both ``time`` and ``measure`` becomes a :class:`MatrixMeasure`
+    as the parser closes it, so its nested lists are freed at once."""
+    if "time" in obj and "measure" in obj:
+        obj["measure"] = measure_from_doc(obj["measure"])
+    return obj
 
 
 def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
-    doc = _read_json(path)
+    """The times and measures of a path file, each measure converted as soon
+    as its entry is parsed (:func:`_path_entry`)."""
+    doc = _read_json(path, _path_entry)
     if not isinstance(doc, list):
         raise MeasureFormatError("path document must be a JSON array")
-    entries = []
+    times = []
     for k, entry in enumerate(doc):
         if not isinstance(entry, dict) or "time" not in entry or "measure" not in entry:
             raise MeasureFormatError("each path entry must carry 'time' and 'measure'")
-        time = float(_float_array(entry["time"], (), f"time of path entry {k}"))
-        entries.append((time, measure_from_doc(entry["measure"])))
-    return [t for t, _ in entries], [g for _, g in entries]
+        times.append(float(_float_array(entry["time"], (), f"time of path entry {k}")))
+    return times, [entry["measure"] for entry in doc]
 
 
 def format_csv_value(v) -> str:

@@ -310,8 +310,13 @@ class TestMeasureFileErrors:
                 '{"dim": 2, "support": ["p"], "atoms": [{"point": "p", "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}]}',
                 "atom at point 'p' ([re, im] pairs) must have shape (2, 2, 2), got (3, 3, 2)",
             ),
+            ('{"dim": 1, "support": ["1"], "atoms": [{"point": 1, "matrix": [[[1, 0]]]}]}', "atom point must be a JSON string, got 1"),
+            ('{"dim": 1, "support": ["True"], "atoms": [{"point": true, "matrix": [[[1, 0]]]}]}', "atom point must be a JSON string, got true"),
         ],
-        ids=["not-an-object", "missing-field", "no-matrix", "no-point", "point-not-in-support", "duplicate-atom", "3x3-in-dim-2"],
+        ids=[
+            "not-an-object", "missing-field", "no-matrix", "no-point", "point-not-in-support", "duplicate-atom", "3x3-in-dim-2",
+            "number-point", "boolean-point",
+        ],
     )
     def test_malformed_measure_document_exit_2(self, tmp_path, capsys, text, message):
         p = tmp_path / "bad.json"

@@ -327,16 +327,28 @@ class TestFisherRaoGeodesic:
         for s in path.slices:
             assert tv_distance(s, g) <= 1e-12
 
-    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic_points])
+    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic_points, hellinger_geodesic])
     @pytest.mark.parametrize("steps", [1, 16])
     def test_identical_endpoints_give_zero_distance_and_the_endpoint(self, steps, geodesic):
         # The measure of the seeded CLI check: its polar residual with itself
         # reads about 3e-15, not 0, so only equality of the atoms decides.
         g0 = random_finite_entropy_measure(np.random.default_rng(7), 8, 3)
         assert 0.0 < fisher_rao_from_hellinger(hellinger_distance_sq(g0, g0))
-        path = geodesic(g0, g0.with_atoms(g0.atoms.copy()), np.linspace(0.0, 1.0, steps + 1))
-        assert path.meta["distance"] == 0.0
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        path = geodesic(g0, g0.with_atoms(g0.atoms.copy()), ts)
         assert np.array_equal(path.atoms, np.broadcast_to(g0.atoms, path.atoms.shape))
+        if geodesic is not hellinger_geodesic:
+            assert path.meta["distance"] == 0.0
+            return
+        # Definite fibers: a zero velocity at every time and no ODE residual.
+        assert path.meta["ode_residual"] == 0.0
+        assert len(path.velocities) == len(ts)
+        assert all(u.shape == g0.atoms.shape and not u.any() for u in path.velocities)
+        # A singular fiber admits no velocity at any time.
+        singular = g0.with_atoms(np.concatenate([g0.atoms[:-1], np.diag([0.5, 0.0, 0.0]).astype(complex)[None]]))
+        path = geodesic(singular, singular.with_atoms(singular.atoms.copy()), ts)
+        assert np.array_equal(path.atoms, np.broadcast_to(singular.atoms, path.atoms.shape))
+        assert path.velocities == (None,) * len(ts) and path.meta["ode_residual"] == 0.0
 
     def test_antipodal_raises(self):
         sup = Support(("x",))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from frgeo.exceptions import (
     ZeroAtomError,
     ZeroMassError,
 )
+from frgeo.fisher_rao import fisher_rao_geodesic
 from frgeo.measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -33,7 +35,7 @@ from frgeo.measures import (
     tv_norm,
     uniform_reference,
 )
-from frgeo.testing import random_measure, random_probability_measure
+from frgeo.testing import random_finite_entropy_measure, random_measure, random_probability_measure
 
 
 def single_atom(atom, label="p1"):
@@ -398,12 +400,51 @@ class TestMeasureFiles:
         bad = g.with_atoms(g.atoms)
         bad.atoms[2, 1, 0] = complex(np.nan, 0.5)
         p = os.path.join(tmp_path, "path.json")
+        with open(p, "w") as f:
+            f.write("an earlier file\n")
         for times, slices in (([0.0, 0.5, 1.0], [g, bad, g]), ([0.0, math.inf], [g, g])):
             with pytest.raises(MeasureFormatError, match="non-finite value") as err:
                 fio.save_measure_path(p, times, slices)
             with pytest.raises(MeasureFormatError) as reference:
                 _emit(path_to_doc(times, slices))
             assert str(err.value) == str(reference.value)
+        with pytest.raises(ValueError):
+            fio.save_measure_path(p, [0.0, 1.0], [g, g, g])
+        # Every row is checked before the file is opened.
+        with open(p) as f:
+            assert f.read() == "an earlier file\n"
+
+    def test_path_io_streams_one_slice_at_a_time(self, tmp_path):
+        # The seeded n = 64, d = 4 Fisher-Rao path of 17 slices (an 841 KB
+        # file). Writing the whole document at once, or parsing its whole tree
+        # before converting any entry, peaks above 3 and 4.5 file sizes.
+        rng = np.random.default_rng(5)
+        g0, g1 = (random_finite_entropy_measure(rng, 64, 4) for _ in range(2))
+        path = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 17))
+        times, slices = path.times, path.slices
+        p = os.path.join(tmp_path, "path.json")
+        fio.save_measure_path(p, times, slices)
+        size = os.path.getsize(p)
+
+        def peak(call):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            return tracemalloc.get_traced_memory()[1] - base, out
+
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            save_peak, _ = peak(lambda: fio.save_measure_path(p, times, slices))
+            load_peak, (times2, slices2) = peak(lambda: fio.load_measure_path(p))
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert save_peak <= 1.0 * size, (save_peak, size)
+        assert load_peak <= 2.5 * size, (load_peak, size)
+        assert times2 == times.tolist()
+        assert all(a.atoms.tobytes() == b.atoms.tobytes() for a, b in zip(slices, slices2, strict=True))
 
     def test_writers_reject_non_finite(self, rng, tmp_path):
         from types import SimpleNamespace

@@ -21,8 +21,6 @@ from .exceptions import (
     ZeroMassError,
 )
 from .hpsd import (
-    EigenDecomposition,
-    eigendecomposition,
     frobenius_inner,
     frobenius_norm,
     hermitian_part,

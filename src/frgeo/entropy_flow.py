@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularMatrixError
-from .hpsd import eigendecomposition, from_spectrum, sym_product, zero_floor
+from .hpsd import from_spectrum, sym_product, zero_floor
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -154,7 +154,7 @@ def entropy_gradient_potential(g: MatrixMeasure, lam: ReferenceMeasure) -> Tange
     """
     check_reference_support(g, lam)
     pos = np.flatnonzero(lam.weights > 0.0)
-    eigs, vecs = eigendecomposition(g.atoms[pos] / lam.weights[pos][:, None, None])
+    eigs, vecs = np.linalg.eigh(g.atoms[pos] / lam.weights[pos][:, None, None])
     singular = zero_floor(eigs)[..., 0] == 0.0
     if singular.any():
         i = pos[int(np.argmax(singular))]

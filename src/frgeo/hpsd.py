@@ -21,8 +21,6 @@ All functions are pure and operate on immutable inputs.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .exceptions import (
@@ -35,13 +33,6 @@ from .exceptions import (
 HERMITIAN_ATOL = 1e-9
 PSD_CLAMP_FLOOR = -1e-10
 RANK_RTOL = 1e-12
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral factorization ``a = R diag(w) R*`` with ``w`` ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -84,12 +75,6 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm ``|a|_2``."""
     return float(np.linalg.norm(a))
-
-
-def eigendecomposition(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix or stack (ascending eigenvalues)."""
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(w, v)
 
 
 def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:

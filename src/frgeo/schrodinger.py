@@ -10,8 +10,10 @@ are the roots of the endpoints, and the interior ones are ``Y_k = F_k / |F_k|``
 with free complex ``F_k``, which keeps every iterate PSD and exactly unit-mass
 without projections. Each ``d_B^2`` is the polar residual
 ``min_W |Y_{k+1} - Y_k W|^2`` over unitaries (:func:`frgeo.bures.polar_residual`),
-which does not cancel at small steps. The solver runs L-BFGS along the
-closed-form gradient of the objective in the free factors.
+which does not cancel at small steps, and each interior ``tr G^{-1}`` is
+``|Y^{-1}|_F^2``. The solver runs L-BFGS along the closed-form gradient of
+the objective in the free factors, without the ends' Fisher term, which no
+step moves.
 
 The module also provides the heat-flow recovery perturbation (which both
 initializes the solver and realizes the vanishing-temperature upper bound),
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bures import check_times, polar_residual
-from .entropy_flow import entropy, entropy_terms, flow_atoms, slice_entropies
+from .entropy_flow import entropy, flow_atoms, slice_entropies
 from .exceptions import (
     AntipodalError,
     FRGeoError,
@@ -42,15 +44,7 @@ from .fisher_rao import (
     fisher_rao_from_hellinger,
     fisher_rao_geodesic,
 )
-from .hpsd import (
-    EigenDecomposition,
-    eigendecomposition,
-    from_spectrum,
-    hermitian_part,
-    psd_sqrt,
-    spd_inverse,
-    zero_floor,
-)
+from .hpsd import RANK_RTOL, hermitian_part, psd_sqrt, spd_inverse
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -121,33 +115,46 @@ class _Forward(NamedTuple):
     ``(N+1, n, d, d)``, with the pieces its gradient reuses."""
 
     kinetic: float
-    fisher_term: float
+    fisher_term: float  # of the interior slices only
     factors: np.ndarray  # Y_k
-    slices: np.ndarray  # G_k = Y_k Y_k*
-    eig: EigenDecomposition  # of every slice
+    inverses: np.ndarray | None  # Z_k = Y_k^{-1} of the interior positive-weight atoms
     residual: np.ndarray  # R_k = Y_{k+1} - Y_k W_k
     polar: np.ndarray  # W_k
     dfr: np.ndarray  # d_FR(G_k, G_{k+1})
 
 
 def _stack_objective(factors: np.ndarray, weights: np.ndarray, epsilon: float) -> _Forward:
-    """The discrete objective of the slices ``G_k = Y_k Y_k*`` given by a
-    factor stack ``(N+1, n, d, d)``, with the pieces its gradient reuses:
+    """The kinetic and interior Fisher terms of the slices ``G_k = Y_k Y_k*``
+    of a factor stack ``(N+1, n, d, d)``, with the pieces the gradient reuses:
     one batched SVD of the edges gives ``d_B^2 = |R_k|^2`` per atom through
-    :func:`~frgeo.bures.polar_residual`, and one batched ``eigh`` of the
-    slices gives the Fisher term. The value depends on each ``Y_k`` only
-    through ``G_k``."""
-    n_steps = factors.shape[0] - 1
+    :func:`~frgeo.bures.polar_residual`, and one batched ``inv`` of the
+    interior positive-weight factors gives ``tr G^{-1} = |Y^{-1}|_F^2``
+    without squaring their condition numbers. An interior density is
+    singular (Fisher term ``inf``) when its factor is exactly singular or
+    ``tr G tr G^{-1} = |Y|_F^2 |Y^{-1}|_F^2 >= 1 / RANK_RTOL``; as
+    ``cond G <= tr G tr G^{-1} <= d^2 cond G``, that is every density
+    :func:`~frgeo.hpsd.zero_floor` calls singular, and also those with a
+    condition number between ``1e12 / d^2`` and ``1e12``."""
+    n_steps, d = factors.shape[0] - 1, factors.shape[-1]
     residual, polar = polar_residual(factors[:-1], factors[1:])
     dfr = fisher_rao_from_hellinger(4.0 * (np.abs(residual) ** 2).sum(axis=(1, 2, 3)))
     kinetic = 0.5 * n_steps * float((dfr**2).sum())
-    slices = factors @ np.conj(np.swapaxes(factors, -1, -2))
-    eig = eigendecomposition(slices)
-    fisher = entropy_terms(eig.eigenvalues, weights)[1]
-    tw = np.full(n_steps + 1, 1.0 / n_steps)  # trapezoid rule
-    tw[[0, -1]] /= 2.0
-    fisher_term = 0.5 * epsilon**2 * float(np.dot(tw, fisher))
-    return _Forward(kinetic, fisher_term, factors, slices, eig, residual, polar, dfr)
+    pos = weights > 0.0
+    y = factors[1:-1, pos]
+    try:
+        inverses = np.linalg.inv(y)
+    except np.linalg.LinAlgError:  # an exactly singular factor
+        return _Forward(kinetic, math.inf, factors, None, residual, polar, dfr)
+    trace_inv = (np.abs(inverses) ** 2).sum(axis=(-2, -1))
+    singular = np.any((np.abs(y) ** 2).sum(axis=(-2, -1)) * trace_inv >= 1.0 / RANK_RTOL)
+    fisher = math.inf if singular else float((weights[pos] * (weights[pos] * trace_inv - d)).sum())
+    return _Forward(kinetic, 0.5 * epsilon**2 / n_steps * fisher, factors, inverses, residual, polar, dfr)
+
+
+def _end_fisher_term(ends: np.ndarray, lam: ReferenceMeasure, epsilon: float, n_steps: int) -> float:
+    """The trapezoid Fisher term ``epsilon^2 / (4N) (I(G_0) + I(G_1))`` of the
+    pinned end slices ``(2, n, d, d)``, which no step of the descent moves."""
+    return 0.25 * epsilon**2 / n_steps * float(slice_entropies(ends, lam)[1].sum())
 
 
 def discrete_objective(
@@ -156,14 +163,17 @@ def discrete_objective(
     """Objective decomposition of a sphere path on a uniform grid:
     ``kinetic = (N/2) sum_k d_FR(G_k, G_{k+1})^2`` and the trapezoid Fisher
     term weighted by ``epsilon^2 / 2``. Infinity propagates from singular
-    interior slices."""
+    slices, with the interior ones singular under :func:`_stack_objective`'s
+    rule."""
     check_reference_support(path, lam)
+    if path.n_slices < 2:
+        raise FRGeoError("discrete objective needs at least two slices")
     steps = np.diff(path.times)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise FRGeoError("discrete objective requires a uniform time grid")
     check_probability(path, "slice")
     fwd = _stack_objective(psd_sqrt(path.atoms), lam.weights, epsilon)
-    return fwd.kinetic, fwd.fisher_term
+    return fwd.kinetic, fwd.fisher_term + _end_fisher_term(path.atoms[[0, -1]], lam, epsilon, path.n_slices - 1)
 
 
 def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) -> MeasurePath:
@@ -210,20 +220,20 @@ def _bridge_gradient(
     By the envelope theorem, ``d_B^2 = min_W |Y_{k+1} - Y_k W|^2`` has the
     gradient ``2 R_k`` in ``Y_{k+1}`` and ``-2 R_k W_k*`` in ``Y_k``, chained
     through ``f(x) = (4 arcsin(sqrt(x) / 4))^2`` at ``x = 4 sum_i d_B^2``;
-    the Fisher term gives ``-(epsilon^2 / N) w_i^2 G_i^{-2} Y_i``, inverted
-    on the range only. The normalization then removes the radial part
-    ``Re <g_k, Y_k> Y_k`` of each slice's gradient and divides by ``|F_k|``.
+    the Fisher term gives ``-(epsilon^2 / N) w_i^2 G_i^{-2} Y_i``, with
+    ``G^{-2} Y = Z* Z Z*`` from the inverse ``Z = Y^{-1}``. The normalization
+    then removes the radial part ``Re <g_k, Y_k> Y_k`` of each slice's
+    gradient and divides by ``|F_k|``.
     """
     n_steps = factors.shape[0] + 1
     # (N/2) * 4 * f'(x), with f'(x) = (theta/2) / sin(theta/2) -> 1 as x -> 0.
     coef = (2.0 * n_steps / np.sinc(fwd.dfr / (2.0 * np.pi)))[:, None, None, None]
     res = coef * fwd.residual
     y = fwd.factors[1:-1]
-    w, v = fwd.eig
-    inv_sq = np.where(zero_floor(w[1:-1]) > 0.0, w[1:-1], np.inf) ** -2.0
-    g = 2.0 * (res[:-1] - res[1:] @ np.conj(np.swapaxes(fwd.polar[1:], -1, -2))) - (
-        epsilon**2 / n_steps
-    ) * weights[:, None, None] ** 2 * (from_spectrum(v[1:-1], inv_sq) @ y)
+    g = 2.0 * (res[:-1] - res[1:] @ np.conj(np.swapaxes(fwd.polar[1:], -1, -2)))
+    pos = weights > 0.0
+    zh = np.conj(np.swapaxes(fwd.inverses, -1, -2))
+    g[:, pos] -= (epsilon**2 / n_steps) * weights[pos][:, None, None] ** 2 * (zh @ fwd.inverses @ zh)
     radial = np.real(np.einsum("kijl,kijl->k", np.conj(g), y))[:, None, None, None]
     norms = np.sqrt((np.abs(factors) ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
     return (g - radial * y) / norms
@@ -244,7 +254,9 @@ def solve_bridge(
     routine (:func:`frgeo.optim.lbfgs`) descends on the stacked factors
     along the closed-form gradient of the objective, preconditioned in time;
     steps that would make an interior density singular price themselves out
-    through an infinite objective.
+    through an infinite objective. The descent leaves out the end slices'
+    Fisher term, which no step moves, so that an ill-conditioned endpoint's
+    large constant cannot swamp the stop tests; the result reports it.
     """
     check_same_support(g0, g1)
     check_reference_support(g0, lam)
@@ -287,10 +299,13 @@ def solve_bridge(
         fwd,
         max_iters=cfg.max_iters,
     )
-    atoms = res.aux.slices.copy()
-    atoms[0], atoms[-1] = g0.atoms, g1.atoms
+    y = res.aux.factors[1:-1]
+    atoms = np.concatenate([g0.atoms[None], y @ np.conj(np.swapaxes(y, -1, -2)), g1.atoms[None]])
     path = MeasurePath(times, g0.support, atoms, meta={"spherical": True, "epsilon": cfg.epsilon, "metric": "fisher_rao"})
-    return BridgeResult(path, res.aux.kinetic, res.aux.fisher_term, res.f, res.converged, res.iterations, res.stop_reason)
+    fisher_term = res.aux.fisher_term + _end_fisher_term(np.stack([g0.atoms, g1.atoms]), lam, cfg.epsilon, n_steps)
+    return BridgeResult(
+        path, res.aux.kinetic, fisher_term, res.aux.kinetic + fisher_term, res.converged, res.iterations, res.stop_reason
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from frgeo.exceptions import (
 )
 from frgeo.hpsd import (
     check_hermitian,
-    eigendecomposition,
     frobenius_inner,
     frobenius_norm,
     hermitian_part,
@@ -189,18 +188,6 @@ class TestSolveSylvesterVelocity:
         xi = random_hermitian(rng, 2)
         with pytest.raises(SingularMatrixError):
             solve_sylvester_velocity(np.diag([1.0, 0.0]).astype(complex), xi)
-
-
-class TestEigenDecomposition:
-    def test_reconstruction_and_unitarity(self, rng):
-        for _ in range(50):
-            d = int(rng.integers(1, 5))
-            a = random_hermitian(rng, d)
-            w, v = eigendecomposition(a)
-            rec = (v * w) @ np.conj(v.T)
-            assert np.linalg.norm(rec - a) <= 1e-10 * max(np.linalg.norm(a), 1e-300)
-            assert np.linalg.norm(np.conj(v.T) @ v - np.eye(d)) <= 1e-10
-            assert np.all(np.diff(w) >= -1e-14)
 
 
 class TestHelpers:

@@ -155,6 +155,41 @@ class TestDiscreteObjective:
         kin, fis = discrete_objective(path, lam, 0.2)
         assert math.isinf(fis)
 
+    @staticmethod
+    def path_through(rng, atom):
+        """A nine-slice path on two points under the uniform reference whose
+        middle slice holds ``atom`` beside a multiple of the identity."""
+        sup = make_support(2)
+        lam = uniform_reference(sup, 2)
+        g = random_finite_entropy_measure(rng, 2, 2, support=sup, lam=lam).atoms
+        middle = np.stack([atom, 0.5 * (1.0 - np.trace(atom).real) * np.eye(2)]).astype(complex)
+        return MeasurePath(np.linspace(0, 1, 9), sup, np.stack([g] * 4 + [middle] + [g] * 4)), lam
+
+    @pytest.mark.parametrize("cond,singular", [(1e13, True), (1e11, False)])
+    def test_singular_rule_on_a_rotated_interior_atom(self, rng, cond, singular):
+        # tr G tr G^{-1} is about the condition number of a d = 2 density
+        # with one small eigenvalue, so the rule's cut 1 / RANK_RTOL = 1e12
+        # falls between these two.
+        u = random_unitaries(rng, (), 2)
+        atom = (u * (0.5 * np.array([1.0, 1.0 / cond]) / (1.0 + 1.0 / cond))) @ np.conj(u.T)
+        path, lam = self.path_through(rng, atom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, fis = discrete_objective(path, lam, 0.2)
+        assert math.isinf(fis) == singular
+
+    def test_zero_atom_at_positive_weight_is_infinite_without_warning(self, rng):
+        path, lam = self.path_through(rng, np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, fis = discrete_objective(path, lam, 0.2)
+        assert math.isinf(fis)
+
+    def test_one_slice_path_rejected(self, rng):
+        g0, _, lam = finite_entropy_pair(rng)
+        with pytest.raises(FRGeoError, match="needs at least two slices"):
+            discrete_objective(MeasurePath(np.array([0.0]), g0.support, g0.atoms[None]), lam, 0.1)
+
 
 class TestRecoverySequence:
     def test_zero_temperature_unchanged(self, rng):
@@ -306,25 +341,48 @@ class TestSolveBridge:
         ends = psd_sqrt(np.stack([g0.atoms, g1.atoms]))
 
         calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
+        for name in ("eigh", "eigvalsh", "svd", "inv"):
             def counted(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
                 calls.append((_name, np.shape(a)))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         fwd = bridge_forward(ends, factors, lam.weights, 0.2)
-        assert calls == [("svd", (n_steps, 2, 2, 2)), ("eigh", (n_steps + 1, 2, 2, 2))]
+        # The edges' SVD, and the inverses of the one positive-weight atom's
+        # interior factors.
+        assert calls == [("svd", (n_steps, 2, 2, 2)), ("inv", (n_steps - 1, 1, 2, 2))]
         calls.clear()
         grad = _bridge_gradient(factors, fwd, lam.weights, 0.2)
         assert calls == []
         assert np.all(np.isfinite(grad))
 
         # The boundary solve stays clear of numpy's invalid-value and
-        # division warnings (the Fisher term inverts on the range only).
+        # division warnings (the Fisher term inverts positive-weight atoms only).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.2, n_steps=n_steps))
         assert res.converged
+
+    @pytest.mark.parametrize("lam_min", [1e-10, 1e-11])
+    def test_interior_fisher_term_from_factor_inverses(self, rng, lam_min):
+        # Interior factors U diag(s) V* whose slices G = Y Y* have smallest
+        # eigenvalue lam_min: the Fisher term against its closed form
+        # (eps^2 / 2N) sum_k sum_i w_i (w_i sum_j 1/s_j^2 - d) in the
+        # singular values of the unit-norm slices.
+        from frgeo.hpsd import psd_sqrt
+
+        n, d, n_steps, eps = 2, 3, 8, 0.3
+        g0, g1, lam = finite_entropy_pair(rng, n=n, d=d)
+        ends = psd_sqrt(np.stack([g0.atoms, g1.atoms]))
+        s = rng.uniform(0.3, 1.0, (n_steps - 1, n, d))
+        s /= np.sqrt((s**2).sum(axis=(1, 2)))[:, None, None]
+        s[..., 0] = np.sqrt(lam_min)
+        u, v = (random_unitaries(rng, (n_steps - 1, n), d) for _ in range(2))
+        fac = (u * s[..., None, :]) @ v
+        s /= np.sqrt((s**2).sum(axis=(1, 2)))[:, None, None]
+        w = lam.weights
+        exact = 0.5 * eps**2 / n_steps * (w * (w * (1.0 / s**2).sum(axis=-1) - d)).sum()
+        assert bridge_forward(ends, fac, w, eps).fisher_term == pytest.approx(exact, rel=1e-9)
 
     def test_identical_equilibrium_endpoints(self):
         lam = uniform_reference(make_support(2), 2)
@@ -516,6 +574,103 @@ class TestSolveBridge:
             res = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=eps, n_steps=n_steps))
             assert res.converged
             assert sum(discrete_objective(res.path, lam, eps)) == pytest.approx(res.objective, rel=1e-13)
+
+
+def two_point_optimum(psi0, psi1, weights, n_steps, epsilon):
+    """The exact minimizer of the discrete bridge on the two-point classical
+    space (n = 2, d = 1), as the angles ``psi_0 .. psi_N``. A measure there is
+    ``(cos^2(psi/2), sin^2(psi/2))``, ``d_FR`` is the angle difference and the
+    Fisher information is ``I(psi) = w1^2 / cos^2(psi/2) + w2^2 / sin^2(psi/2) - 1``,
+    so the objective ``(N/2) sum (psi_{k+1} - psi_k)^2 + (eps^2/2) sum tau_k I(psi_k)``
+    is strictly convex in the interior angles, with a tridiagonal Hessian.
+    Newton's method with backtracking from the chord runs until no step
+    decreases it."""
+    a, b = np.asarray(weights, dtype=float) ** 2
+    c = 0.5 * epsilon**2 / n_steps  # the interior trapezoid weight is 1/N
+
+    def full(inner):
+        return np.concatenate([[psi0], inner, [psi1]])
+
+    def value(inner):
+        if not np.all((inner > 0.0) & (inner < np.pi)):
+            return math.inf
+        fisher = a / np.cos(inner / 2.0) ** 2 + b / np.sin(inner / 2.0) ** 2 - 1.0
+        return 0.5 * n_steps * float((np.diff(full(inner)) ** 2).sum()) + c * float(fisher.sum())
+
+    laplacian = n_steps * (2.0 * np.eye(n_steps - 1) - np.eye(n_steps - 1, k=1) - np.eye(n_steps - 1, k=-1))
+    psi = np.linspace(psi0, psi1, n_steps + 1)[1:-1]
+    f = value(psi)
+    for _ in range(100):
+        sec2, csc2 = 1.0 / np.cos(psi / 2.0) ** 2, 1.0 / np.sin(psi / 2.0) ** 2
+        tan, cot = np.tan(psi / 2.0), 1.0 / np.tan(psi / 2.0)
+        grad = n_steps * (2.0 * psi - full(psi)[:-2] - full(psi)[2:]) + c * (a * sec2 * tan - b * csc2 * cot)
+        curv = a * sec2 * (tan**2 + 0.5 * sec2) + b * csc2 * (cot**2 + 0.5 * csc2)
+        step = np.linalg.solve(laplacian + np.diag(c * curv), grad)
+        t = 1.0
+        while not value(psi - t * step) < f:
+            t *= 0.5
+            if t < 1e-12:
+                return full(psi)
+        psi = psi - t * step
+        f = value(psi)
+    raise AssertionError("Newton did not reach the round-off floor in 100 steps")
+
+
+def two_point_angles(atoms):
+    """The angles ``psi`` of the slices of a path, from the two diagonal
+    entries of each slice: the two atoms of a d = 1 path, or the one atom of
+    a diagonal qubit path."""
+    if atoms.shape[-1] == 1:
+        diag = np.real(atoms[:, :, 0, 0])
+    else:
+        diag = np.real(np.diagonal(atoms[:, 0], axis1=-2, axis2=-1))
+    return 2.0 * np.arctan2(np.sqrt(diag[:, 1]), np.sqrt(diag[:, 0]))
+
+
+class TestTwoPointModel:
+    # The bridge against the exact discrete optimum, at N = 32 and eps = 0.5.
+    # Near a boundary of the angle, an end's Fisher information is a large
+    # constant that no step moves; a descent whose objective included it
+    # would let it swamp the stop tests, and stop at its first iterations
+    # with path errors of 1e-2 in psi.
+
+    @staticmethod
+    def angle_measure(sup, psi):
+        return MatrixMeasure(sup, np.array([[[np.cos(psi / 2.0) ** 2]], [[np.sin(psi / 2.0) ** 2]]], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "psi0,psi1,weights,tol",
+        [
+            (1e-6, 2.0, (0.5, 0.5), 1e-6),
+            (1e-6, 2.0, (0.9, 0.1), 1e-6),
+            (1.0, np.pi - 1e-5, (0.9, 0.1), 1e-6),
+            (0.7, 2.3, (0.5, 0.5), 1e-8),
+        ],
+    )
+    def test_path_is_the_exact_discrete_optimum(self, psi0, psi1, weights, tol):
+        sup = make_support(2)
+        lam = ReferenceMeasure(sup, 1, np.array(weights))
+        g0, g1 = self.angle_measure(sup, psi0), self.angle_measure(sup, psi1)
+        res = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.5, n_steps=32))
+        assert res.converged
+        exact = two_point_optimum(psi0, psi1, weights, 32, 0.5)
+        assert np.abs(two_point_angles(res.path.atoms) - exact).max() <= tol
+
+    @pytest.mark.parametrize("rho", [1e-8, 1e-10])
+    def test_diagonal_qubit_is_the_two_point_model(self, rho):
+        # A qubit under the uniform reference (w = 1/2) with diagonal ends is
+        # the two-point model with weights (1/2, 1/2), and its path stays
+        # exactly diagonal.
+        sup = make_support(1)
+        lam = uniform_reference(sup, 2)
+        g0 = MatrixMeasure(sup, np.diag([1.0 - rho, rho])[None].astype(complex))
+        g1 = MatrixMeasure(sup, np.diag([0.35, 0.65])[None].astype(complex))
+        res = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.5, n_steps=32))
+        assert res.converged
+        assert np.all(res.path.atoms[..., [0, 1], [1, 0]] == 0.0)
+        psi = two_point_angles(res.path.atoms)
+        exact = two_point_optimum(psi[0], psi[-1], (0.5, 0.5), 32, 0.5)
+        assert np.abs(psi - exact).max() <= 1e-6
 
 
 def plain_potential_points(a0, a1, eps, ts):

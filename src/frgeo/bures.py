@@ -108,19 +108,24 @@ def polar_endpoints(a0: np.ndarray, a1: np.ndarray, labels=None):
     stacks: ``Y_1 = a1^{1/2} U`` with ``U`` the unitary polar factor of
     ``a1^{1/2} a0^{1/2}`` (:func:`polar_residual`), and
     ``d_B^2 = |Y_1 - a0^{1/2}|^2`` per fiber. Both roots come from one
-    ``eigh`` of the two stacks."""
+    ``eigh`` of the two stacks. Equal fibers give ``Y_1 = a0^{1/2}`` and
+    ``d_B^2 = 0`` exactly; their polar factor is ``I`` only up to round-off."""
     r0, r1 = psd_sqrt(np.stack([a0, a1]), labels=labels)
     res, u = polar_residual(r1, r0)
-    return r0, r1 @ u, (np.abs(res) ** 2).sum(axis=(-2, -1))
+    same = np.equal(a0, a1).all(axis=(-2, -1))
+    return r0, np.where(same[..., None, None], r0, r1 @ u), np.where(same, 0.0, (np.abs(res) ** 2).sum(axis=(-2, -1)))
 
 
-def geodesic_factors(r0: np.ndarray, y1: np.ndarray, ts):
+def geodesic_factors(a0: np.ndarray, r0: np.ndarray, y1: np.ndarray, ts):
     """Points ``(len(ts), *r0.shape)`` of :func:`bures_geodesic` with their
     factors ``Y_t = (1 - t) r0 + t y1`` (from :func:`polar_endpoints`) and
-    the factor velocity ``y1 - r0``."""
+    the factor velocity ``y1 - r0``. A fiber whose factor does not move
+    (``y1 == r0``, as for equal endpoints) is ``a0`` exactly at every time."""
     t = np.asarray(ts, dtype=float).reshape(-1, *[1] * r0.ndim)
     y_t = (1.0 - t) * r0 + t * y1
-    return hermitian_part(y_t @ np.conj(np.swapaxes(y_t, -1, -2))), y_t, y1 - r0
+    points = hermitian_part(y_t @ np.conj(np.swapaxes(y_t, -1, -2)))
+    np.copyto(points, a0, where=(y1 == r0).all(axis=(-2, -1))[..., None, None])
+    return points, y_t, y1 - r0
 
 
 def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeodesic:
@@ -130,19 +135,20 @@ def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeod
     where ``U`` is the unitary polar factor of ``a1^{1/2} a0^{1/2}`` (one
     batched SVD). This holds for singular ``a0`` as well, so the endpoints
     and the mass interpolation are exact on the cone boundary; for definite
-    ``a0`` it is the optimal-map path ``M_t a0 M_t``. ``points[k]`` is the
-    fiber (or stack) at ``ts[k]``; ``velocities[k]`` solves
-    ``(a_t u + u a_t) / 2 = d a_t / dt`` when every fiber point there is
-    definite, else is None. Times must increase strictly within ``[0, 1]``
-    (:func:`check_times`); ``labels`` name the fibers in a ``NotPSDError``.
+    ``a0`` it is the optimal-map path ``M_t a0 M_t``. A fiber equal at both
+    ends is exactly ``a0`` at every time. ``points[k]`` is the fiber (or
+    stack) at ``ts[k]``; ``velocities[k]`` solves ``(a_t u + u a_t) / 2 =
+    d a_t / dt`` when every fiber point there is definite, else is None.
+    Times must increase strictly within ``[0, 1]`` (:func:`check_times`);
+    ``labels`` name the fibers in a ``NotPSDError``.
     """
     ts = check_times(ts)
     a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
     r0, y1, _ = polar_endpoints(a0, a1, labels)
-    points, y_t, dy = geodesic_factors(r0, y1, ts)
+    points, y_t, dy = geodesic_factors(a0, r0, y1, ts)
     rates = 2.0 * hermitian_part(dy @ np.conj(np.swapaxes(y_t, -1, -2)))
     w, v = np.linalg.eigh(points)
-    definite = (zero_floor(w)[..., 0] > 0.0).reshape(len(ts), -1).all(axis=1)
+    definite = (zero_floor(w)[..., 0] > 0.0).all(axis=tuple(range(1, w.ndim - 1)))
     us = np.zeros_like(points)
     us[definite] = solve_sylvester_eigh(w[definite], v[definite], rates[definite])
     velocities = tuple(u if ok else None for u, ok in zip(us, definite))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bures
 from .exceptions import AntipodalError, FRGeoError, ZeroLengthError
-from .hpsd import check_hermitian, hermitian_part, psd_spectrum, psd_sqrt, sym_product, zero_floor
+from .hpsd import check_hermitian, hermitian_part, psd_sqrt, sym_product
 from .measures import MatrixMeasure, Support, check_probability, check_same_support, mass, tv_distance
 
 ANTIPODAL_TOL = 1e-6
@@ -117,18 +117,10 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """Fiberwise Bures geodesic through every atom.
 
     The resulting path moves at constant Hellinger speed. Per-slice
-    velocities are attached whenever every fiber admits one. Identical
-    endpoints give the constant path, with zero velocities where every
-    fiber is definite.
+    velocities are attached whenever every fiber admits one. A fiber equal
+    at both ends stays exactly at its atom, with velocity exactly 0.
     """
     check_same_support(g0, g1)
-    if np.array_equal(g0.atoms, g1.atoms):  # their polar factors carry round-off, not 0
-        ts = bures.check_times(ts)
-        w = psd_spectrum(g0.atoms, labels=g0.support.point_ids)[1]
-        definite = (zero_floor(w)[..., 0] > 0.0).all()
-        velocities = tuple(np.zeros_like(g0.atoms) if definite else None for _ in ts)
-        constant = np.broadcast_to(g0.atoms, (len(ts), *g0.atoms.shape))
-        return MeasurePath(ts, g0.support, constant, velocities, {"metric": "hellinger", "ode_residual": 0.0})
     geo = bures.bures_geodesic(g0.atoms, g1.atoms, ts, g0.support.point_ids)
     meta = {"metric": "hellinger", "ode_residual": _discrete_ode_residual(geo.times, geo.points, geo.velocities)}
     return MeasurePath(geo.times, g0.support, geo.points, geo.velocities, meta)
@@ -138,15 +130,13 @@ def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> Measu
     """The slices of :func:`hellinger_geodesic` without its velocities: one
     polar SVD (:func:`~frgeo.bures.polar_endpoints`) and no velocity step.
     ``meta["distance"]`` is ``d_H(G_0, G_1)``, from the polar residual of that
-    SVD; identical endpoints give exactly 0 and the constant path."""
+    SVD. A fiber equal at both ends stays exactly at its atom, so identical
+    endpoints give exactly 0 and the constant path."""
     ts = bures.check_times(ts)
     check_same_support(g0, g1)
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
-    if np.array_equal(g0.atoms, g1.atoms):  # their polar residual reads round-off, not 0
-        constant = np.broadcast_to(g0.atoms, (len(ts), *g0.atoms.shape))
-        return MeasurePath(ts, g0.support, constant, None, {"metric": "hellinger", "distance": 0.0})
     meta = {"metric": "hellinger", "distance": float(np.sqrt(4.0 * d_sq.sum()))}
-    return MeasurePath(ts, g0.support, bures.geodesic_factors(r0, y1, ts)[0], None, meta)
+    return MeasurePath(ts, g0.support, bures.geodesic_factors(g0.atoms, r0, y1, ts)[0], None, meta)
 
 
 def _chord_parameter(theta: float, phi: float) -> float:
@@ -180,8 +170,7 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     check_same_support(g0, g1)
     # d_H^2 from the polar residual of the SVD the chord needs anyway.
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
-    # The polar residual of identical endpoints reads round-off, not 0.
-    dfr = 0.0 if np.array_equal(g0.atoms, g1.atoms) else float(fisher_rao_from_hellinger(4.0 * d_sq.sum()))
+    dfr = float(fisher_rao_from_hellinger(4.0 * d_sq.sum()))
     if dfr >= np.pi - ANTIPODAL_TOL:
         raise AntipodalError(
             f"endpoints at distance {dfr!r} >= pi - 1e-6: sphere projection undefined"
@@ -191,7 +180,7 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
         return MeasurePath(ts, g0.support, np.broadcast_to(g0.atoms, (len(ts), *g0.atoms.shape)), None, meta)
     phi = dfr / 2.0
     chord_ts = np.array([_chord_parameter(float(th), phi) for th in ts])
-    chord = bures.geodesic_factors(r0, y1, chord_ts)[0]
+    chord = bures.geodesic_factors(g0.atoms, r0, y1, chord_ts)[0]
     atoms = chord / np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)[:, None, None, None]
     atoms[ts <= 0.0], atoms[ts >= 1.0] = g0.atoms, g1.atoms
     return MeasurePath(ts, g0.support, atoms, None, meta)
@@ -200,15 +189,16 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
 def _index_distances(path: MeasurePath, lo, hi, metric: str) -> np.ndarray:
     """Metric distances between the slice pairs ``(lo[k], hi[k])`` of a path from one
     checked square root of its atom stack and one batched polar SVD of the pairs,
-    oriented as :func:`~frgeo.bures.polar_endpoints` orients them."""
+    oriented, and with equal atoms at 0, as in :func:`~frgeo.bures.polar_endpoints`."""
     if metric not in ("hellinger", "fisher_rao"):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "fisher_rao":
         check_probability(path, "path slice")
     roots = psd_sqrt(path.atoms, labels=path.support.point_ids)
     res, _ = bures.polar_residual(roots[hi], roots[lo])
+    same = (path.atoms[hi] == path.atoms[lo]).all(axis=(-2, -1))
     # Summed per atom, then per slice: the order of the pairwise route, bit for bit.
-    dh_sq = 4.0 * (np.abs(res) ** 2).sum(axis=(-2, -1)).sum(axis=-1)
+    dh_sq = 4.0 * np.where(same, 0.0, (np.abs(res) ** 2).sum(axis=(-2, -1))).sum(axis=-1)
     return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bures import check_times, polar_residual
-from .entropy_flow import entropy, flow_atoms, slice_entropies
+from .entropy_flow import flow_atoms, slice_entropies
 from .exceptions import (
     AntipodalError,
     FRGeoError,
@@ -151,12 +151,6 @@ def _stack_objective(factors: np.ndarray, weights: np.ndarray, epsilon: float) -
     return _Forward(kinetic, 0.5 * epsilon**2 / n_steps * fisher, factors, inverses, residual, polar, dfr)
 
 
-def _end_fisher_term(ends: np.ndarray, lam: ReferenceMeasure, epsilon: float, n_steps: int) -> float:
-    """The trapezoid Fisher term ``epsilon^2 / (4N) (I(G_0) + I(G_1))`` of the
-    pinned end slices ``(2, n, d, d)``, which no step of the descent moves."""
-    return 0.25 * epsilon**2 / n_steps * float(slice_entropies(ends, lam)[1].sum())
-
-
 def discrete_objective(
     path: MeasurePath, lam: ReferenceMeasure, epsilon: float
 ) -> tuple[float, float]:
@@ -173,7 +167,8 @@ def discrete_objective(
         raise FRGeoError("discrete objective requires a uniform time grid")
     check_probability(path, "slice")
     fwd = _stack_objective(psd_sqrt(path.atoms), lam.weights, epsilon)
-    return fwd.kinetic, fwd.fisher_term + _end_fisher_term(path.atoms[[0, -1]], lam, epsilon, path.n_slices - 1)
+    end_fishers = slice_entropies(path.atoms[[0, -1]], lam)[1]
+    return fwd.kinetic, fwd.fisher_term + 0.25 * epsilon**2 / (path.n_slices - 1) * float(end_fishers.sum())
 
 
 def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) -> MeasurePath:
@@ -183,18 +178,25 @@ def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) 
 
     Endpoints are untouched; interior slices mix toward the weighted
     identity, which bounds their Fisher information. Requires finite
-    endpoint entropies; with ``epsilon = 0`` the path is returned unchanged.
+    endpoint entropies and ``epsilon``; ``epsilon = 0`` returns the path as is.
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    _check_endpoint_entropies(*(MatrixMeasure(path.support, atoms) for atoms in path.atoms[[0, -1]]), lam)
+    if math.isinf(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    check_reference_support(path, lam)
+    _endpoint_entropies(path.atoms[[0, -1]], lam)
     return path if epsilon == 0.0 else _heat_flow_perturbation(path, lam, epsilon)
 
 
-def _check_endpoint_entropies(g0: MatrixMeasure, g1: MatrixMeasure, lam: ReferenceMeasure) -> None:
-    for label, g in (("initial", g0), ("final", g1)):
-        if math.isinf(entropy(g, lam)):
+def _endpoint_entropies(ends: np.ndarray, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and Fisher informations of the end slices ``(2, n, d, d)``, from one
+    ``slice_entropies`` call; :class:`InfiniteEndpointEntropyError` names an infinite end."""
+    entropies, fishers = slice_entropies(ends, lam)
+    for label, e in zip(("initial", "final"), entropies):
+        if math.isinf(e):
             raise InfiniteEndpointEntropyError(f"{label} endpoint has infinite entropy")
+    return entropies, fishers
 
 
 def _heat_flow_perturbation(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) -> MeasurePath:
@@ -260,7 +262,8 @@ def solve_bridge(
     """
     check_same_support(g0, g1)
     check_reference_support(g0, lam)
-    _check_endpoint_entropies(g0, g1, lam)
+    end_atoms = np.stack([g0.atoms, g1.atoms])
+    end_fishers = _endpoint_entropies(end_atoms, lam)[1]
 
     n_steps = cfg.n_steps
     times = np.linspace(0.0, 1.0, n_steps + 1)
@@ -275,7 +278,7 @@ def solve_bridge(
             raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
         check_same_support(init_path, g0)
     factors = psd_sqrt(init_path.atoms[1:-1])
-    ends = psd_sqrt(np.stack([g0.atoms, g1.atoms]))
+    ends = psd_sqrt(end_atoms)
 
     def objective(fac: np.ndarray) -> tuple[float, _Forward | None]:
         if not np.all(np.isfinite(fac)):
@@ -302,7 +305,7 @@ def solve_bridge(
     y = res.aux.factors[1:-1]
     atoms = np.concatenate([g0.atoms[None], y @ np.conj(np.swapaxes(y, -1, -2)), g1.atoms[None]])
     path = MeasurePath(times, g0.support, atoms, meta={"spherical": True, "epsilon": cfg.epsilon, "metric": "fisher_rao"})
-    fisher_term = res.aux.fisher_term + _end_fisher_term(np.stack([g0.atoms, g1.atoms]), lam, cfg.epsilon, n_steps)
+    fisher_term = res.aux.fisher_term + 0.25 * cfg.epsilon**2 / n_steps * float(end_fishers.sum())
     return BridgeResult(
         path, res.aux.kinetic, fisher_term, res.aux.kinetic + fisher_term, res.converged, res.iterations, res.stop_reason
     )
@@ -416,9 +419,9 @@ def convexity_experiment(
     comparing them is the caller's job (``frgeo convexity`` fails on a slack
     below -1e-6).
     """
-    e0, e1 = entropy(g0, lam), entropy(g1, lam)
-    if math.isinf(e0) or math.isinf(e1):
-        raise InfiniteEndpointEntropyError("convexity experiment requires finite endpoint entropies")
+    check_same_support(g0, g1)
+    check_reference_support(g0, lam)
+    e0, e1 = _endpoint_entropies(np.stack([g0.atoms, g1.atoms]), lam)[0].tolist()
     thetas = sorted(float(t) for t in thetas)
     path = fisher_rao_geodesic(g0, g1, thetas)
     dfr_sq = path.meta["distance"] ** 2

@@ -26,6 +26,20 @@ class TestBuresDistanceSq:
                 a = random_psd(rng, d, rank=rank)
                 assert bures_distance_sq(a, a) <= 1e-25 * np.real(np.trace(a))
 
+    def test_equal_fibers_are_exactly_zero(self, rng):
+        # Equal fibers are at distance exactly 0, alone or paired within a
+        # stack, and the rule leaves the other pairs of that stack as they are.
+        fibers = [random_spd(rng, 3), random_psd(rng, 3, rank=1), np.zeros((3, 3), dtype=complex)]
+        for a in fibers:
+            assert bures_distance_sq(a, a.copy()) == 0.0
+        stack = np.stack(fibers)
+        other = stack.copy()
+        other[1] = random_psd(rng, 3, rank=2)
+        assert np.array_equal(bures_distance_sq(stack, stack.copy()), np.zeros(3))
+        got = bures_distance_sq(stack, other)
+        assert got[0] == got[2] == 0.0
+        assert got[1] == bures_distance_sq(stack[1], other[1]) > 0.0
+
     def test_against_zero(self, rng):
         a = random_psd(rng, 3)
         assert bures_distance_sq(a, np.zeros_like(a)) == pytest.approx(np.real(np.trace(a)))

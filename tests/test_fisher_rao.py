@@ -89,6 +89,15 @@ class TestFisherRaoDistance:
         g = random_probability_measure(rng, 2, 2)
         assert fisher_rao_distance(g, g) == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("n, d", [(2, 2), (8, 3), (64, 4)])
+    def test_measure_is_at_distance_zero_from_itself(self, n, d):
+        # Each read 5e-16 to 2e-15 for d_FR while the polar factor of equal
+        # roots carried its round-off into the residual.
+        g = random_finite_entropy_measure(np.random.default_rng(7), n, d)
+        copy = g.with_atoms(g.atoms.copy())
+        assert hellinger_distance_sq(g, copy) == 0.0
+        assert fisher_rao_distance(g, copy) == 0.0
+
     def test_mutually_singular_saturates(self):
         sup = make_support(2)
         g0 = MatrixMeasure(sup, np.stack([np.eye(1), np.zeros((1, 1))]).astype(complex))
@@ -239,6 +248,17 @@ class TestHellingerGeodesic:
         path = hellinger_geodesic_points(g0, g1, np.linspace(0.0, 1.0, 17))
         assert path.meta["distance"] == pytest.approx(np.sqrt(hellinger_distance_sq(g0, g1)), rel=1e-14)
 
+    @pytest.mark.parametrize("geodesic", [hellinger_geodesic, hellinger_geodesic_points])
+    def test_shared_fiber_stays_at_its_atom(self, rng, geodesic):
+        sup = make_support(3)
+        g0, g1 = (random_measure(rng, 3, 2, definite=True, support=sup) for _ in range(2))
+        g1 = g1.with_atoms(np.concatenate([g1.atoms[:1], g0.atoms[1:2], g1.atoms[2:]]))
+        path = geodesic(g0, g1, np.linspace(0.0, 1.0, 9))
+        assert np.array_equal(path.atoms[:, 1], np.broadcast_to(g0.atoms[1], path.atoms[:, 1].shape))
+        assert not np.array_equal(path.atoms[:, 0], np.broadcast_to(g0.atoms[0], path.atoms[:, 0].shape))
+        if geodesic is hellinger_geodesic:
+            assert all(u is not None and not u[1].any() and u[0].any() for u in path.velocities)
+
     def test_ode_residual_recorded_and_small(self, rng):
         sup = make_support(2)
         g0 = random_measure(rng, 2, 2, definite=True, support=sup)
@@ -330,10 +350,11 @@ class TestFisherRaoGeodesic:
     @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic_points, hellinger_geodesic])
     @pytest.mark.parametrize("steps", [1, 16])
     def test_identical_endpoints_give_zero_distance_and_the_endpoint(self, steps, geodesic):
-        # The measure of the seeded CLI check: its polar residual with itself
-        # reads about 3e-15, not 0, so only equality of the atoms decides.
+        # The measure of the seeded CLI check: the polar factor of its equal
+        # roots is the identity only up to round-off, yet equal fibers are at
+        # distance exactly 0.
         g0 = random_finite_entropy_measure(np.random.default_rng(7), 8, 3)
-        assert 0.0 < fisher_rao_from_hellinger(hellinger_distance_sq(g0, g0))
+        assert fisher_rao_from_hellinger(hellinger_distance_sq(g0, g0)) == 0.0
         ts = np.linspace(0.0, 1.0, steps + 1)
         path = geodesic(g0, g0.with_atoms(g0.atoms.copy()), ts)
         assert np.array_equal(path.atoms, np.broadcast_to(g0.atoms, path.atoms.shape))
@@ -516,6 +537,14 @@ class TestMetricSpeed:
         g = random_probability_measure(rng, 2, 2)
         path = MeasurePath(np.array([0.0, 0.5, 1.0]), g.support, np.stack([g.atoms] * 3))
         assert np.allclose(metric_speed(path, "fisher_rao"), 0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_equal_consecutive_slices_have_exactly_zero_speed(self, rng, metric):
+        sup = make_support(3)
+        g0, g1 = (random_probability_measure(rng, 3, 2, support=sup) for _ in range(2))
+        path = MeasurePath(np.linspace(0.0, 1.0, 4), sup, np.stack([g0.atoms] * 3 + [g1.atoms]))
+        speeds = metric_speed(path, metric)
+        assert speeds[0] == speeds[1] == 0.0 and np.all(speeds[2:] > 0.0)
 
     def test_geodesic_speed_constant(self, rng):
         sup = make_support(2)
@@ -745,6 +774,21 @@ class TestMeasurePathValidation:
         assert path.meta["distance"] == 0.0
         for s in path.slices:
             assert np.array_equal(s.atoms, g.atoms)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            lambda g0, g1, ts: fisher_rao_geodesic(g0, g1, ts).atoms,
+            lambda g0, g1, ts: hellinger_geodesic(g0, g1, ts).atoms,
+            lambda g0, g1, ts: hellinger_geodesic_points(g0, g1, ts).atoms,
+            lambda g0, g1, ts: bures_geodesic(g0.atoms, g1.atoms, ts).points,
+        ],
+        ids=["fisher_rao", "hellinger", "hellinger_points", "bures"],
+    )
+    def test_empty_times_give_empty_paths(self, rng, points):
+        sup = make_support(3)
+        g0, g1 = (random_probability_measure(rng, 3, 2, support=sup) for _ in range(2))
+        assert points(g0, g1, []).shape == (0, 3, 2, 2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic, hellinger_geodesic_points])

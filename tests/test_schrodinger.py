@@ -203,6 +203,15 @@ class TestRecoverySequence:
         with pytest.raises(ValueError, match="epsilon must be nonnegative, got nan"):
             recovery_sequence(path, lam, math.nan)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_non_finite_temperature_rejected(self, rng, epsilon):
+        g0, g1, lam = finite_entropy_pair(rng)
+        path = fisher_rao_geodesic(g0, g1, np.linspace(0, 1, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="epsilon must be"):
+                recovery_sequence(path, lam, epsilon)
+
     def test_equilibrium_fixed(self):
         lam = uniform_reference(make_support(2), 2)
         eq = reference_identity(lam)
@@ -263,6 +272,20 @@ class TestRecoverySequence:
         path = MeasurePath(np.array([0.0, 0.5, 1.0]), sup, np.stack([singular.atoms, g1.atoms, g1.atoms]))
         with pytest.raises(InfiniteEndpointEntropyError):
             recovery_sequence(path, lam, 0.1)
+
+    def test_endpoint_checks_name_the_end_and_the_reference(self, rng):
+        sup = make_support(2)
+        lam = uniform_reference(sup, 2)
+        singular = np.stack([np.diag([0.5, 0.0]), np.diag([0.25, 0.25])]).astype(complex)
+        g0 = random_finite_entropy_measure(rng, 2, 2, support=sup, lam=lam)
+        path = MeasurePath(np.array([0.0, 0.5, 1.0]), sup, np.stack([g0.atoms, g0.atoms, singular]))
+        with pytest.raises(InfiniteEndpointEntropyError, match="final endpoint"):
+            recovery_sequence(path, lam, 0.1)
+        with pytest.raises(InfiniteEndpointEntropyError, match="final endpoint"):
+            convexity_experiment(g0, MatrixMeasure(sup, singular), lam, [0.5])
+        for other in (uniform_reference(make_support(3), 2), uniform_reference(sup, 1)):
+            with pytest.raises(SupportMismatchError):
+                recovery_sequence(path, other, 0.1)
 
 
 def bridge_forward(ends, fac, weights, epsilon):
@@ -502,16 +525,18 @@ class TestSolveBridge:
         cfg = SchrodingerConfig(epsilon=0.3, n_steps=8, max_iters=5)
         init = solve_bridge(g0, g1, lam, cfg).path if warm else None
         calls = []
-        # The cold path checks the endpoints inside the geodesic, the warm
-        # path inside fisher_rao_distance: one sphere check per endpoint.
-        for module, name in ((schrodinger, "entropy"), (fisher_rao, "check_probability")):
+        # One spectrum of the stacked ends gives their entropies and Fisher
+        # informations. The cold path checks the endpoints' mass inside the
+        # geodesic, the warm path inside fisher_rao_distance: one sphere
+        # check per endpoint.
+        for module, name in ((schrodinger, "slice_entropies"), (fisher_rao, "check_probability"), (np.linalg, "eigvalsh")):
             def counted(*args, _original=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counted)
         solve_bridge(g0, g1, lam, cfg, init_path=init)
-        assert sorted(calls) == ["check_probability", "check_probability", "entropy", "entropy"]
+        assert sorted(calls) == ["check_probability", "check_probability", "eigvalsh", "slice_entropies"]
 
     def test_non_convergence_flagged(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)

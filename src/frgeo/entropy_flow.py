@@ -101,7 +101,9 @@ def flow_atoms(atoms: np.ndarray, lam: ReferenceMeasure, decay) -> np.ndarray:
 
 def heat_flow_residual(g: MatrixMeasure, lam: ReferenceMeasure, t: float, dt: float) -> float:
     """TV norm of the forward-difference defect
-    ``(S_{t+dt}G - S_tG)/dt - (L - S_tG)``; first order in ``dt``."""
+    ``(S_{t+dt}G - S_tG)/dt - (L - S_tG)``; first order in a finite ``dt > 0``."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     a = heat_flow(g, lam, t)
     b = heat_flow(g, lam, t + dt)
     drift = reference_identity(lam).atoms - a.atoms

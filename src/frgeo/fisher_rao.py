@@ -139,18 +139,11 @@ def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> Measu
     return MeasurePath(ts, g0.support, bures.geodesic_factors(g0.atoms, r0, y1, ts)[0], None, meta)
 
 
-def _chord_parameter(theta: float, phi: float) -> float:
-    """Cone-chord parameter hitting sphere-arc fraction ``theta``.
-
-    A cone geodesic between two unit-radius points with sphere angle ``phi``
-    is a planar chord; the point at angle ``alpha = theta * phi`` sits at
-    chord parameter ``sin(alpha) / (sin(alpha) + sin(phi - alpha))``.
-    """
-    alpha = theta * phi
-    denom = np.sin(alpha) + np.sin(phi - alpha)
-    if denom <= 0.0:
-        raise AntipodalError("degenerate chord: endpoints are antipodal")
-    return float(np.sin(alpha) / denom)
+def check_not_antipodal(dfr: float) -> None:
+    """Raise :class:`AntipodalError` for a sphere distance within ``1e-6`` of
+    the diameter ``pi``, where the cone geodesic passes through the apex."""
+    if dfr >= np.pi - ANTIPODAL_TOL:
+        raise AntipodalError(f"endpoints at distance {dfr!r} >= pi - 1e-6: sphere projection undefined")
 
 
 def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
@@ -158,11 +151,12 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
 
     Takes the points of the Hellinger geodesic (the fiberwise Bures
     geodesics, without their velocities), normalizes each slice back to the
-    sphere and reparametrizes with the exact cone-chord formula, so that
-    ``d_FR(G_s, G_t) = |s - t| d_FR(G_0, G_1)``. Raises
-    :class:`AntipodalError` within ``1e-6`` of the diameter ``pi``, where the
-    underlying cone geodesic passes through the apex. ``meta["distance"]`` is
-    ``d_FR(G_0, G_1)``; identical endpoints give exactly 0 and the constant path.
+    sphere and reparametrizes time ``t`` to the exact cone-chord parameter
+    ``sin(t phi) / (sin(t phi) + sin(phi - t phi))``, ``phi = d_FR / 2``, so
+    that ``d_FR(G_s, G_t) = |s - t| d_FR(G_0, G_1)``. Antipodal endpoints
+    raise :class:`AntipodalError` (:func:`check_not_antipodal`).
+    ``meta["distance"]`` is ``d_FR(G_0, G_1)``; the path is constant only where
+    it is exactly 0, and times 0 and 1 give ``G_0`` and ``G_1`` bit for bit.
     """
     ts = bures.check_times(ts)
     check_probability(g0, "first measure")
@@ -171,17 +165,15 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     # d_H^2 from the polar residual of the SVD the chord needs anyway.
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
     dfr = float(fisher_rao_from_hellinger(4.0 * d_sq.sum()))
-    if dfr >= np.pi - ANTIPODAL_TOL:
-        raise AntipodalError(
-            f"endpoints at distance {dfr!r} >= pi - 1e-6: sphere projection undefined"
-        )
+    check_not_antipodal(dfr)
     meta = {"metric": "fisher_rao", "spherical": True, "distance": dfr}
-    if dfr <= 1e-15:
-        return MeasurePath(ts, g0.support, np.broadcast_to(g0.atoms, (len(ts), *g0.atoms.shape)), None, meta)
-    phi = dfr / 2.0
-    chord_ts = np.array([_chord_parameter(float(th), phi) for th in ts])
-    chord = bures.geodesic_factors(g0.atoms, r0, y1, chord_ts)[0]
-    atoms = chord / np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)[:, None, None, None]
+    if dfr == 0.0:
+        atoms = np.repeat(g0.atoms[None], len(ts), axis=0)
+    else:
+        phi = dfr / 2.0
+        chord_ts = np.sin(ts * phi) / (np.sin(ts * phi) + np.sin(phi - ts * phi))
+        chord = bures.geodesic_factors(g0.atoms, r0, y1, chord_ts)[0]
+        atoms = chord / np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)[:, None, None, None]
     atoms[ts <= 0.0], atoms[ts >= 1.0] = g0.atoms, g1.atoms
     return MeasurePath(ts, g0.support, atoms, None, meta)
 

@@ -32,14 +32,10 @@ import numpy as np
 
 from .bures import check_times, polar_residual
 from .entropy_flow import flow_atoms, slice_entropies
-from .exceptions import (
-    AntipodalError,
-    FRGeoError,
-    InfiniteEndpointEntropyError,
-)
+from .exceptions import FRGeoError, InfiniteEndpointEntropyError
 from .fisher_rao import (
-    ANTIPODAL_TOL,
     MeasurePath,
+    check_not_antipodal,
     fisher_rao_distance,
     fisher_rao_from_hellinger,
     fisher_rao_geodesic,
@@ -158,7 +154,8 @@ def discrete_objective(
     ``kinetic = (N/2) sum_k d_FR(G_k, G_{k+1})^2`` and the trapezoid Fisher
     term weighted by ``epsilon^2 / 2``. Infinity propagates from singular
     slices, with the interior ones singular under :func:`_stack_objective`'s
-    rule."""
+    rule. ``epsilon`` must be finite and nonnegative."""
+    _check_epsilon(epsilon)
     check_reference_support(path, lam)
     if path.n_slices < 2:
         raise FRGeoError("discrete objective needs at least two slices")
@@ -180,13 +177,15 @@ def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) 
     identity, which bounds their Fisher information. Requires finite
     endpoint entropies and ``epsilon``; ``epsilon = 0`` returns the path as is.
     """
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if math.isinf(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    _check_epsilon(epsilon)
     check_reference_support(path, lam)
     _endpoint_entropies(path.atoms[[0, -1]], lam)
     return path if epsilon == 0.0 else _heat_flow_perturbation(path, lam, epsilon)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be {'finite' if epsilon > 0.0 else 'nonnegative'}, got {epsilon}")
 
 
 def _endpoint_entropies(ends: np.ndarray, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -252,10 +251,12 @@ def solve_bridge(
 
     Initialization is the heat-flow recovery perturbation of the Fisher-Rao
     geodesic (always a finite-objective interior competitor) unless an
-    explicit ``init_path`` on the same grid is supplied. The shared L-BFGS
-    routine (:func:`frgeo.optim.lbfgs`) descends on the stacked factors
-    along the closed-form gradient of the objective, preconditioned in time;
-    steps that would make an interior density singular price themselves out
+    explicit ``init_path`` on the same grid is supplied; either way, endpoints
+    that :func:`~frgeo.fisher_rao.check_not_antipodal` rejects raise
+    :class:`AntipodalError`. The shared L-BFGS routine
+    (:func:`frgeo.optim.lbfgs`) descends on the stacked factors along the
+    closed-form gradient of the objective, preconditioned in time; steps
+    that would make an interior density singular price themselves out
     through an infinite objective. The descent leaves out the end slices'
     Fisher term, which no step moves, so that an ill-conditioned endpoint's
     large constant cannot swamp the stop tests; the result reports it.
@@ -268,12 +269,9 @@ def solve_bridge(
     n_steps = cfg.n_steps
     times = np.linspace(0.0, 1.0, n_steps + 1)
     if init_path is None:
-        # The geodesic makes the antipodal check, with the same tolerance.
         init_path = _heat_flow_perturbation(fisher_rao_geodesic(g0, g1, times), lam, cfg.epsilon)
     else:
-        dfr = fisher_rao_distance(g0, g1)
-        if dfr >= np.pi - ANTIPODAL_TOL:
-            raise AntipodalError(f"endpoints at distance {dfr!r} >= pi - 1e-6")
+        check_not_antipodal(fisher_rao_distance(g0, g1))
         if init_path.n_slices != n_steps + 1:
             raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
         check_same_support(init_path, g0)

@@ -19,12 +19,12 @@ from frgeo.testing import random_complex, random_density, random_hermitian, rand
 
 class TestBuresDistanceSq:
     def test_identical(self, rng):
-        # The polar residual of a matrix with itself is round-off in its
-        # root, squared: far below eps * tr a, on definite and singular fibers.
+        # A matrix is at distance exactly 0 from itself, on definite and
+        # singular fibers: equal fibers never reach the polar residual.
         for d in (1, 2, 3, 4):
             for rank in range(d + 1):
                 a = random_psd(rng, d, rank=rank)
-                assert bures_distance_sq(a, a) <= 1e-25 * np.real(np.trace(a))
+                assert bures_distance_sq(a, a) == 0.0
 
     def test_equal_fibers_are_exactly_zero(self, rng):
         # Equal fibers are at distance exactly 0, alone or paired within a
@@ -83,7 +83,7 @@ class TestBuresDistanceSq:
 class TestSphericalBures:
     def test_identical(self, rng):
         a = random_density(rng, 3)
-        assert spherical_bures(a, a) == pytest.approx(0.0, abs=1e-7)
+        assert spherical_bures(a, a) == 0.0
 
     def test_orthogonal_supports(self):
         a0 = np.diag([1.0, 0.0]).astype(complex)
@@ -221,8 +221,7 @@ class TestRealEmbeddingCheck:
     def test_identical(self):
         eye = np.eye(2, dtype=complex)
         lhs, rhs = bures_real_embedding_check(eye, eye)
-        assert lhs == pytest.approx(0.0, abs=1e-12)
-        assert rhs == pytest.approx(0.0, abs=1e-12)
+        assert lhs == rhs == 0.0
 
     def test_real_pair(self, rng):
         a0 = np.real(random_psd(rng, 2)).astype(complex)

@@ -185,6 +185,14 @@ class TestHeatFlowResidual:
         r2 = heat_flow_residual(g, lam, 0.2, 5e-4)
         assert r2 == pytest.approx(r1 / 2.0, rel=1e-2)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, math.inf, math.nan])
+    def test_degenerate_step_rejected(self, rng, dt):
+        # Unchecked, dt = 0 would divide by zero and dt = inf return the drift's TV norm.
+        g = random_probability_measure(rng, 2, 2)
+        lam = uniform_reference(g.support, 2)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            heat_flow_residual(g, lam, 0.2, dt)
+
 
 class TestEntropyDecay:
     def test_equilibrium(self):

@@ -15,7 +15,6 @@ from frgeo.exceptions import (
 )
 from frgeo.fisher_rao import (
     MeasurePath,
-    _chord_parameter,
     cone_scaling_check,
     constant_speed_reparametrize,
     fisher_rao_distance,
@@ -55,7 +54,7 @@ def zero_like(g):
 class TestHellingerDistance:
     def test_identical(self, rng):
         g = random_measure(rng, 3, 2)
-        assert hellinger_distance_sq(g, g) == pytest.approx(0.0, abs=1e-10)
+        assert hellinger_distance_sq(g, g) == 0.0
 
     def test_against_zero_is_four_masses(self, rng):
         for _ in range(20):
@@ -87,7 +86,7 @@ class TestHellingerDistance:
 class TestFisherRaoDistance:
     def test_identical(self, rng):
         g = random_probability_measure(rng, 2, 2)
-        assert fisher_rao_distance(g, g) == pytest.approx(0.0, abs=1e-7)
+        assert fisher_rao_distance(g, g) == 0.0
 
     @pytest.mark.parametrize("n, d", [(2, 2), (8, 3), (64, 4)])
     def test_measure_is_at_distance_zero_from_itself(self, n, d):
@@ -371,6 +370,18 @@ class TestFisherRaoGeodesic:
         assert np.array_equal(path.atoms, np.broadcast_to(singular.atoms, path.atoms.shape))
         assert path.velocities == (None,) * len(ts) and path.meta["ode_residual"] == 0.0
 
+    def test_pair_one_ulp_apart_ends_exactly_at_both_endpoints(self):
+        # d_FR is about 7e-16: any positive distance takes the chord, not the constant path.
+        g0 = random_finite_entropy_measure(np.random.default_rng(2029), 8, 3)
+        atoms = g0.atoms.copy()
+        atoms[2, 1, 1] = np.nextafter(atoms[2, 1, 1].real, 1.0)
+        g1 = g0.with_atoms(atoms)
+        path = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 17))
+        assert 0.0 < path.meta["distance"] < 1e-15
+        assert np.array_equal(path.atoms[0], g0.atoms) and np.array_equal(path.atoms[-1], g1.atoms)
+        # The interior slices are normalized; the ends carry the endpoints' own masses.
+        assert np.array_equal(path_masses(path)[1:-1], np.ones(15))
+
     def test_antipodal_raises(self):
         sup = Support(("x",))
         g0 = MatrixMeasure(sup, np.diag([1.0, 0.0]).astype(complex)[None])
@@ -407,7 +418,7 @@ class TestFisherRaoGeodesic:
         path = fisher_rao_geodesic(g0, g1, ts)
         assert path.meta["distance"] == fisher_rao_distance(g0, g1)
         phi = path.meta["distance"] / 2.0
-        chord = hellinger_geodesic(g0, g1, [_chord_parameter(t, phi) for t in ts])
+        chord = hellinger_geodesic(g0, g1, np.sin(ts * phi) / (np.sin(ts * phi) + np.sin(phi - ts * phi)))
         assert path.velocities is None
         assert np.array_equal(path.atoms[0], g0.atoms) and np.array_equal(path.atoms[-1], g1.atoms)
         for s, g in zip(path.slices[1:-1], chord.slices[1:-1]):
@@ -536,7 +547,7 @@ class TestMetricSpeed:
     def test_constant_path_zero(self, rng):
         g = random_probability_measure(rng, 2, 2)
         path = MeasurePath(np.array([0.0, 0.5, 1.0]), g.support, np.stack([g.atoms] * 3))
-        assert np.allclose(metric_speed(path, "fisher_rao"), 0.0, atol=1e-7)
+        assert np.array_equal(metric_speed(path, "fisher_rao"), np.zeros(3))
 
     @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
     def test_equal_consecutive_slices_have_exactly_zero_speed(self, rng, metric):
@@ -821,7 +832,7 @@ class TestMeasurePathValidation:
     def test_identity_of_indiscernibles(self, rng):
         sup = make_support(2)
         g0 = random_probability_measure(rng, 2, 2, support=sup)
-        assert fisher_rao_distance(g0, g0) <= 1e-7
+        assert fisher_rao_distance(g0, g0) == 0.0
         g1 = random_probability_measure(rng, 2, 2, support=sup)
         if tv_distance(g0, g1) > 1e-6:
             assert fisher_rao_distance(g0, g1) > 0.0

@@ -190,6 +190,25 @@ class TestDiscreteObjective:
         with pytest.raises(FRGeoError, match="needs at least two slices"):
             discrete_objective(MeasurePath(np.array([0.0]), g0.support, g0.atoms[None]), lam, 0.1)
 
+    @pytest.mark.parametrize(
+        "epsilon, message", [(-0.2, "nonnegative"), (math.nan, "nonnegative"), (math.inf, "finite")]
+    )
+    def test_invalid_temperature_rejected(self, rng, epsilon, message):
+        # Unchecked, -0.2 would give the objective for +0.2 and NaN a NaN Fisher term.
+        g0, g1, lam = finite_entropy_pair(rng)
+        path = fisher_rao_geodesic(g0, g1, np.linspace(0, 1, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"epsilon must be {message}, got"):
+                discrete_objective(path, lam, epsilon)
+
+    def test_zero_temperature_is_the_kinetic_term_alone(self, rng):
+        g0, g1, lam = finite_entropy_pair(rng)
+        path = recovery_sequence(fisher_rao_geodesic(g0, g1, np.linspace(0, 1, 9)), lam, 0.2)
+        kin, fis = discrete_objective(path, lam, 0.0)
+        assert fis == 0.0
+        assert kin == discrete_objective(path, lam, 0.2)[0] > 0.0
+
 
 class TestRecoverySequence:
     def test_zero_temperature_unchanged(self, rng):
@@ -511,11 +530,14 @@ class TestSolveBridge:
         g1 = MatrixMeasure(sup, np.array([[[a]], [[1.0 - a]]], dtype=complex))
         assert np.isfinite(entropy(g0, lam)) and np.pi - fisher_rao_distance(g0, g1) < 1e-6
         cfg = SchrodingerConfig(epsilon=0.1, n_steps=8)
-        with pytest.raises(AntipodalError):
+        with pytest.raises(AntipodalError) as cold:
             solve_bridge(g0, g1, lam, cfg)
         init = MeasurePath(np.linspace(0.0, 1.0, 9), sup, np.stack([g0.atoms] * 8 + [g1.atoms]), None, {})
-        with pytest.raises(AntipodalError):
+        with pytest.raises(AntipodalError) as warm:
             solve_bridge(g0, g1, lam, cfg, init_path=init)
+        # One rule: both starts report the same distance in the same words.
+        assert str(warm.value) == str(cold.value)
+        assert str(cold.value).endswith(">= pi - 1e-6: sphere projection undefined")
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_endpoint_checks_run_once(self, rng, monkeypatch, warm):

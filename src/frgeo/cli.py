@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 selftest failure, 2 file/argument error (an input
-that cannot be read or parsed, an output that cannot be written),
+Exit codes: 0 success, 1 a failed check (a selftest failure, or a violated
+bound in ``convexity``), 2 file/argument error (an input that cannot be read
+or parsed, an output that cannot be written),
 3 precondition violation (named in the message), 4 solver non-convergence.
 
 Subcommands::
@@ -34,7 +35,7 @@ from .fisher_rao import (
     fisher_rao_from_hellinger,
     fisher_rao_geodesic,
     hellinger_distance_sq,
-    hellinger_geodesic_points,
+    hellinger_geodesic,
     metric_speed,
     path_masses,
 )
@@ -126,7 +127,7 @@ def _cmd_geodesic(args) -> int:
     g1 = _load_measure(args.g1)
     lam = _load_reference(args.reference, g0)
     ts = np.linspace(0.0, 1.0, args.steps + 1)
-    geodesic = fisher_rao_geodesic if args.metric == "fisher-rao" else hellinger_geodesic_points
+    geodesic = fisher_rao_geodesic if args.metric == "fisher-rao" else hellinger_geodesic
     path = geodesic(g0, g1, ts)
     # Constant speed, d(G_s, G_t) = |s - t| d(G_0, G_1): every slice moves at the distance.
     speeds = np.full(path.n_slices, path.meta["distance"])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bures
 from .exceptions import AntipodalError, FRGeoError, ZeroLengthError
-from .hpsd import check_hermitian, hermitian_part, psd_sqrt, sym_product
+from .hpsd import check_hermitian, hermitian_part, psd_sqrt
 from .measures import MatrixMeasure, Support, check_probability, check_same_support, mass, tv_distance
 
 ANTIPODAL_TOL = 1e-6
@@ -32,16 +32,15 @@ class MeasurePath:
     """Time-indexed measures on one support, held as one atom stack
     ``(len(times), n, d, d)`` that is checked and hermitized once, as
     :class:`MatrixMeasure` checks one measure; each access to ``slices``
-    builds one measure per time. ``velocities`` is either None or one
-    optional ``(n, d, d)`` Hermitian stack per slice, representing the
-    continuity-equation potential. ``meta`` records construction details
-    (sphere flag, discrete ODE residual, ...).
+    builds one measure per time. ``meta`` records construction details
+    (metric, sphere flag, endpoint distance, ...). A path carries no
+    velocities: :func:`~frgeo.bures.bures_geodesic` of two atom stacks gives
+    the Hellinger geodesic's.
     """
 
     times: np.ndarray
     support: Support
     atoms: np.ndarray
-    velocities: tuple | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -53,8 +52,6 @@ class MeasurePath:
         check_hermitian(atoms, labels=self.support.point_ids)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "atoms", hermitian_part(atoms))
-        if self.velocities is not None and len(self.velocities) != len(atoms):
-            raise FRGeoError("velocities must align with slices")
 
     @property
     def n_slices(self) -> int:
@@ -102,41 +99,19 @@ def cone_scaling_check(
     return lhs, rhs
 
 
-def _discrete_ode_residual(times, atoms, velocities) -> float:
-    """Max TV residual of ``(G_{k+1} - G_k)/dt = (G_k U_k)^Sym`` over steps
-    with a velocity attached."""
-    resids = (
-        np.linalg.norm((b - a) / (t1 - t0) - sym_product(a, u), axis=(1, 2)).sum()
-        for t0, t1, a, b, u in zip(times, times[1:], atoms, atoms[1:], velocities)
-        if u is not None
-    )
-    return float(max(resids, default=0.0))
-
-
 def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
-    """Fiberwise Bures geodesic through every atom.
-
-    The resulting path moves at constant Hellinger speed. Per-slice
-    velocities are attached whenever every fiber admits one. A fiber equal
-    at both ends stays exactly at its atom, with velocity exactly 0.
-    """
-    check_same_support(g0, g1)
-    geo = bures.bures_geodesic(g0.atoms, g1.atoms, ts, g0.support.point_ids)
-    meta = {"metric": "hellinger", "ode_residual": _discrete_ode_residual(geo.times, geo.points, geo.velocities)}
-    return MeasurePath(geo.times, g0.support, geo.points, geo.velocities, meta)
-
-
-def hellinger_geodesic_points(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
-    """The slices of :func:`hellinger_geodesic` without its velocities: one
-    polar SVD (:func:`~frgeo.bures.polar_endpoints`) and no velocity step.
-    ``meta["distance"]`` is ``d_H(G_0, G_1)``, from the polar residual of that
-    SVD. A fiber equal at both ends stays exactly at its atom, so identical
-    endpoints give exactly 0 and the constant path."""
+    """Fiberwise Bures geodesic through every atom, at constant Hellinger
+    speed: one polar SVD (:func:`~frgeo.bures.polar_endpoints`) and the
+    points of :func:`~frgeo.bures.geodesic_factors`. ``meta["distance"]`` is
+    ``d_H(G_0, G_1)``, from the polar residual of that SVD. A fiber equal at
+    both ends stays exactly at its atom, so identical endpoints give exactly
+    0 and the constant path. The velocities of these slices are those of
+    :func:`~frgeo.bures.bures_geodesic` on the two atom stacks."""
     ts = bures.check_times(ts)
     check_same_support(g0, g1)
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
     meta = {"metric": "hellinger", "distance": float(np.sqrt(4.0 * d_sq.sum()))}
-    return MeasurePath(ts, g0.support, bures.geodesic_factors(g0.atoms, r0, y1, ts)[0], None, meta)
+    return MeasurePath(ts, g0.support, bures.geodesic_factors(g0.atoms, r0, y1, ts)[0], meta)
 
 
 def check_not_antipodal(dfr: float) -> None:
@@ -150,8 +125,8 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     """Constant-speed sphere geodesic between unit-mass measures.
 
     Takes the points of the Hellinger geodesic (the fiberwise Bures
-    geodesics, without their velocities), normalizes each slice back to the
-    sphere and reparametrizes time ``t`` to the exact cone-chord parameter
+    geodesics), normalizes each slice back to the sphere and reparametrizes
+    time ``t`` to the exact cone-chord parameter
     ``sin(t phi) / (sin(t phi) + sin(phi - t phi))``, ``phi = d_FR / 2``, so
     that ``d_FR(G_s, G_t) = |s - t| d_FR(G_0, G_1)``. Antipodal endpoints
     raise :class:`AntipodalError` (:func:`check_not_antipodal`).
@@ -175,7 +150,7 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
         chord = bures.geodesic_factors(g0.atoms, r0, y1, chord_ts)[0]
         atoms = chord / np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)[:, None, None, None]
     atoms[ts <= 0.0], atoms[ts >= 1.0] = g0.atoms, g1.atoms
-    return MeasurePath(ts, g0.support, atoms, None, meta)
+    return MeasurePath(ts, g0.support, atoms, meta)
 
 
 def _index_distances(path: MeasurePath, lo, hi, metric: str) -> np.ndarray:
@@ -220,7 +195,7 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
     segments = np.clip(np.searchsorted(cumulative, targets, side="right") - 1, 0, n_seg - 1)
     seg_len = lengths[segments]
     thetas = np.where(seg_len <= 1e-15, 0.0, (targets - cumulative[segments]) / np.maximum(seg_len, 1e-15))
-    geodesic = hellinger_geodesic_points if metric == "hellinger" else fisher_rao_geodesic
+    geodesic = hellinger_geodesic if metric == "hellinger" else fisher_rao_geodesic
     slices, atoms = path.slices, path.atoms.copy()
     atoms[1:-1] = np.where((thetas <= 0.0)[:, None, None, None], path.atoms[segments], path.atoms[segments + 1])
     inner = (thetas > 0.0) & (thetas < 1.0)
@@ -229,7 +204,7 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
         atoms[1:-1][rows] = geodesic(slices[j], slices[j + 1], thetas[rows]).atoms
     meta = dict(path.meta)
     meta["reparametrized"] = metric
-    return MeasurePath(new_times, path.support, atoms, None, meta)
+    return MeasurePath(new_times, path.support, atoms, meta)
 
 
 def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
@@ -249,14 +224,13 @@ def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
     return dist / (path.times[hi] - path.times[lo])
 
 
-def velocity_speed(path: MeasurePath) -> np.ndarray | None:
-    """Kinetic speeds ``sqrt(sum_i G_i U_i : U_i)`` where velocities are
-    attached; None when the path carries no velocities."""
-    if path.velocities is None:
-        return None
+def velocity_speed(geo: bures.FiberGeodesic) -> np.ndarray:
+    """Kinetic speeds ``sqrt(sum_i G_i U_i : U_i)`` of a
+    :func:`~frgeo.bures.bures_geodesic` of two atom stacks (the Hellinger
+    speeds of :func:`hellinger_geodesic`), NaN at a time without a velocity."""
     return np.array([
         np.nan if u is None else np.sqrt(max(float(np.real(np.vdot(u, atoms @ u))), 0.0))
-        for atoms, u in zip(path.atoms, path.velocities)
+        for atoms, u in zip(geo.points, geo.velocities)
     ])
 
 

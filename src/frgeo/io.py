@@ -24,7 +24,6 @@ turn, and the loader converts each entry's measure as the parser closes it.
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Iterable, Sequence
 
@@ -249,10 +248,7 @@ def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
 
 def format_csv_value(v) -> str:
     if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
+        return format(float(v), ".17g")
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)

@@ -203,7 +203,7 @@ def _heat_flow_perturbation(path: MeasurePath, lam: ReferenceMeasure, epsilon: f
     h = epsilon * np.minimum(path.times, 1.0 - path.times)[:, None, None, None]
     decay = np.vectorize(math.exp)(-h)  # the decay heat_flow takes, bit for bit
     atoms = np.where(h > 0.0, flow_atoms(path.atoms, lam, decay), path.atoms)
-    return MeasurePath(path.times, path.support, atoms, None, {**path.meta, "recovery_epsilon": epsilon})
+    return MeasurePath(path.times, path.support, atoms, {**path.meta, "recovery_epsilon": epsilon})
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,11 @@ def solve_bridge(
 
     Initialization is the heat-flow recovery perturbation of the Fisher-Rao
     geodesic (always a finite-objective interior competitor) unless an
-    explicit ``init_path`` on the same grid is supplied; either way, endpoints
-    that :func:`~frgeo.fisher_rao.check_not_antipodal` rejects raise
+    explicit ``init_path`` is supplied. That path must have ``n_steps + 1``
+    slices on the support of ``g0``, and nothing else of it is checked: its
+    times are never read, and its interior atoms start the descent at the
+    uniform grid's interior times. Either way, endpoints that
+    :func:`~frgeo.fisher_rao.check_not_antipodal` rejects raise
     :class:`AntipodalError`. The shared L-BFGS routine
     (:func:`frgeo.optim.lbfgs`) descends on the stacked factors along the
     closed-form gradient of the objective, preconditioned in time; steps

@@ -101,6 +101,16 @@ class TestSphericalBures:
         with pytest.raises(NotUnitTraceError):
             spherical_bures(2.0 * np.eye(2, dtype=complex), random_density(rng, 2))
 
+    def test_unit_trace_tolerance_is_1e_9(self, rng):
+        # Both arguments count as unit trace within UNIT_TRACE_TOL = 1e-9 and no further.
+        a = random_density(rng, 2)
+        assert bures.UNIT_TRACE_TOL == 1e-9
+        assert spherical_bures((1.0 + 5e-10) * a, (1.0 - 5e-10) * a) <= 1e-6
+        with pytest.raises(NotUnitTraceError, match="first argument"):
+            spherical_bures((1.0 + 2e-9) * a, a)
+        with pytest.raises(NotUnitTraceError, match="second argument"):
+            spherical_bures(a, (1.0 - 2e-9) * a)
+
 
 class TestBuresGeodesic:
     def test_constant(self, rng):

@@ -95,6 +95,17 @@ class TestGeodesicCommand:
             header = f.readline().strip().split(",")
         assert header == ["time", "mass", "entropy", "speed"]
 
+    def test_hellinger_speeds_equal_the_printed_distance(self, workdir, capsys):
+        # Both come from the same polar residual, so they agree bit for bit.
+        out = os.path.join(workdir["dir"], "geo")
+        assert main(["distance", workdir["g0"], workdir["g1"], "--metric", "hellinger"]) == 0
+        dh = float(capsys.readouterr().out.splitlines()[0].removeprefix("hellinger = "))
+        assert main(["geodesic", workdir["g0"], workdir["g1"], "--metric", "hellinger", "--out", out]) == 0
+        with open(os.path.join(out, "path.csv")) as f:
+            rows = [line.split(",") for line in f.read().splitlines()]
+        assert rows[0][3] == "speed"
+        assert [float(r[3]) for r in rows[1:]] == [dh] * 17
+
     @pytest.mark.parametrize("steps", ["0", "-1", "-5"])
     def test_steps_below_one_exit_3(self, workdir, capsys, steps):
         # Checked before anything runs, so no output directory appears.

@@ -22,13 +22,13 @@ from frgeo.fisher_rao import (
     fisher_rao_geodesic,
     hellinger_distance_sq,
     hellinger_geodesic,
-    hellinger_geodesic_points,
     mass_interpolation_values,
     metric_speed,
     path_masses,
     tv_comparison_check,
     velocity_speed,
 )
+from frgeo.hpsd import sym_product
 from frgeo.measures import (
     MatrixMeasure,
     Support,
@@ -173,8 +173,8 @@ class TestHellingerGeodesic:
     def test_constant(self, rng):
         g = random_measure(rng, 2, 2)
         path = hellinger_geodesic(g, g, [0.0, 0.5, 1.0])
-        for s in path.slices:
-            assert tv_distance(s, g) <= 1e-9
+        assert path.meta["distance"] == 0.0
+        assert np.array_equal(path.atoms, np.broadcast_to(g.atoms, path.atoms.shape))
 
     def test_to_zero_is_quadratic_shrink(self, rng):
         g = random_measure(rng, 2, 2, definite=True)
@@ -244,29 +244,37 @@ class TestHellingerGeodesic:
         rank = {"definite": None, "singular": 2, "zero": 0}[start]
         g0 = MatrixMeasure(sup, np.stack([random_psd(rng, 4, rank=rank) for _ in range(64)]))
         g1 = random_measure(rng, 64, 4, support=sup)
-        path = hellinger_geodesic_points(g0, g1, np.linspace(0.0, 1.0, 17))
+        path = hellinger_geodesic(g0, g1, np.linspace(0.0, 1.0, 17))
         assert path.meta["distance"] == pytest.approx(np.sqrt(hellinger_distance_sq(g0, g1)), rel=1e-14)
 
-    @pytest.mark.parametrize("geodesic", [hellinger_geodesic, hellinger_geodesic_points])
-    def test_shared_fiber_stays_at_its_atom(self, rng, geodesic):
+    def test_shared_fiber_stays_at_its_atom(self, rng):
         sup = make_support(3)
         g0, g1 = (random_measure(rng, 3, 2, definite=True, support=sup) for _ in range(2))
         g1 = g1.with_atoms(np.concatenate([g1.atoms[:1], g0.atoms[1:2], g1.atoms[2:]]))
-        path = geodesic(g0, g1, np.linspace(0.0, 1.0, 9))
+        ts = np.linspace(0.0, 1.0, 9)
+        path = hellinger_geodesic(g0, g1, ts)
         assert np.array_equal(path.atoms[:, 1], np.broadcast_to(g0.atoms[1], path.atoms[:, 1].shape))
         assert not np.array_equal(path.atoms[:, 0], np.broadcast_to(g0.atoms[0], path.atoms[:, 0].shape))
-        if geodesic is hellinger_geodesic:
-            assert all(u is not None and not u[1].any() and u[0].any() for u in path.velocities)
+        # The stack geodesic of the same atoms has the same points, and the shared fiber's velocity is exactly 0.
+        geo = bures_geodesic(g0.atoms, g1.atoms, ts, sup.point_ids)
+        assert np.array_equal(geo.points, path.atoms)
+        assert all(u is not None and not u[1].any() and u[0].any() for u in geo.velocities)
 
-    def test_ode_residual_recorded_and_small(self, rng):
+    def test_stack_velocities_solve_the_geodesic_ode(self, rng):
+        # Forward differences of the points against (G_k U_k)^Sym: the step
+        # residual of a smooth path is O(dt), so halving the step halves it.
         sup = make_support(2)
         g0 = random_measure(rng, 2, 2, definite=True, support=sup)
         g1 = random_measure(rng, 2, 2, definite=True, support=sup)
-        path = hellinger_geodesic(g0, g1, np.linspace(0, 1, 65))
-        assert path.velocities is not None
-        assert "ode_residual" in path.meta
-        # Left-endpoint forward differences of a smooth path: O(dt).
-        assert path.meta["ode_residual"] <= 0.5 * np.sqrt(hellinger_distance_sq(g0, g1))
+        residuals = []
+        for steps in (32, 64):
+            ts = np.linspace(0.0, 1.0, steps + 1)
+            geo = bures_geodesic(g0.atoms, g1.atoms, ts, sup.point_ids)
+            rates = np.diff(geo.points, axis=0) / np.diff(ts)[:, None, None, None]
+            gaps = rates - sym_product(geo.points[:-1], np.stack(geo.velocities[:-1]))
+            residuals.append(np.linalg.norm(gaps, axis=(-2, -1)).sum(axis=-1).max())
+        assert residuals[0] <= 0.5 * np.sqrt(hellinger_distance_sq(g0, g1))
+        assert residuals[1] == pytest.approx(residuals[0] / 2.0, rel=0.1)
 
 
 class TestStackedAgainstFibers:
@@ -278,15 +286,17 @@ class TestStackedAgainstFibers:
         g0, g1 = mixed_mode_pair
         ts = np.linspace(0.0, 1.0, 6)
         path = hellinger_geodesic(g0, g1, ts)
-        fiber_formulas.check_path(g0, g1, ts, [g.atoms for g in path.slices], path.velocities)
+        stack = bures_geodesic(g0.atoms, g1.atoms, ts, g0.support.point_ids)
+        assert np.array_equal(stack.points, path.atoms)
+        fiber_formulas.check_path(g0, g1, ts, path.atoms, stack.velocities)
         fibers = [bures_geodesic(g0.atoms[i], g1.atoms[i], ts) for i in range(g0.n)]
         for k in range(len(ts)):
             points = np.stack([fp.points[k] for fp in fibers])
             assert np.abs(path.slices[k].atoms - points).max() <= 1e-12
         # The exact rank-1 -> rank-2 geodesic is singular at every t, so
-        # neither that fiber nor any slice of the path has a velocity.
+        # neither that fiber nor any slice of the stack has a velocity.
         assert all(u is None for u in fibers[1].velocities)
-        assert all(u is None for u in path.velocities)
+        assert all(u is None for u in stack.velocities)
         # The zero start has none at t = 0 only; the definite pair has one everywhere.
         assert fibers[0].velocities[0] is None
         assert all(u is not None for fp in fibers[::2] for u in fp.velocities[1:])
@@ -343,10 +353,10 @@ class TestFisherRaoGeodesic:
     def test_constant(self, rng):
         g = random_probability_measure(rng, 2, 2)
         path = fisher_rao_geodesic(g, g, [0.0, 0.5, 1.0])
-        for s in path.slices:
-            assert tv_distance(s, g) <= 1e-12
+        assert path.meta["distance"] == 0.0
+        assert np.array_equal(path.atoms, np.broadcast_to(g.atoms, path.atoms.shape))
 
-    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic_points, hellinger_geodesic])
+    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic])
     @pytest.mark.parametrize("steps", [1, 16])
     def test_identical_endpoints_give_zero_distance_and_the_endpoint(self, steps, geodesic):
         # The measure of the seeded CLI check: the polar factor of its equal
@@ -357,18 +367,22 @@ class TestFisherRaoGeodesic:
         ts = np.linspace(0.0, 1.0, steps + 1)
         path = geodesic(g0, g0.with_atoms(g0.atoms.copy()), ts)
         assert np.array_equal(path.atoms, np.broadcast_to(g0.atoms, path.atoms.shape))
-        if geodesic is not hellinger_geodesic:
-            assert path.meta["distance"] == 0.0
-            return
-        # Definite fibers: a zero velocity at every time and no ODE residual.
-        assert path.meta["ode_residual"] == 0.0
-        assert len(path.velocities) == len(ts)
-        assert all(u.shape == g0.atoms.shape and not u.any() for u in path.velocities)
+        assert path.meta["distance"] == 0.0
+
+    @pytest.mark.parametrize("steps", [1, 16])
+    def test_identical_stacks_have_zero_velocity_or_none(self, steps):
+        g0 = random_finite_entropy_measure(np.random.default_rng(7), 8, 3)
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        # Definite fibers: a zero velocity at every time.
+        geo = bures_geodesic(g0.atoms, g0.atoms.copy(), ts, g0.support.point_ids)
+        assert np.array_equal(geo.points, np.broadcast_to(g0.atoms, geo.points.shape))
+        assert len(geo.velocities) == len(ts)
+        assert all(u.shape == g0.atoms.shape and not u.any() for u in geo.velocities)
         # A singular fiber admits no velocity at any time.
-        singular = g0.with_atoms(np.concatenate([g0.atoms[:-1], np.diag([0.5, 0.0, 0.0]).astype(complex)[None]]))
-        path = geodesic(singular, singular.with_atoms(singular.atoms.copy()), ts)
-        assert np.array_equal(path.atoms, np.broadcast_to(singular.atoms, path.atoms.shape))
-        assert path.velocities == (None,) * len(ts) and path.meta["ode_residual"] == 0.0
+        singular = np.concatenate([g0.atoms[:-1], np.diag([0.5, 0.0, 0.0]).astype(complex)[None]])
+        geo = bures_geodesic(singular, singular.copy(), ts, g0.support.point_ids)
+        assert np.array_equal(geo.points, np.broadcast_to(singular, geo.points.shape))
+        assert geo.velocities == (None,) * len(ts)
 
     def test_pair_one_ulp_apart_ends_exactly_at_both_endpoints(self):
         # d_FR is about 7e-16: any positive distance takes the chord, not the constant path.
@@ -419,7 +433,6 @@ class TestFisherRaoGeodesic:
         assert path.meta["distance"] == fisher_rao_distance(g0, g1)
         phi = path.meta["distance"] / 2.0
         chord = hellinger_geodesic(g0, g1, np.sin(ts * phi) / (np.sin(ts * phi) + np.sin(phi - ts * phi)))
-        assert path.velocities is None
         assert np.array_equal(path.atoms[0], g0.atoms) and np.array_equal(path.atoms[-1], g1.atoms)
         for s, g in zip(path.slices[1:-1], chord.slices[1:-1]):
             assert np.array_equal(s.atoms, g.atoms / mass(g))
@@ -570,18 +583,32 @@ class TestMetricSpeed:
         sup = make_support(2)
         g0 = random_measure(rng, 2, 2, definite=True, support=sup)
         g1 = random_measure(rng, 2, 2, definite=True, support=sup)
-        path = hellinger_geodesic(g0, g1, np.linspace(0, 1, 33))
-        fd = metric_speed(path, "hellinger")
-        kin = velocity_speed(path)
-        assert kin is not None
+        ts = np.linspace(0, 1, 33)
+        fd = metric_speed(hellinger_geodesic(g0, g1, ts), "hellinger")
+        kin = velocity_speed(bures_geodesic(g0.atoms, g1.atoms, ts, sup.point_ids))
         ok = ~np.isnan(kin)
         assert ok.all()
         assert np.max(np.abs(fd[ok] - kin[ok])) <= 0.05 * max(np.max(kin), 1e-12)
 
-    def test_no_velocities_returns_none(self, rng):
-        g = random_probability_measure(rng, 2, 2)
-        path = MeasurePath(np.array([0.0, 1.0]), g.support, np.stack([g.atoms] * 2))
-        assert velocity_speed(path) is None
+    def test_velocity_speed_is_nan_where_no_velocity_is_attached(self, rng):
+        # From the zero measure the stack is singular at t = 0 only.
+        g1 = random_measure(rng, 2, 2, definite=True)
+        geo = bures_geodesic(zero_like(g1).atoms, g1.atoms, np.linspace(0.0, 1.0, 5))
+        kin = velocity_speed(geo)
+        assert np.isnan(kin[0]) and np.all(np.isfinite(kin[1:]))
+
+    def test_velocity_speed_is_the_hellinger_distance(self, rng):
+        # A geodesic moves at its distance, so the kinetic speed is d_H at every time.
+        sup = make_support(3)
+        g0, g1 = (random_measure(rng, 3, 2, definite=True, support=sup) for _ in range(2))
+        kin = velocity_speed(bures_geodesic(g0.atoms, g1.atoms, np.linspace(0.0, 1.0, 9), sup.point_ids))
+        assert np.abs(kin - np.sqrt(hellinger_distance_sq(g0, g1))).max() <= 1e-12 * kin.max()
+
+    def test_velocity_speed_of_one_fiber_is_twice_its_bures_distance(self, rng):
+        a0, a1 = random_psd(rng, 3), random_psd(rng, 3)
+        kin = velocity_speed(bures_geodesic(a0, a1, np.linspace(0.0, 1.0, 9)))
+        assert kin.shape == (9,)
+        assert np.abs(kin - 2.0 * np.sqrt(bures_distance_sq(a0, a1))).max() <= 1e-12 * kin.max()
 
     def test_heat_flow_initial_speed_is_gradient_norm(self, rng):
         # Gradient-flow property: the initial metric speed of the flow is
@@ -770,7 +797,7 @@ class TestMeasurePathValidation:
         for k, s in enumerate(path.slices):
             assert np.array_equal(s.atoms, path.atoms[k])
 
-    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic, hellinger_geodesic_points])
+    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic])
     def test_slices_match_the_stack_bit_for_bit(self, rng, geodesic):
         sup = make_support(3)
         g0, g1 = (random_probability_measure(rng, 3, 2, support=sup) for _ in range(2))
@@ -791,10 +818,9 @@ class TestMeasurePathValidation:
         [
             lambda g0, g1, ts: fisher_rao_geodesic(g0, g1, ts).atoms,
             lambda g0, g1, ts: hellinger_geodesic(g0, g1, ts).atoms,
-            lambda g0, g1, ts: hellinger_geodesic_points(g0, g1, ts).atoms,
             lambda g0, g1, ts: bures_geodesic(g0.atoms, g1.atoms, ts).points,
         ],
-        ids=["fisher_rao", "hellinger", "hellinger_points", "bures"],
+        ids=["fisher_rao", "hellinger", "bures"],
     )
     def test_empty_times_give_empty_paths(self, rng, points):
         sup = make_support(3)
@@ -802,7 +828,7 @@ class TestMeasurePathValidation:
         assert points(g0, g1, []).shape == (0, 3, 2, 2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic, hellinger_geodesic_points])
+    @pytest.mark.parametrize("geodesic", [fisher_rao_geodesic, hellinger_geodesic])
     @pytest.mark.parametrize("ts", [[0.0, np.nan, 1.0], [np.nan], [0.5, np.inf]])
     def test_geodesics_check_times_first(self, rng, geodesic, ts):
         # The time check runs before any arithmetic, so no warning precedes it.

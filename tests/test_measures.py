@@ -590,3 +590,10 @@ class TestMeasureFiles:
         assert times2 == times
         for a, b in zip(slices, slices2):
             assert np.array_equal(a.atoms, b.atoms)
+
+    def test_csv_writes_non_finite_and_signed_zero_floats(self, tmp_path):
+        # ".17g" spells the infinities and NaN as Python does and keeps the sign of zero.
+        p = os.path.join(tmp_path, "t.csv")
+        fio.write_csv(p, ["x"], [(v,) for v in (np.inf, -np.inf, np.nan, 2.0, -0.0, np.float64(-np.inf))])
+        with open(p, encoding="utf-8") as f:
+            assert f.read() == "x\ninf\n-inf\nnan\n2\n-0\n-inf\n"

@@ -493,6 +493,20 @@ class TestSolveBridge:
         with pytest.raises(FRGeoError):
             solve_bridge(g0, g1, lam, cfg, init_path=bad)
 
+    def test_init_path_times_are_not_read(self, rng):
+        # Only the slice count and the support of an init path are checked:
+        # the same atoms at cubic-warped times start the same descent.
+        g0, g1, lam = finite_entropy_pair(rng)
+        cfg = SchrodingerConfig(epsilon=0.3, n_steps=8)
+        uniform = fisher_rao_geodesic(g0, g1, np.linspace(0.0, 1.0, 9))
+        warped = MeasurePath(np.linspace(0.0, 1.0, 9) ** 3, uniform.support, uniform.atoms)
+        a = solve_bridge(g0, g1, lam, cfg, init_path=uniform)
+        b = solve_bridge(g0, g1, lam, cfg, init_path=warped)
+        assert b.stop_reason == "gradient_tol"
+        assert np.array_equal(b.path.times, np.linspace(0.0, 1.0, 9))
+        assert (b.objective, b.iterations) == (a.objective, a.iterations)
+        assert np.array_equal(b.path.atoms, a.path.atoms)
+
     @pytest.mark.parametrize("labels", [tuple(f"q{i}" for i in range(8)), ("p2", "p1", *(f"p{i}" for i in range(3, 9)))])
     def test_init_path_on_another_support_rejected(self, rng, labels):
         # Same shape and grid, other (or reordered) point labels than the endpoints' p1..p8.
@@ -532,7 +546,7 @@ class TestSolveBridge:
         cfg = SchrodingerConfig(epsilon=0.1, n_steps=8)
         with pytest.raises(AntipodalError) as cold:
             solve_bridge(g0, g1, lam, cfg)
-        init = MeasurePath(np.linspace(0.0, 1.0, 9), sup, np.stack([g0.atoms] * 8 + [g1.atoms]), None, {})
+        init = MeasurePath(np.linspace(0.0, 1.0, 9), sup, np.stack([g0.atoms] * 8 + [g1.atoms]), {})
         with pytest.raises(AntipodalError) as warm:
             solve_bridge(g0, g1, lam, cfg, init_path=init)
         # One rule: both starts report the same distance in the same words.

@@ -16,13 +16,10 @@ from .exceptions import (
     NotUnitTraceError,
     SingularMatrixError,
     SupportMismatchError,
-    ZeroAtomError,
     ZeroLengthError,
     ZeroMassError,
 )
 from .hpsd import (
-    frobenius_inner,
-    frobenius_norm,
     hermitian_part,
     logdet,
     psd_sqrt,
@@ -39,9 +36,7 @@ from .measures import (
     mass,
     normalize_to_sphere,
     reference_identity,
-    trace_density,
     tv_distance,
-    tv_norm,
     uniform_reference,
 )
 from .bures import (
@@ -63,7 +58,6 @@ from .fisher_rao import (
     hellinger_geodesic,
     metric_speed,
     tv_comparison_check,
-    velocity_speed,
 )
 from .entropy_flow import (
     TangentVector,
@@ -73,7 +67,6 @@ from .entropy_flow import (
     fisher_information,
     fr_gradient_entropy,
     heat_flow,
-    heat_flow_residual,
     tangent_norm_sq,
     von_neumann_entropy,
 )

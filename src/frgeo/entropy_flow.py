@@ -99,18 +99,6 @@ def flow_atoms(atoms: np.ndarray, lam: ReferenceMeasure, decay) -> np.ndarray:
     return target + decay * (atoms - target)
 
 
-def heat_flow_residual(g: MatrixMeasure, lam: ReferenceMeasure, t: float, dt: float) -> float:
-    """TV norm of the forward-difference defect
-    ``(S_{t+dt}G - S_tG)/dt - (L - S_tG)``; first order in a finite ``dt > 0``."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    a = heat_flow(g, lam, t)
-    b = heat_flow(g, lam, t + dt)
-    drift = reference_identity(lam).atoms - a.atoms
-    resid = (b.atoms - a.atoms) / dt - drift
-    return float(np.linalg.norm(resid, axis=(1, 2)).sum())
-
-
 def entropy_decay_check(
     g: MatrixMeasure, lam: ReferenceMeasure, s: float, t: float
 ) -> tuple[float, float]:

@@ -37,10 +37,6 @@ class NotProbabilityError(FRGeoError):
     """A measure does not have unit total trace mass."""
 
 
-class ZeroAtomError(FRGeoError):
-    """An atom with (numerically) zero trace has no normalized density."""
-
-
 class ZeroMassError(FRGeoError):
     """The cone apex has no sphere representative."""
 

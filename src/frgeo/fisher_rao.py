@@ -196,12 +196,13 @@ def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
     seg_len = lengths[segments]
     thetas = np.where(seg_len <= 1e-15, 0.0, (targets - cumulative[segments]) / np.maximum(seg_len, 1e-15))
     geodesic = hellinger_geodesic if metric == "hellinger" else fisher_rao_geodesic
-    slices, atoms = path.slices, path.atoms.copy()
+    atoms = path.atoms.copy()
     atoms[1:-1] = np.where((thetas <= 0.0)[:, None, None, None], path.atoms[segments], path.atoms[segments + 1])
     inner = (thetas > 0.0) & (thetas < 1.0)
     for j in np.unique(segments[inner]):
         rows = inner & (segments == j)
-        atoms[1:-1][rows] = geodesic(slices[j], slices[j + 1], thetas[rows]).atoms
+        g0, g1 = (MatrixMeasure(path.support, path.atoms[k]) for k in (j, j + 1))
+        atoms[1:-1][rows] = geodesic(g0, g1, thetas[rows]).atoms
     meta = dict(path.meta)
     meta["reparametrized"] = metric
     return MeasurePath(new_times, path.support, atoms, meta)
@@ -224,16 +225,6 @@ def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
     return dist / (path.times[hi] - path.times[lo])
 
 
-def velocity_speed(geo: bures.FiberGeodesic) -> np.ndarray:
-    """Kinetic speeds ``sqrt(sum_i G_i U_i : U_i)`` of a
-    :func:`~frgeo.bures.bures_geodesic` of two atom stacks (the Hellinger
-    speeds of :func:`hellinger_geodesic`), NaN at a time without a velocity."""
-    return np.array([
-        np.nan if u is None else np.sqrt(max(float(np.real(np.vdot(u, atoms @ u))), 0.0))
-        for atoms, u in zip(geo.points, geo.velocities)
-    ])
-
-
 def tv_comparison_check(g0: MatrixMeasure, g1: MatrixMeasure) -> tuple[float, float, float]:
     """The two-sided comparison chain between the Hellinger and TV distances:
     ``(d_H^2 / (4 sqrt(d)), ||G1 - G0||_TV, sqrt(m0 + m1) * d_H)``."""
@@ -246,12 +237,3 @@ def tv_comparison_check(g0: MatrixMeasure, g1: MatrixMeasure) -> tuple[float, fl
 
 def path_masses(path: MeasurePath) -> np.ndarray:
     return np.real(np.trace(path.atoms, axis1=-2, axis2=-1)).sum(axis=-1)
-
-
-def mass_interpolation_values(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> np.ndarray:
-    """Exact masses of the Hellinger geodesic:
-    ``m_t = t m1 + (1 - t) m0 - t (1 - t) d_H^2 / 4``."""
-    m0, m1 = mass(g0), mass(g1)
-    dh_sq = hellinger_distance_sq(g0, g1)
-    ts = np.asarray(ts, dtype=float)
-    return ts * m1 + (1.0 - ts) * m0 - ts * (1.0 - ts) * dh_sq / 4.0

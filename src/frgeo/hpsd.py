@@ -66,17 +66,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
 
 
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real Frobenius product ``Re tr(a* b)``."""
-    _check_same_dim(a, b)
-    return float(np.real(np.vdot(a, b)))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm ``|a|_2``."""
-    return float(np.linalg.norm(a))
-
-
 def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``v diag(values) v*`` for each matrix of a stack."""
     return (v * values[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))

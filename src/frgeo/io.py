@@ -234,7 +234,9 @@ def _path_entry(obj: dict) -> dict:
 
 def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
     """The times and measures of a path file, each measure converted as soon
-    as its entry is parsed (:func:`_path_entry`)."""
+    as its entry is parsed (:func:`_path_entry`). Every entry must share the
+    support and ``dim`` of entry 0, and the times must strictly increase;
+    :class:`MeasureFormatError` names the first entry that breaks this."""
     doc = _read_json(path, _path_entry)
     if not isinstance(doc, list):
         raise MeasureFormatError("path document must be a JSON array")
@@ -242,7 +244,15 @@ def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
     for k, entry in enumerate(doc):
         if not isinstance(entry, dict) or "time" not in entry or "measure" not in entry:
             raise MeasureFormatError("each path entry must carry 'time' and 'measure'")
-        times.append(float(_float_array(entry["time"], (), f"time of path entry {k}")))
+        t = float(_float_array(entry["time"], (), f"time of path entry {k}"))
+        g, first = entry["measure"], doc[0]["measure"]
+        if g.support != first.support:
+            raise MeasureFormatError(f"path entry {k} lives on another support than entry 0")
+        if g.dim != first.dim:
+            raise MeasureFormatError(f"path entry {k} has dim {g.dim}, entry 0 has dim {first.dim}")
+        if times and not t > times[-1]:
+            raise MeasureFormatError(f"path entry {k} has time {t!r}, not after the time {times[-1]!r} of entry {k - 1}")
+        times.append(t)
     return times, [entry["measure"] for entry in doc]
 
 

@@ -19,7 +19,6 @@ from .exceptions import (
     FRGeoError,
     NotProbabilityError,
     SupportMismatchError,
-    ZeroAtomError,
     ZeroMassError,
 )
 from .hpsd import check_hermitian, hermitian_part
@@ -87,10 +86,6 @@ class MatrixMeasure:
     def with_atoms(self, atoms: np.ndarray) -> "MatrixMeasure":
         return MatrixMeasure(self.support, atoms)
 
-    @classmethod
-    def zeros(cls, support: Support, dim: int) -> "MatrixMeasure":
-        return cls(support, np.zeros((support.n, dim, dim), dtype=complex))
-
 
 @dataclass(frozen=True)
 class ReferenceMeasure:
@@ -147,20 +142,6 @@ def check_reference_support(g: MatrixMeasure, lam: ReferenceMeasure) -> None:
         raise SupportMismatchError(f"measure dim {g.dim} != reference dim {lam.dim}")
 
 
-def atom_norms(g: MatrixMeasure) -> np.ndarray:
-    """Per-atom Frobenius norms."""
-    return np.linalg.norm(g.atoms, axis=(1, 2))
-
-
-def tv_norm(g: MatrixMeasure) -> float:
-    """Total variation norm: the sum of per-atom Frobenius norms.
-
-    On atomic measures the dual characterization over unit-sup-norm test
-    functions collapses to this sum. Accepts signed (non-PSD) atoms.
-    """
-    return float(atom_norms(g).sum())
-
-
 def tv_distance(a: MatrixMeasure, b: MatrixMeasure) -> float:
     """TV norm of the atomwise difference (which need not be PSD)."""
     check_same_support(a, b)
@@ -181,16 +162,6 @@ def check_probability(g, label: str) -> None:
         if abs(m - 1.0) > SPHERE_MASS_TOL:
             name = " ".join([label, *map(str, k)])
             raise NotProbabilityError(f"{name} has mass {float(m)!r}, expected 1 within {SPHERE_MASS_TOL:.0e}")
-
-
-def trace_density(g: MatrixMeasure, i: int) -> np.ndarray:
-    """Unit-trace density ``G_i / tr G_i`` of atom ``i``."""
-    tr = float(np.real(np.trace(g.atoms[i])))
-    if tr <= ZERO_TRACE_FLOOR:
-        raise ZeroAtomError(
-            f"atom at point '{g.support.point_ids[i]}' has trace {tr:.3e}; no normalized density"
-        )
-    return g.atoms[i] / tr
 
 
 def lebesgue_split(g: MatrixMeasure, lam: ReferenceMeasure) -> tuple[MatrixMeasure, MatrixMeasure]:

@@ -39,6 +39,18 @@ def bures_sq_formula(a0, a1):
     return max(float(np.real(np.trace(a0) + np.trace(a1))) - 2.0 * fidelity, 0.0)
 
 
+def mass_interpolation_values(g0, g1, ts):
+    """Exact masses of the Hellinger geodesic:
+    ``m_t = t m1 + (1 - t) m0 - t (1 - t) d_H^2 / 4``."""
+    from frgeo.fisher_rao import hellinger_distance_sq
+    from frgeo.measures import mass
+
+    m0, m1 = mass(g0), mass(g1)
+    dh_sq = hellinger_distance_sq(g0, g1)
+    ts = np.asarray(ts, dtype=float)
+    return ts * m1 + (1.0 - ts) * m0 - ts * (1.0 - ts) * dh_sq / 4.0
+
+
 def _is_definite(a):
     w = np.linalg.eigvalsh(a)
     return w[0] > 1e-12 * w[-1]
@@ -109,9 +121,12 @@ def check_path_follows_fiber_formulas(g0, g1, ts, points, velocities=None):
 
 @pytest.fixture(scope="session")
 def fiber_formulas():
-    """The closed-form fiber references above, for tests to compare against."""
+    """The closed-form references above, for tests to compare against."""
     from types import SimpleNamespace
 
     return SimpleNamespace(
-        bures_sq=bures_sq_formula, geodesic=fiber_geodesic_formula, check_path=check_path_follows_fiber_formulas
+        bures_sq=bures_sq_formula,
+        masses=mass_interpolation_values,
+        geodesic=fiber_geodesic_formula,
+        check_path=check_path_follows_fiber_formulas,
     )

@@ -33,7 +33,6 @@ from frgeo.fisher_rao import (
     fisher_rao_geodesic,
     hellinger_distance_sq,
     hellinger_geodesic,
-    mass_interpolation_values,
     path_masses,
     tv_comparison_check,
 )
@@ -202,7 +201,7 @@ def test_criterion_07_tv_sandwich():
     _report("criterion-07 TV sandwich", "500 pairs")
 
 
-def test_criterion_08_geodesic_structure():
+def test_criterion_08_geodesic_structure(fiber_formulas):
     rng = np.random.default_rng(108)
     for _ in range(50):
         n, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
@@ -220,7 +219,7 @@ def test_criterion_08_geodesic_structure():
         hgeo = hellinger_geodesic(g0, g1, ts)
         masses = path_masses(hgeo)
         assert np.all(masses >= 1.0 - 2.0 * ts * (1.0 - ts) - 1e-9)
-        exact = mass_interpolation_values(g0, g1, ts)
+        exact = fiber_formulas.masses(g0, g1, ts)
         assert np.max(np.abs(masses - exact)) <= 1e-14 * max(1.0, float(np.max(np.abs(exact))))
         # The same exact interpolation from a rank-deficient start: g0 with
         # each atom's smallest eigenvalue set to zero.
@@ -228,7 +227,7 @@ def test_criterion_08_geodesic_structure():
         w[:, 0] = 0.0
         gs = g0.with_atoms(hermitian_part((v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))))
         masses = path_masses(hellinger_geodesic(gs, g1, ts))
-        exact = mass_interpolation_values(gs, g1, ts)
+        exact = fiber_formulas.masses(gs, g1, ts)
         assert np.max(np.abs(masses - exact)) <= 1e-14 * max(1.0, float(np.max(np.abs(exact))))
     _report("criterion-08 geodesic structure", "midpoints, mass bound, exact interpolation to 1e-14 from definite and rank-deficient starts")
 

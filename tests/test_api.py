@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "SupportMismatchError",
     "SweepRow",
     "TangentVector",
-    "ZeroAtomError",
     "ZeroLengthError",
     "ZeroMassError",
     "bures_distance_sq",
@@ -46,12 +45,9 @@ PUBLIC_NAMES = [
     "fisher_rao_distance",
     "fisher_rao_geodesic",
     "fr_gradient_entropy",
-    "frobenius_inner",
-    "frobenius_norm",
     "gamma_sweep",
     "gaussian_bridge_oracle",
     "heat_flow",
-    "heat_flow_residual",
     "hellinger_distance_sq",
     "hellinger_geodesic",
     "hermitian_part",
@@ -70,12 +66,9 @@ PUBLIC_NAMES = [
     "spd_inverse",
     "spherical_bures",
     "tangent_norm_sq",
-    "trace_density",
     "tv_comparison_check",
     "tv_distance",
-    "tv_norm",
     "uniform_reference",
-    "velocity_speed",
     "von_neumann_entropy",
 ]
 

@@ -192,8 +192,6 @@ class TestGeodesicCommand:
     def test_singular_start_at_large_scale_exit_0(self, fiber_formulas, tmp_path):
         # The geodesic from a singular start is exact at every scale; this
         # one-point pair used to exit 3 through a start-shift error bound.
-        from frgeo.fisher_rao import mass_interpolation_values
-
         sup = make_support(1)
         g0 = MatrixMeasure(sup, np.diag([50.0, 0.0])[None].astype(complex))
         g1 = MatrixMeasure(sup, 50.0 * np.eye(2, dtype=complex)[None])
@@ -203,7 +201,7 @@ class TestGeodesicCommand:
         assert main(["geodesic", p0, p1, "--metric", "hellinger", "--steps", "8", "--out", out]) == 0
         times, slices = fio.load_measure_path(os.path.join(out, "path.json"))
         masses = np.array([np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum() for g in slices])
-        expected = mass_interpolation_values(g0, g1, times)
+        expected = fiber_formulas.masses(g0, g1, times)
         assert np.abs(masses - expected).max() <= 1e-14 * np.abs(expected).max()
         assert np.abs(slices[0].atoms - g0.atoms).max() <= 1e-14 * 50.0
         assert np.abs(slices[-1].atoms - g1.atoms).max() <= 1e-14 * 50.0

@@ -22,11 +22,9 @@ from frgeo.fisher_rao import (
     fisher_rao_geodesic,
     hellinger_distance_sq,
     hellinger_geodesic,
-    mass_interpolation_values,
     metric_speed,
     path_masses,
     tv_comparison_check,
-    velocity_speed,
 )
 from frgeo.hpsd import sym_product
 from frgeo.measures import (
@@ -36,7 +34,6 @@ from frgeo.measures import (
     mass,
     scale_measure,
     tv_distance,
-    tv_norm,
 )
 from frgeo.testing import (
     random_density,
@@ -49,6 +46,14 @@ from frgeo.testing import (
 
 def zero_like(g):
     return g.with_atoms(np.zeros_like(g.atoms))
+
+
+def kinetic_speeds(geo):
+    """Kinetic speeds ``sqrt(sum_i Re <U_i, G_i U_i>)`` of a ``bures_geodesic``
+    of two atom stacks: the Hellinger speeds, NaN at a time without a velocity."""
+    return np.array([
+        np.nan if u is None else np.sqrt(np.real(np.vdot(u, g @ u))) for g, u in zip(geo.points, geo.velocities)
+    ])
 
 
 class TestHellingerDistance:
@@ -205,13 +210,13 @@ class TestHellingerGeodesic:
             masses = path_masses(hellinger_geodesic(g0, g1, ts))
             assert np.all(masses >= 1.0 - 2.0 * ts * (1.0 - ts) - 1e-9)
 
-    def test_mass_interpolation_exact(self, rng):
+    def test_mass_interpolation_exact(self, rng, fiber_formulas):
         sup = make_support(2)
         g0 = random_measure(rng, 2, 3, support=sup)
         g1 = random_measure(rng, 2, 3, support=sup)
         ts = np.linspace(0.0, 1.0, 11)
         masses = path_masses(hellinger_geodesic(g0, g1, ts))
-        expected = mass_interpolation_values(g0, g1, ts)
+        expected = fiber_formulas.masses(g0, g1, ts)
         assert np.max(np.abs(masses - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
     @settings(deadline=None, max_examples=60)
@@ -221,7 +226,7 @@ class TestHellingerGeodesic:
         d=st.integers(1, 4),
         log_scale=st.floats(-3.0, 3.0),
     )
-    def test_rank_deficient_starts_exact_at_every_scale(self, seed, n, d, log_scale):
+    def test_rank_deficient_starts_exact_at_every_scale(self, seed, n, d, log_scale, fiber_formulas):
         # Every start atom has rank < d (zero included); end atoms have any rank.
         gen = np.random.default_rng(seed)
         scale = 10.0**log_scale
@@ -234,7 +239,7 @@ class TestHellingerGeodesic:
         assert np.abs(path.slices[0].atoms - g0.atoms).max() <= 1e-13 * size
         assert np.abs(path.slices[-1].atoms - g1.atoms).max() <= 1e-13 * size
         masses = path_masses(path)
-        expected = mass_interpolation_values(g0, g1, ts)
+        expected = fiber_formulas.masses(g0, g1, ts)
         assert np.abs(masses - expected).max() <= 2e-14 * (mass(g0) + mass(g1))
 
     @pytest.mark.parametrize("start", ["definite", "singular", "zero"])
@@ -510,6 +515,36 @@ class TestConstantSpeedReparametrize:
         worst = max(tv_distance(a, b) for a, b in zip(path.slices, out.slices))
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_builds_measures_only_at_ends_of_segments_with_targets(self, rng, monkeypatch, metric):
+        # The stack is hermitized once, so the two ends of each segment that
+        # holds targets are built from its atoms, and no other slice is.
+        from frgeo import fisher_rao
+
+        path = self._warped_geodesic(rng, metric)
+        want = constant_speed_reparametrize(path, metric)
+        built = []
+
+        def counted(support, atoms):
+            built.append(atoms)
+            return MatrixMeasure(support, atoms)
+
+        monkeypatch.setattr(fisher_rao, "MatrixMeasure", counted)
+        monkeypatch.setattr(MeasurePath, "slices", property(lambda _: pytest.fail("slices built")))
+        out = constant_speed_reparametrize(path, metric)
+        assert np.array_equal(out.atoms, want.atoms)
+        lengths = fisher_rao._index_distances(path, np.arange(16), np.arange(1, 17), metric)
+        cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
+        targets = lengths.sum() * np.arange(1, 16) / 16
+        segments = np.searchsorted(cumulative, targets, side="right") - 1
+        thetas = (targets - cumulative[segments]) / lengths[segments]
+        with_targets = np.unique(segments[(thetas > 0.0) & (thetas < 1.0)])
+        assert 0 < len(with_targets) < 16
+        ends = [k for j in with_targets for k in (j, j + 1)]
+        assert len(built) == len(ends)
+        for atoms, k in zip(built, ends):
+            assert atoms.base is path.atoms and np.array_equal(atoms, path.atoms[k])
+
     def test_two_slice_unchanged(self, rng):
         sup = make_support(1)
         g0 = random_probability_measure(rng, 1, 2, support=sup)
@@ -579,34 +614,34 @@ class TestMetricSpeed:
         speeds = metric_speed(path, "fisher_rao")
         assert np.max(np.abs(speeds - dfr)) <= 0.02 * dfr
 
-    def test_velocity_speed_matches_fd(self, rng):
+    def test_kinetic_speed_matches_fd(self, rng):
         sup = make_support(2)
         g0 = random_measure(rng, 2, 2, definite=True, support=sup)
         g1 = random_measure(rng, 2, 2, definite=True, support=sup)
         ts = np.linspace(0, 1, 33)
         fd = metric_speed(hellinger_geodesic(g0, g1, ts), "hellinger")
-        kin = velocity_speed(bures_geodesic(g0.atoms, g1.atoms, ts, sup.point_ids))
+        kin = kinetic_speeds(bures_geodesic(g0.atoms, g1.atoms, ts, sup.point_ids))
         ok = ~np.isnan(kin)
         assert ok.all()
         assert np.max(np.abs(fd[ok] - kin[ok])) <= 0.05 * max(np.max(kin), 1e-12)
 
-    def test_velocity_speed_is_nan_where_no_velocity_is_attached(self, rng):
+    def test_kinetic_speed_is_nan_where_no_velocity_is_attached(self, rng):
         # From the zero measure the stack is singular at t = 0 only.
         g1 = random_measure(rng, 2, 2, definite=True)
         geo = bures_geodesic(zero_like(g1).atoms, g1.atoms, np.linspace(0.0, 1.0, 5))
-        kin = velocity_speed(geo)
+        kin = kinetic_speeds(geo)
         assert np.isnan(kin[0]) and np.all(np.isfinite(kin[1:]))
 
-    def test_velocity_speed_is_the_hellinger_distance(self, rng):
+    def test_kinetic_speed_is_the_hellinger_distance(self, rng):
         # A geodesic moves at its distance, so the kinetic speed is d_H at every time.
         sup = make_support(3)
         g0, g1 = (random_measure(rng, 3, 2, definite=True, support=sup) for _ in range(2))
-        kin = velocity_speed(bures_geodesic(g0.atoms, g1.atoms, np.linspace(0.0, 1.0, 9), sup.point_ids))
+        kin = kinetic_speeds(bures_geodesic(g0.atoms, g1.atoms, np.linspace(0.0, 1.0, 9), sup.point_ids))
         assert np.abs(kin - np.sqrt(hellinger_distance_sq(g0, g1))).max() <= 1e-12 * kin.max()
 
-    def test_velocity_speed_of_one_fiber_is_twice_its_bures_distance(self, rng):
+    def test_kinetic_speed_of_one_fiber_is_twice_its_bures_distance(self, rng):
         a0, a1 = random_psd(rng, 3), random_psd(rng, 3)
-        kin = velocity_speed(bures_geodesic(a0, a1, np.linspace(0.0, 1.0, 9)))
+        kin = kinetic_speeds(bures_geodesic(a0, a1, np.linspace(0.0, 1.0, 9)))
         assert kin.shape == (9,)
         assert np.abs(kin - 2.0 * np.sqrt(bures_distance_sq(a0, a1))).max() <= 1e-12 * kin.max()
 
@@ -737,7 +772,7 @@ class TestTvComparison:
         lower, mid, upper = tv_comparison_check(g, zero_like(g))
         m = mass(g)
         assert lower == pytest.approx(m / np.sqrt(2), rel=1e-9)
-        assert mid == pytest.approx(tv_norm(g), rel=1e-12)
+        assert mid == pytest.approx(np.linalg.norm(g.atoms, axis=(1, 2)).sum(), rel=1e-12)
         assert upper == pytest.approx(2.0 * m, rel=1e-9)
         assert lower <= mid <= upper
 

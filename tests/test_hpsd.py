@@ -11,8 +11,6 @@ from frgeo.exceptions import (
 )
 from frgeo.hpsd import (
     check_hermitian,
-    frobenius_inner,
-    frobenius_norm,
     hermitian_part,
     logdet,
     psd_spectrum,
@@ -35,31 +33,6 @@ def cofactor_det(a):
         minor = np.delete(np.delete(a, 0, axis=0), c, axis=1)
         total += (-1) ** c * a[0, c] * cofactor_det(minor)
     return total
-
-
-class TestFrobeniusInner:
-    def test_identity_with_itself(self):
-        eye = np.eye(2, dtype=complex)
-        assert frobenius_inner(eye, eye) == pytest.approx(2.0)
-
-    def test_zero(self, rng):
-        a = random_hermitian(rng, 3)
-        assert frobenius_inner(a, np.zeros((3, 3), dtype=complex)) == 0.0
-
-    def test_diagonal_pair(self):
-        # Entrywise oracle: sum_jk conj(a_jk) b_jk = 1*3 + 2*4 = 11.
-        a = np.diag([1.0, 2.0]).astype(complex)
-        b = np.diag([3.0, 4.0]).astype(complex)
-        assert frobenius_inner(a, b) == pytest.approx(11.0)
-
-    def test_symmetric_and_norm_consistent(self, rng):
-        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        assert frobenius_inner(a, b) == pytest.approx(frobenius_inner(b, a), abs=1e-12)
-        assert frobenius_inner(a, a) == pytest.approx(frobenius_norm(a) ** 2, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            frobenius_inner(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
 class TestPsdSqrt:
@@ -188,6 +161,10 @@ class TestSolveSylvesterVelocity:
         xi = random_hermitian(rng, 2)
         with pytest.raises(SingularMatrixError):
             solve_sylvester_velocity(np.diag([1.0, 0.0]).astype(complex), xi)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=r"^incompatible shapes \(2, 2\) and \(3, 3\)$"):
+            solve_sylvester_velocity(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
 class TestHelpers:

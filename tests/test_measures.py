@@ -14,7 +14,6 @@ from frgeo.exceptions import (
     MeasureFormatError,
     NotHermitianError,
     SupportMismatchError,
-    ZeroAtomError,
     ZeroMassError,
 )
 from frgeo.fisher_rao import fisher_rao_geodesic
@@ -30,9 +29,7 @@ from frgeo.measures import (
     normalize_to_sphere,
     reference_identity,
     scale_measure,
-    trace_density,
     tv_distance,
-    tv_norm,
     uniform_reference,
 )
 from frgeo.testing import random_finite_entropy_measure, random_measure, random_probability_measure
@@ -40,6 +37,15 @@ from frgeo.testing import random_finite_entropy_measure, random_measure, random_
 
 def single_atom(atom, label="p1"):
     return MatrixMeasure(Support((label,)), np.asarray(atom, dtype=complex)[None])
+
+
+def zeros(sup, d):
+    return MatrixMeasure(sup, np.zeros((sup.n, d, d)))
+
+
+def tv_norm(g):
+    """The TV norm of ``g``: its TV distance from the zero measure."""
+    return tv_distance(g, zeros(g.support, g.dim))
 
 
 # The byte-identity oracle for the writers: the documents built as nested
@@ -133,10 +139,10 @@ class TestShapeChecks:
     def test_pairs_need_the_same_dim(self):
         sup = make_support(2)
         with pytest.raises(SupportMismatchError, match="^measures have different dims 1 and 2$"):
-            check_same_support(MatrixMeasure.zeros(sup, 1), MatrixMeasure.zeros(sup, 2))
+            check_same_support(zeros(sup, 1), zeros(sup, 2))
 
     def test_reference_needs_the_same_support_and_dim(self):
-        g = MatrixMeasure.zeros(make_support(2), 2)
+        g = zeros(make_support(2), 2)
         with pytest.raises(SupportMismatchError, match="^measure and reference live on different supports$"):
             check_reference_support(g, uniform_reference(make_support(3), 2))
         with pytest.raises(SupportMismatchError, match="^measure dim 2 != reference dim 1$"):
@@ -145,7 +151,7 @@ class TestShapeChecks:
 
 class TestTvNorm:
     def test_zero_measure(self):
-        assert tv_norm(MatrixMeasure.zeros(make_support(3), 2)) == 0.0
+        assert tv_norm(zeros(make_support(3), 2)) == 0.0
 
     def test_single_identity_atom(self):
         assert tv_norm(single_atom(np.eye(2))) == pytest.approx(np.sqrt(2.0))
@@ -180,26 +186,7 @@ class TestMass:
         assert mass(single_atom(3.0 * np.eye(2))) == pytest.approx(6.0)
 
     def test_zero(self):
-        assert mass(MatrixMeasure.zeros(make_support(2), 2)) == 0.0
-
-
-class TestTraceDensity:
-    def test_scaled_identity(self):
-        got = trace_density(single_atom(5.0 * np.eye(2)), 0)
-        assert np.allclose(got, np.eye(2) / 2.0)
-
-    def test_diagonal(self):
-        got = trace_density(single_atom(np.diag([3.0, 1.0])), 0)
-        assert np.allclose(got, np.diag([0.75, 0.25]))
-
-    def test_unit_trace(self, rng):
-        g = random_measure(rng, 3, 3)
-        for i in range(g.n):
-            assert np.real(np.trace(trace_density(g, i))) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_atom(self):
-        with pytest.raises(ZeroAtomError):
-            trace_density(MatrixMeasure.zeros(make_support(1), 2), 0)
+        assert mass(zeros(make_support(2), 2)) == 0.0
 
 
 class TestLebesgueSplit:
@@ -247,7 +234,7 @@ class TestNormalizeToSphere:
 
     def test_apex_raises(self):
         with pytest.raises(ZeroMassError):
-            normalize_to_sphere(MatrixMeasure.zeros(make_support(1), 2))
+            normalize_to_sphere(zeros(make_support(1), 2))
 
     def test_round_trip(self, rng):
         g = random_measure(rng, 3, 3)
@@ -384,16 +371,64 @@ class TestMeasureFiles:
             random_measure(rng, 4, 2, support=odd),
             MatrixMeasure(odd, 2.0 * eye),
         ]
-        times = [0.0, 0.2, 0.5, 1.0, 3.0, 1e-300]
+        times = [0.0, 1e-300, 0.2, 0.5, 1.0, 3.0]
         p = os.path.join(tmp_path, "path.json")
         fio.save_measure_path(p, times, slices)
         with open(p, encoding="utf-8") as f:
             assert f.read() == _emit(path_to_doc(times, slices)) + "\n"
+        with pytest.raises(MeasureFormatError, match="^path entry 3 lives on another support than entry 0$"):
+            fio.load_measure_path(p)
+        # The slices on the odd support alone make a path, which loads bit for bit.
+        del times[3], slices[3]
+        fio.save_measure_path(p, times, slices)
         times2, slices2 = fio.load_measure_path(p)
         assert times2 == times
-        assert [g.support for g in slices2] == [g.support for g in slices]
-        for a, b in zip(slices, slices2):
+        assert all(g.support == odd for g in slices2)
+        for a, b in zip(slices, slices2, strict=True):
             assert a.atoms.tobytes() == b.atoms.tobytes()
+
+    @pytest.mark.parametrize(
+        "support, dim, t, message",
+        [
+            (make_support(3), 2, 0.5, "path entry 2 lives on another support than entry 0"),
+            (Support(("p1", "q2")), 2, 0.5, "path entry 2 lives on another support than entry 0"),
+            (make_support(2), 3, 0.5, "path entry 2 has dim 3, entry 0 has dim 2"),
+            (make_support(2), 2, 0.2, "path entry 2 has time 0.2, not after the time 0.2 of entry 1"),
+            (make_support(2), 2, 0.1, "path entry 2 has time 0.1, not after the time 0.2 of entry 1"),
+        ],
+        ids=["support-size", "support-labels", "dim", "time-repeated", "time-decreasing"],
+    )
+    def test_path_loader_rejects_inconsistent_entries(self, rng, tmp_path, support, dim, t, message):
+        # The bad entry follows two good ones, and the entry after it breaks
+        # the same rule; the error names the first bad one.
+        good = random_measure(rng, 2, 2)
+        bad = random_measure(rng, support.n, dim, support=support)
+        p = os.path.join(tmp_path, "path.json")
+        fio.save_measure_path(p, [0.0, 0.2, t, 0.0], [good, good, bad, bad])
+        with pytest.raises(MeasureFormatError, match=f"^{message}$"):
+            fio.load_measure_path(p)
+
+    @pytest.mark.parametrize(
+        "time, message",
+        [
+            (math.nan, "time of path entry 1 holds non-finite value nan"),
+            (math.inf, "time of path entry 1 holds non-finite value inf"),
+            ("0.5", "time of path entry 1 must hold only JSON numbers"),
+            ([0.5], r"time of path entry 1 must have shape \(\), got \(1,\)"),
+        ],
+        ids=["nan", "inf", "string", "array"],
+    )
+    def test_path_loader_rejects_bad_times(self, rng, tmp_path, time, message):
+        g = random_measure(rng, 2, 2)
+        p = os.path.join(tmp_path, "path.json")
+        fio.save_measure_path(p, [0.0, 0.5], [g, g])
+        with open(p, encoding="utf-8") as f:
+            doc = json.load(f)
+        doc[1]["time"] = time
+        with open(p, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        with pytest.raises(MeasureFormatError, match=f"^{message}$"):
+            fio.load_measure_path(p)
 
     def test_path_writer_rejects_non_finite_slice(self, rng, tmp_path):
         g = random_measure(rng, 3, 2)

@@ -103,17 +103,23 @@ def polar_residual(y0: np.ndarray, y1: np.ndarray):
     return y1 - y0 @ w, w
 
 
+def polar_from_roots(a0: np.ndarray, a1: np.ndarray, r0: np.ndarray, r1: np.ndarray):
+    """``(Y_1, d_B^2)`` of :func:`polar_endpoints` from given roots ``r0, r1`` of ``a0, a1``."""
+    res, u = polar_residual(r1, r0)
+    same = np.equal(a0, a1).all(axis=(-2, -1))
+    return np.where(same[..., None, None], r0, r1 @ u), np.where(same, 0.0, (np.abs(res) ** 2).sum(axis=(-2, -1)))
+
+
 def polar_endpoints(a0: np.ndarray, a1: np.ndarray, labels=None):
     """``(a0^{1/2}, Y_1, d_B^2)`` for paired fibers of two ``(..., d, d)``
     stacks: ``Y_1 = a1^{1/2} U`` with ``U`` the unitary polar factor of
     ``a1^{1/2} a0^{1/2}`` (:func:`polar_residual`), and
     ``d_B^2 = |Y_1 - a0^{1/2}|^2`` per fiber. Both roots come from one
     ``eigh`` of the two stacks. Equal fibers give ``Y_1 = a0^{1/2}`` and
-    ``d_B^2 = 0`` exactly; their polar factor is ``I`` only up to round-off."""
+    ``d_B^2 = 0`` exactly (:func:`polar_from_roots`); their polar factor is
+    ``I`` only up to round-off."""
     r0, r1 = psd_sqrt(np.stack([a0, a1]), labels=labels)
-    res, u = polar_residual(r1, r0)
-    same = np.equal(a0, a1).all(axis=(-2, -1))
-    return r0, np.where(same[..., None, None], r0, r1 @ u), np.where(same, 0.0, (np.abs(res) ** 2).sum(axis=(-2, -1)))
+    return (r0, *polar_from_roots(a0, a1, r0, r1))
 
 
 def geodesic_factors(a0: np.ndarray, r0: np.ndarray, y1: np.ndarray, ts):
@@ -185,6 +191,13 @@ def _step_velocities(nodes: np.ndarray, dt: float) -> tuple[float, np.ndarray | 
     return 0.25 * float(np.real(np.vdot(us, steps))), us
 
 
+def _node_action(fac: np.ndarray, b0: np.ndarray, b1: np.ndarray, dt: float):
+    """The :func:`_step_velocities` action of the nodes ``b0, C_k C_k*, b1``, and ``(nodes, us)``."""
+    nodes = np.concatenate([b0[None], fac @ np.conj(np.swapaxes(fac, -1, -2)), b1[None]])
+    value, us = _step_velocities(nodes, dt)
+    return value, (nodes, us)
+
+
 def _factor_gradient(factors: np.ndarray, us: np.ndarray, dt: float) -> np.ndarray:
     """Gradient ``2 H_k C_k`` of the :func:`_step_velocities` action in the
     interior factors ``C_k`` of ``A_k = C_k C_k*``, given its velocities:
@@ -199,14 +212,14 @@ def dynamical_bures_solver(a0: np.ndarray, a1: np.ndarray, n_steps: int) -> Bure
     Both endpoints are pinned and the interior nodes are ``A_k = C_k C_k*``,
     so every path is PSD and joins ``a0`` to ``a1`` exactly. One run of the
     shared L-BFGS routine (:func:`frgeo.optim.lbfgs`, at most ``MAX_ITERS``
-    iterations) descends on the factors along :func:`_factor_gradient`,
-    preconditioned in time, from the square roots of the straight line
-    (independent of the polar construction on purpose). Nothing is shifted:
-    it solves on the range ``Q`` of ``a0 + a1`` at the grid's resolution, the
-    eigenvectors with eigenvalues above ``2 N^2 RANK_RTOL`` of the largest
-    (none is the apex), so the midpoints stay definite when the ends share a
-    kernel, or nearly do. The path is lifted by ``Q . Q*``; lighter
-    directions stay out of the action.
+    iterations) descends on the factors along :func:`_factor_gradient` of
+    their action :func:`_node_action`, preconditioned in time, from the
+    square roots of the straight line (independent of the polar construction
+    on purpose). Nothing is shifted: it solves on the range ``Q`` of
+    ``a0 + a1`` at the grid's resolution, the eigenvectors with eigenvalues
+    above ``2 N^2 RANK_RTOL`` of the largest (none is the apex), so the
+    midpoints stay definite when the ends share a kernel, or nearly do. The
+    path is lifted by ``Q . Q*``; lighter directions stay out of the action.
     """
     if n_steps < 8:
         raise ValueError(f"n_steps must be at least 8, got {n_steps}")
@@ -224,15 +237,10 @@ def dynamical_bures_solver(a0: np.ndarray, a1: np.ndarray, n_steps: int) -> Bure
     qh = np.conj(q.T)
     b0, b1 = hermitian_part(qh @ np.stack([a0, a1]) @ q)
     dt = 1.0 / n_steps
-
-    def action(fac):
-        nodes = np.concatenate([b0[None], fac @ np.conj(np.swapaxes(fac, -1, -2)), b1[None]])
-        value, us = _step_velocities(nodes, dt)
-        return value, (nodes, us)
-
     factors = psd_sqrt(b0 + times[1:-1, None, None] * (b1 - b0))
     res = lbfgs(
-        action, lambda fac, aux: _factor_gradient(fac, aux[1], dt), factors, *action(factors), max_iters=MAX_ITERS
+        lambda fac: _node_action(fac, b0, b1, dt), lambda fac, aux: _factor_gradient(fac, aux[1], dt),
+        factors, *_node_action(factors, b0, b1, dt), max_iters=MAX_ITERS,
     )
     nodes, us = (hermitian_part(q @ x @ qh) for x in res.aux)
     nodes[0], nodes[-1] = a0, a1

@@ -131,7 +131,7 @@ def _cmd_geodesic(args) -> int:
     path = geodesic(g0, g1, ts)
     # Constant speed, d(G_s, G_t) = |s - t| d(G_0, G_1): every slice moves at the distance.
     speeds = np.full(path.n_slices, path.meta["distance"])
-    fio.ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     fio.save_measure_path(os.path.join(args.out, "path.json"), path.times, path.slices)
     fio.write_csv(
         os.path.join(args.out, "path.csv"),
@@ -162,7 +162,7 @@ def _cmd_bridge(args) -> int:
     lam = _load_reference(args.reference, g0)
     cfg = SchrodingerConfig(epsilon=args.epsilon, n_steps=args.steps, max_iters=args.max_iters)
     result = solve_bridge(g0, g1, lam, cfg)
-    fio.ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     fio.save_measure_path(os.path.join(args.out, "path.json"), result.path.times, result.path.slices)
     # A bridge is not a geodesic: its speeds are finite differences.
     rows = zip(*_path_columns(result.path, lam, metric_speed(result.path, "fisher_rao")))

@@ -155,17 +155,15 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
 
 def _index_distances(path: MeasurePath, lo, hi, metric: str) -> np.ndarray:
     """Metric distances between the slice pairs ``(lo[k], hi[k])`` of a path from one
-    checked square root of its atom stack and one batched polar SVD of the pairs,
-    oriented, and with equal atoms at 0, as in :func:`~frgeo.bures.polar_endpoints`."""
+    checked square root of its atom stack and one batched polar SVD of the pairs
+    (:func:`~frgeo.bures.polar_from_roots`, oriented as the pairwise route)."""
     if metric not in ("hellinger", "fisher_rao"):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "fisher_rao":
         check_probability(path, "path slice")
     roots = psd_sqrt(path.atoms, labels=path.support.point_ids)
-    res, _ = bures.polar_residual(roots[hi], roots[lo])
-    same = (path.atoms[hi] == path.atoms[lo]).all(axis=(-2, -1))
     # Summed per atom, then per slice: the order of the pairwise route, bit for bit.
-    dh_sq = 4.0 * np.where(same, 0.0, (np.abs(res) ** 2).sum(axis=(-2, -1))).sum(axis=-1)
+    dh_sq = 4.0 * bures.polar_from_roots(path.atoms[lo], path.atoms[hi], roots[lo], roots[hi])[1].sum(axis=-1)
     return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
 
 

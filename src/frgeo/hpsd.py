@@ -61,11 +61,6 @@ def check_hermitian(a: np.ndarray, labels=None) -> None:
     )
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
-
-
 def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``v diag(values) v*`` for each matrix of a stack."""
     return (v * values[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
@@ -163,7 +158,8 @@ def solve_sylvester_velocity(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     when ``g`` is singular under :func:`zero_floor` (the velocity is not
     uniquely defined on the kernel).
     """
-    _check_same_dim(g, xi)
+    if g.shape != xi.shape or g.shape[-1] != g.shape[-2]:
+        raise DimensionMismatchError(f"incompatible shapes {g.shape} and {xi.shape}")
     return solve_sylvester_eigh(*np.linalg.eigh(g), xi)
 
 

@@ -17,14 +17,13 @@ measure loads in time linear in ``n``. Every other number goes through
 :func:`_float_array`, which admits only finite JSON numbers, and comes out
 through the % specs of :func:`_float_values`, whose 17 significant digits
 round-trip bit-identically. Path files are written and read one entry at a
-time: the writer checks every row, then formats and writes each slice in
-turn, and the loader converts each entry's measure as the parser closes it.
+time: the writer checks every row, refusing what the loader refuses, then
+writes each slice in turn; the loader converts each measure as it closes.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -196,20 +195,31 @@ def _path_row(t, g: MatrixMeasure) -> np.ndarray:
     return np.concatenate([[t], np.asarray(g.atoms, dtype=complex).ravel().view(float)])
 
 
+def _check_path_entry(k: int, t: float, g: MatrixMeasure, first: MatrixMeasure, before: float | None) -> None:
+    """Refuse path entry ``k`` off the support or ``dim`` of entry 0, or not after the time ``before``."""
+    if g.support != first.support:
+        raise MeasureFormatError(f"path entry {k} lives on another support than entry 0")
+    if g.dim != first.dim:
+        raise MeasureFormatError(f"path entry {k} has dim {g.dim}, entry 0 has dim {first.dim}")
+    if before is not None and not t > before:
+        raise MeasureFormatError(f"path entry {k} has time {t!r}, not after the time {before!r} of entry {k - 1}")
+
+
 def save_measure_path(path: str, times: Sequence[float], slices: Sequence[MatrixMeasure]) -> None:
     """A path as a JSON array of measure documents keyed by time, written
     one slice at a time.
 
-    Every row is checked before the file is opened, so a length mismatch or
-    a non-finite value leaves an existing file untouched. The measure
-    template of :func:`_measure_template` is built once per support and
-    pattern of integral atom values, so each slice costs one % format of its
-    time and atom values.
+    Every row is checked before the file is opened, so a length mismatch, a
+    non-finite value or an entry the loader refuses leaves an existing file
+    untouched. The template of :func:`_measure_template` is built once per
+    support and pattern of integral atom values, so each slice costs one %
+    format of its time and atom values.
     """
     rows = list(zip(times, slices, strict=True))
-    for t, g in rows:
+    for k, (t, g) in enumerate(rows):
         if not np.isfinite(_path_row(t, g)).all():
             _float_values(_path_row(t, g))  # raises, naming the value
+        _check_path_entry(k, float(t), g, rows[0][1], float(rows[k - 1][0]) if k else None)
     templates = {}
     with open(path, "w", encoding="utf-8") as f:
         f.write("[")
@@ -244,15 +254,8 @@ def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
     for k, entry in enumerate(doc):
         if not isinstance(entry, dict) or "time" not in entry or "measure" not in entry:
             raise MeasureFormatError("each path entry must carry 'time' and 'measure'")
-        t = float(_float_array(entry["time"], (), f"time of path entry {k}"))
-        g, first = entry["measure"], doc[0]["measure"]
-        if g.support != first.support:
-            raise MeasureFormatError(f"path entry {k} lives on another support than entry 0")
-        if g.dim != first.dim:
-            raise MeasureFormatError(f"path entry {k} has dim {g.dim}, entry 0 has dim {first.dim}")
-        if times and not t > times[-1]:
-            raise MeasureFormatError(f"path entry {k} has time {t!r}, not after the time {times[-1]!r} of entry {k - 1}")
-        times.append(t)
+        times.append(float(_float_array(entry["time"], (), f"time of path entry {k}")))
+        _check_path_entry(k, times[-1], entry["measure"], doc[0]["measure"], times[-2] if k else None)
     return times, [entry["measure"] for entry in doc]
 
 
@@ -269,7 +272,3 @@ def write_csv(path: str, header: Iterable[str], rows: Iterable[Sequence]) -> Non
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(format_csv_value(v) for v in row) + "\n")
-
-
-def ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)

@@ -211,6 +211,19 @@ def _heat_flow_perturbation(path: MeasurePath, lam: ReferenceMeasure, epsilon: f
 # ---------------------------------------------------------------------------
 
 
+def _bridge_objective(fac: np.ndarray, ends: np.ndarray, weights: np.ndarray, epsilon: float):
+    """The descended objective and its :class:`_Forward` at free interior factors ``F_k``: the slices
+    ``Y_k = F_k / |F_k|`` between the end roots ``ends``, or ``(inf, None)`` where one is not finite."""
+    if not np.all(np.isfinite(fac)):
+        return math.inf, None
+    norms = np.sqrt((np.abs(fac) ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
+    stacked = np.concatenate([ends[:1], fac / norms, ends[1:]])
+    if not np.all(np.isfinite(stacked)):
+        return math.inf, None
+    fwd = _stack_objective(stacked, weights, epsilon)
+    return fwd.kinetic + fwd.fisher_term, fwd
+
+
 def _bridge_gradient(
     factors: np.ndarray, fwd: _Forward, weights: np.ndarray, epsilon: float
 ) -> np.ndarray:
@@ -258,7 +271,8 @@ def solve_bridge(
     :func:`~frgeo.fisher_rao.check_not_antipodal` rejects raise
     :class:`AntipodalError`. The shared L-BFGS routine
     (:func:`frgeo.optim.lbfgs`) descends on the stacked factors along the
-    closed-form gradient of the objective, preconditioned in time; steps
+    closed-form gradient :func:`_bridge_gradient` of the objective
+    :func:`_bridge_objective`, preconditioned in time; steps
     that would make an interior density singular price themselves out
     through an infinite objective. The descent leaves out the end slices'
     Fisher term, which no step moves, so that an ill-conditioned endpoint's
@@ -278,30 +292,14 @@ def solve_bridge(
         if init_path.n_slices != n_steps + 1:
             raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
         check_same_support(init_path, g0)
-    factors = psd_sqrt(init_path.atoms[1:-1])
-    ends = psd_sqrt(end_atoms)
-
-    def objective(fac: np.ndarray) -> tuple[float, _Forward | None]:
-        if not np.all(np.isfinite(fac)):
-            return math.inf, None
-        norms = np.sqrt((np.abs(fac) ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
-        stacked = np.concatenate([ends[:1], fac / norms, ends[1:]])
-        if not np.all(np.isfinite(stacked)):
-            return math.inf, None
-        fwd = _stack_objective(stacked, lam.weights, cfg.epsilon)
-        return fwd.kinetic + fwd.fisher_term, fwd
-
-    obj, fwd = objective(factors)
+    roots = psd_sqrt(np.concatenate([end_atoms, init_path.atoms[1:-1]]))
+    obj, fwd = _bridge_objective(roots[2:], roots[:2], lam.weights, cfg.epsilon)
     if math.isinf(obj):
         raise FRGeoError("initialization has infinite objective; endpoints too degenerate")
-
     res = lbfgs(
-        objective,
+        lambda fac: _bridge_objective(fac, roots[:2], lam.weights, cfg.epsilon),
         lambda fac, fwd: _bridge_gradient(fac, fwd, lam.weights, cfg.epsilon),
-        factors,
-        obj,
-        fwd,
-        max_iters=cfg.max_iters,
+        roots[2:], obj, fwd, max_iters=cfg.max_iters,
     )
     y = res.aux.factors[1:-1]
     atoms = np.concatenate([g0.atoms[None], y @ np.conj(np.swapaxes(y, -1, -2)), g1.atoms[None]])

@@ -4,7 +4,7 @@ import pytest
 from frgeo import bures
 from frgeo.bures import (
     _factor_gradient,
-    _step_velocities,
+    _node_action,
     bures_distance_sq,
     bures_geodesic,
     bures_real_embedding_check,
@@ -248,23 +248,19 @@ class TestRealEmbeddingCheck:
 class TestDynamicalSolver:
     def test_factor_gradient_matches_finite_differences(self, rng):
         # The closed-form factor gradient drives the solver; check it
-        # against central differences of the staggered-grid action.
+        # against central differences of the action the solver descends.
         d, n_steps = 2, 8
         dt = 1.0 / n_steps
         a0, a1 = random_spd(rng, d), random_spd(rng, d)
         factors = psd_sqrt(np.stack([random_spd(rng, d) for _ in range(n_steps - 1)]))
-
-        def action(fac):
-            nodes = np.concatenate([a0[None], fac @ np.conj(np.swapaxes(fac, -1, -2)), a1[None]])
-            return _step_velocities(nodes, dt)
-
-        grads = _factor_gradient(factors, action(factors)[1], dt)
+        grads = _factor_gradient(factors, _node_action(factors, a0, a1, dt)[1][1], dt)
         h = 1e-6
         for _ in range(12):
             k = int(rng.integers(0, n_steps - 1))
             direction = random_complex(rng, (d, d))
             bump = direction * _bump(k, n_steps - 1, d)
-            num = (action(factors + h * bump)[0] - action(factors - h * bump)[0]) / (2 * h)
+            up, down = (_node_action(factors + step, a0, a1, dt)[0] for step in (h * bump, -h * bump))
+            num = (up - down) / (2 * h)
             ana = np.real(np.vdot(grads[k], direction))
             assert num == pytest.approx(ana, rel=1e-4, abs=1e-7)
 

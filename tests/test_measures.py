@@ -347,7 +347,8 @@ class TestMeasureFiles:
             fio.save_measure(p, g)
             with open(p) as f:
                 assert f.read() == _emit(measure_to_doc(g)) + "\n"
-            for times in ([0.0, 0.5, 1.0], gen.choice(values, 3)):
+            # Path times must increase, so these are fixed rather than drawn.
+            for times in ([0.0, 0.5, 1.0], [-1e308, -0.0, 5e-324], [-2.5e-310, 99999999999999984.0, 1e308]):
                 fio.save_measure_path(p, times, [g] * 3)
                 with open(p) as f:
                     assert f.read() == _emit(path_to_doc(times, [g] * 3)) + "\n"
@@ -357,9 +358,11 @@ class TestMeasureFiles:
                 assert f.read() == _emit(reference_to_doc(lam)) + "\n"
 
     def test_path_writer_matches_recursive_emit_bytes(self, rng, tmp_path):
-        # Slices with different patterns of integral values, on two supports
+        # Slices with different patterns of integral values, on a support
         # whose ids hold %, quotes and non-ASCII characters: each slice's
-        # document comes from the template of its own support and pattern.
+        # document comes from the template of its own pattern. A slice on a
+        # second support makes a path the loader refuses, so the writer
+        # refuses it too, before the file opens.
         odd = Support(("50%", 'say "hi"', "%(x)s%d", "Zürich ∞"))
         plain = make_support(4)
         eye = np.stack([np.eye(2)] * 4).astype(complex)
@@ -373,14 +376,14 @@ class TestMeasureFiles:
         ]
         times = [0.0, 1e-300, 0.2, 0.5, 1.0, 3.0]
         p = os.path.join(tmp_path, "path.json")
-        fio.save_measure_path(p, times, slices)
-        with open(p, encoding="utf-8") as f:
-            assert f.read() == _emit(path_to_doc(times, slices)) + "\n"
         with pytest.raises(MeasureFormatError, match="^path entry 3 lives on another support than entry 0$"):
-            fio.load_measure_path(p)
+            fio.save_measure_path(p, times, slices)
+        assert not os.path.exists(p)
         # The slices on the odd support alone make a path, which loads bit for bit.
         del times[3], slices[3]
         fio.save_measure_path(p, times, slices)
+        with open(p, encoding="utf-8") as f:
+            assert f.read() == _emit(path_to_doc(times, slices)) + "\n"
         times2, slices2 = fio.load_measure_path(p)
         assert times2 == times
         assert all(g.support == odd for g in slices2)
@@ -400,13 +403,21 @@ class TestMeasureFiles:
     )
     def test_path_loader_rejects_inconsistent_entries(self, rng, tmp_path, support, dim, t, message):
         # The bad entry follows two good ones, and the entry after it breaks
-        # the same rule; the error names the first bad one.
+        # the same rule; the error names the first bad one. The writer
+        # refuses the same path with the same message before the file opens.
         good = random_measure(rng, 2, 2)
         bad = random_measure(rng, support.n, dim, support=support)
+        times, slices = [0.0, 0.2, t, 0.0], [good, good, bad, bad]
         p = os.path.join(tmp_path, "path.json")
-        fio.save_measure_path(p, [0.0, 0.2, t, 0.0], [good, good, bad, bad])
+        text = _emit(path_to_doc(times, slices)) + "\n"
+        with open(p, "w", encoding="utf-8") as f:
+            f.write(text)
         with pytest.raises(MeasureFormatError, match=f"^{message}$"):
             fio.load_measure_path(p)
+        with pytest.raises(MeasureFormatError, match=f"^{message}$"):
+            fio.save_measure_path(p, times, slices)
+        with open(p, encoding="utf-8") as f:
+            assert f.read() == text
 
     @pytest.mark.parametrize(
         "time, message",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frgeo.bures import bures_geodesic
-from frgeo.entropy_flow import entropy
+from frgeo.entropy_flow import entropy, fisher_information, heat_flow
 from frgeo.exceptions import (
     AntipodalError,
     FRGeoError,
@@ -18,6 +18,8 @@ from frgeo.fisher_rao import (
     MeasurePath,
     fisher_rao_distance,
     fisher_rao_geodesic,
+    hellinger_distance_sq,
+    hellinger_geodesic,
 )
 from frgeo.measures import (
     MatrixMeasure,
@@ -307,15 +309,6 @@ class TestRecoverySequence:
                 recovery_sequence(path, other, 0.1)
 
 
-def bridge_forward(ends, fac, weights, epsilon):
-    """The objective evaluation of ``solve_bridge`` at free interior factors
-    ``fac``: slices ``Y_k = F_k / |F_k|`` between the pinned end roots ``ends``."""
-    from frgeo.schrodinger import _stack_objective
-
-    norms = np.sqrt((np.abs(fac) ** 2).sum(axis=(1, 2, 3)))[:, None, None, None]
-    return _stack_objective(np.concatenate([ends[:1], fac / norms, ends[1:]]), weights, epsilon)
-
-
 def random_unitaries(rng, shape, d):
     q, r = np.linalg.qr(rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d)))
     return q * (np.diagonal(r, axis1=-2, axis2=-1) / np.abs(np.diagonal(r, axis1=-2, axis2=-1)))[..., None, :]
@@ -328,7 +321,7 @@ class TestSolveBridge:
         # the full objective, at random free interior factors (not roots, and
         # not of unit norm).
         from frgeo.hpsd import psd_sqrt
-        from frgeo.schrodinger import _bridge_gradient
+        from frgeo.schrodinger import _bridge_gradient, _bridge_objective
 
         n, d, n_steps = g0.n, g0.atoms.shape[-1], 8
         eps = 0.3
@@ -337,10 +330,9 @@ class TestSolveBridge:
         factors = 0.7 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
         def full_obj(fac):
-            fwd = bridge_forward(ends, fac, lam.weights, eps)
-            return fwd.kinetic + fwd.fisher_term
+            return _bridge_objective(fac, ends, lam.weights, eps)[0]
 
-        grad = _bridge_gradient(factors, bridge_forward(ends, factors, lam.weights, eps), lam.weights, eps)
+        grad = _bridge_gradient(factors, _bridge_objective(factors, ends, lam.weights, eps)[1], lam.weights, eps)
         assert np.all(np.isfinite(grad))
         h = 1e-7
         for _ in range(20):
@@ -374,7 +366,7 @@ class TestSolveBridge:
 
     def test_gradient_reuses_the_objective_decompositions(self, monkeypatch):
         from frgeo.hpsd import psd_sqrt
-        from frgeo.schrodinger import _bridge_gradient
+        from frgeo.schrodinger import _bridge_gradient, _bridge_objective
 
         g0, g1, lam = zero_weight_boundary_pair()
         n_steps = 12
@@ -389,7 +381,7 @@ class TestSolveBridge:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        fwd = bridge_forward(ends, factors, lam.weights, 0.2)
+        fwd = _bridge_objective(factors, ends, lam.weights, 0.2)[1]
         # The edges' SVD, and the inverses of the one positive-weight atom's
         # interior factors.
         assert calls == [("svd", (n_steps, 2, 2, 2)), ("inv", (n_steps - 1, 1, 2, 2))]
@@ -412,6 +404,7 @@ class TestSolveBridge:
         # (eps^2 / 2N) sum_k sum_i w_i (w_i sum_j 1/s_j^2 - d) in the
         # singular values of the unit-norm slices.
         from frgeo.hpsd import psd_sqrt
+        from frgeo.schrodinger import _bridge_objective
 
         n, d, n_steps, eps = 2, 3, 8, 0.3
         g0, g1, lam = finite_entropy_pair(rng, n=n, d=d)
@@ -424,7 +417,7 @@ class TestSolveBridge:
         s /= np.sqrt((s**2).sum(axis=(1, 2)))[:, None, None]
         w = lam.weights
         exact = 0.5 * eps**2 / n_steps * (w * (w * (1.0 / s**2).sum(axis=-1) - d)).sum()
-        assert bridge_forward(ends, fac, w, eps).fisher_term == pytest.approx(exact, rel=1e-9)
+        assert _bridge_objective(fac, ends, w, eps)[1].fisher_term == pytest.approx(exact, rel=1e-9)
 
     def test_identical_equilibrium_endpoints(self):
         lam = uniform_reference(make_support(2), 2)
@@ -556,23 +549,33 @@ class TestSolveBridge:
     @pytest.mark.parametrize("warm", [False, True])
     def test_endpoint_checks_run_once(self, rng, monkeypatch, warm):
         from frgeo import fisher_rao, schrodinger
+        from frgeo.optim import LbfgsResult
 
         g0, g1, lam = finite_entropy_pair(rng)
         cfg = SchrodingerConfig(epsilon=0.3, n_steps=8, max_iters=5)
         init = solve_bridge(g0, g1, lam, cfg).path if warm else None
         calls = []
-        # One spectrum of the stacked ends gives their entropies and Fisher
+        # The set-up before the descent, which returns at once here. One
+        # spectrum of the stacked ends gives their entropies and Fisher
         # informations. The cold path checks the endpoints' mass inside the
         # geodesic, the warm path inside fisher_rao_distance: one sphere
-        # check per endpoint.
-        for module, name in ((schrodinger, "slice_entropies"), (fisher_rao, "check_probability"), (np.linalg, "eigvalsh")):
-            def counted(*args, _original=getattr(module, name), _name=name):
+        # check per endpoint. Either makes one eigh and one SVD for the
+        # endpoints' polar step, one eigh roots the ends and the start's
+        # interior together, and the first objective makes one SVD and one inv.
+        monkeypatch.setattr(
+            schrodinger, "lbfgs", lambda fun, grad, x, f, aux, **_: LbfgsResult(x, f, aux, np.zeros_like(x), 0, "budget")
+        )
+        counted_names = [(schrodinger, "slice_entropies"), (fisher_rao, "check_probability")]
+        for module, name in counted_names + [(np.linalg, name) for name in ("eigvalsh", "eigh", "svd", "inv")]:
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         solve_bridge(g0, g1, lam, cfg, init_path=init)
-        assert sorted(calls) == ["check_probability", "check_probability", "eigvalsh", "slice_entropies"]
+        assert sorted(calls) == [
+            "check_probability", "check_probability", "eigh", "eigh", "eigvalsh", "inv", "slice_entropies", "svd", "svd"
+        ]
 
     def test_non_convergence_flagged(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)
@@ -615,6 +618,7 @@ class TestSolveBridge:
         # formula for d_B^2 cancels at these small steps and spreads about
         # 1e-11 relative here; the polar residual does not.
         from frgeo.hpsd import psd_sqrt
+        from frgeo.schrodinger import _bridge_objective
 
         g0, g1, lam = finite_entropy_pair(rng, n=n, d=d)
         path = recovery_sequence(fisher_rao_geodesic(g0, g1, np.linspace(0, 1, n_steps + 1)), lam, 0.2)
@@ -624,8 +628,7 @@ class TestSolveBridge:
         for _ in range(100):
             alpha = np.exp(rng.uniform(-2.0, 2.0, n_steps - 1))[:, None, None, None]
             fac = alpha * factors @ random_unitaries(rng, (n_steps - 1, n), d)
-            fwd = bridge_forward(ends, fac, lam.weights, 0.2)
-            values.append(fwd.kinetic + fwd.fisher_term)
+            values.append(_bridge_objective(fac, ends, lam.weights, 0.2)[0])
         assert (max(values) - min(values)) / np.mean(values) <= 1e-13
 
     @pytest.mark.parametrize("n,d,n_steps", [(2, 2, 12), (2, 2, 64), (3, 2, 96)])
@@ -988,6 +991,77 @@ class TestConvexityExperiment:
         g1 = random_finite_entropy_measure(rng, 2, 2, support=sup, lam=lam)
         with pytest.raises(InfiniteEndpointEntropyError):
             convexity_experiment(singular, g1, lam, [0.5])
+
+
+class TestCommutativeReduction:
+    # A matrix measure whose atoms U_x diag(p_x) U_x* keep one eigenbasis U_x
+    # per point is the classical measure p on the n·d points (x, j): under
+    # the uniform references, the distances, geodesics, heat flow, entropy,
+    # Fisher information and bridge must agree with those of its classical
+    # twin. And conjugating every fiber of both ends by its own unitary must
+    # conjugate the bridge and the geodesic.
+    CASES = [(1, 2, 0.5), (2, 2, 0.2), (3, 2, 0.05), (1, 3, 0.2), (2, 3, 0.5), (3, 3, 0.05)]
+    N_STEPS = 16
+
+    @staticmethod
+    def lift(u, p):
+        """The atoms ``U_x diag(p_x) U_x*`` of classical weights ``p`` on n·d points (leading axes kept)."""
+        p = np.real(p).reshape(p.shape[:-3] + (u.shape[0], u.shape[-1]))
+        return (u * p[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+
+    def twins(self, n, d):
+        """Commuting ends on n points with their classical twins, the shared bases and both references."""
+        rng = np.random.default_rng(3 + 10 * n + d)
+        u = random_unitaries(rng, (n,), d)
+        probs = [rng.uniform(0.2, 1.0, (n * d, 1, 1)) for _ in range(2)]
+        classical = [MatrixMeasure(make_support(n * d), (p / p.sum()).astype(complex)) for p in probs]
+        matrix = [MatrixMeasure(make_support(n), self.lift(u, c.atoms)) for c in classical]
+        return matrix, classical, u, uniform_reference(make_support(n), d), uniform_reference(make_support(n * d), 1)
+
+    @pytest.mark.parametrize("n,d,eps", CASES)
+    def test_closed_forms_match_the_classical_twin(self, n, d, eps):
+        (g0, g1), (c0, c1), u, lam, lam_c = self.twins(n, d)
+        ts = np.linspace(0.0, 1.0, self.N_STEPS + 1)
+        assert fisher_rao_distance(g0, g1) == pytest.approx(fisher_rao_distance(c0, c1), abs=1e-13)
+        assert hellinger_distance_sq(g0, g1) == pytest.approx(hellinger_distance_sq(c0, c1), abs=1e-13)
+        for geodesic in (fisher_rao_geodesic, hellinger_geodesic):
+            assert np.abs(geodesic(g0, g1, ts).atoms - self.lift(u, geodesic(c0, c1, ts).atoms)).max() <= 1e-13
+        assert np.abs(heat_flow(g0, lam, eps).atoms - self.lift(u, heat_flow(c0, lam_c, eps).atoms)).max() <= 1e-13
+        for g, c in ((g0, c0), (g1, c1)):
+            assert entropy(g, lam) == pytest.approx(entropy(c, lam_c), abs=1e-13)
+            assert fisher_information(g, lam) == pytest.approx(fisher_information(c, lam_c), abs=1e-13)
+        thetas = np.linspace(0.1, 0.9, 5)
+        rows, rows_c = convexity_experiment(g0, g1, lam, thetas), convexity_experiment(c0, c1, lam_c, thetas)
+        assert np.abs(np.array(rows) - np.array(rows_c)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n,d,eps", CASES)
+    def test_bridge_matches_the_classical_twin(self, n, d, eps):
+        (g0, g1), (c0, c1), u, lam, lam_c = self.twins(n, d)
+        cfg = SchrodingerConfig(epsilon=eps, n_steps=self.N_STEPS)
+        res, twin = solve_bridge(g0, g1, lam, cfg), solve_bridge(c0, c1, lam_c, cfg)
+        assert res.converged and twin.converged
+        assert res.objective == pytest.approx(twin.objective, rel=1e-12)
+        assert np.abs(res.path.atoms - self.lift(u, twin.path.atoms)).max() <= 1e-7
+        if n * d == 2:
+            # The twin is the two-point model, whose discrete optimum is exact.
+            psi = two_point_angles(np.stack([c0.atoms, c1.atoms]))
+            exact = two_point_optimum(psi[0], psi[1], lam_c.weights, self.N_STEPS, eps)
+            assert np.abs(two_point_angles(twin.path.atoms) - exact).max() <= 1e-7
+
+    @pytest.mark.parametrize("n,d,eps", CASES[::2])
+    def test_fiberwise_unitaries_conjugate_the_bridge(self, n, d, eps):
+        rng = np.random.default_rng(3 + 10 * n + d)
+        g0, g1, lam = finite_entropy_pair(rng, n=n, d=d)
+        v = random_unitaries(rng, (n,), d)
+        vh = np.conj(np.swapaxes(v, -1, -2))
+        h0, h1 = (g.with_atoms(v @ g.atoms @ vh) for g in (g0, g1))
+        ts = np.linspace(0.0, 1.0, self.N_STEPS + 1)
+        assert np.abs(fisher_rao_geodesic(h0, h1, ts).atoms - v @ fisher_rao_geodesic(g0, g1, ts).atoms @ vh).max() <= 1e-13
+        cfg = SchrodingerConfig(epsilon=eps, n_steps=self.N_STEPS)
+        res, turned = solve_bridge(g0, g1, lam, cfg), solve_bridge(h0, h1, lam, cfg)
+        assert res.converged and turned.converged
+        assert turned.objective == pytest.approx(res.objective, rel=1e-12)
+        assert np.abs(turned.path.atoms - v @ res.path.atoms @ vh).max() <= 1e-7
 
 
 class TestBridgeVsOracleTrends:

@@ -21,8 +21,8 @@ from .hpsd import (
     psd_spectrum,
     psd_sqrt,
     real_embedding,
+    singular,
     solve_sylvester_eigh,
-    zero_floor,
 )
 from .optim import lbfgs
 
@@ -154,7 +154,7 @@ def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeod
     points, y_t, dy = geodesic_factors(a0, r0, y1, ts)
     rates = 2.0 * hermitian_part(dy @ np.conj(np.swapaxes(y_t, -1, -2)))
     w, v = np.linalg.eigh(points)
-    definite = (zero_floor(w)[..., 0] > 0.0).all(axis=tuple(range(1, w.ndim - 1)))
+    definite = ~singular(w).any(axis=tuple(range(1, w.ndim - 1)))
     us = np.zeros_like(points)
     us[definite] = solve_sylvester_eigh(w[definite], v[definite], rates[definite])
     velocities = tuple(u if ok else None for u, ok in zip(us, definite))
@@ -180,11 +180,11 @@ def _step_velocities(nodes: np.ndarray, dt: float) -> tuple[float, np.ndarray | 
     ``(abar_k u + u abar_k) / 2 = (A_{k+1} - A_k) / dt`` at the midpoints
     ``abar_k = (A_k + A_{k+1}) / 2`` of a staggered grid (Papadakis, Peyré &
     Oudet, SIAM J. Imaging Sci. 7, 2014). ``(inf, None)`` when the nodes are
-    not finite or a midpoint is singular under :func:`~frgeo.hpsd.zero_floor`."""
+    not finite or a midpoint is :func:`~frgeo.hpsd.singular`."""
     if not np.all(np.isfinite(nodes)):
         return np.inf, None
     w, v = np.linalg.eigh(0.5 * (nodes[:-1] + nodes[1:]))
-    if np.any(zero_floor(w)[:, 0] == 0.0):
+    if singular(w).any():
         return np.inf, None
     steps = np.diff(nodes, axis=0)
     us = solve_sylvester_eigh(w, v, steps / dt)

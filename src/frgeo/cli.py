@@ -37,13 +37,14 @@ from .fisher_rao import (
     hellinger_distance_sq,
     hellinger_geodesic,
     metric_speed,
-    path_masses,
 )
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
     check_probability,
     check_reference_support,
+    check_same_support,
+    mass,
     tv_distance,
     uniform_reference,
 )
@@ -65,12 +66,23 @@ def _load_measure(path: str) -> MatrixMeasure:
 
 
 def _load_reference(path: str | None, like: MatrixMeasure) -> ReferenceMeasure:
+    """The reference in ``path`` (uniform when None), on the support and ``dim`` of ``like``."""
     if path is None:
         return uniform_reference(like.support, like.dim)
     try:
-        return fio.load_reference(path)
+        lam = fio.load_reference(path)
     except (OSError, MeasureFormatError) as exc:
         raise _ParseFailure(f"cannot load reference '{path}': {exc}") from exc
+    check_reference_support(like, lam)
+    return lam
+
+
+def _load_pair(args) -> tuple[MatrixMeasure, MatrixMeasure, ReferenceMeasure]:
+    """The measures ``g0`` and ``g1`` and the reference of a pair command, on one support and ``dim``."""
+    g0, g1 = _load_measure(args.g0), _load_measure(args.g1)
+    lam = _load_reference(args.reference, g0)
+    check_same_support(g0, g1)
+    return g0, g1, lam
 
 
 class _ParseFailure(Exception):
@@ -89,9 +101,15 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def _path_columns(path: MeasurePath, lam: ReferenceMeasure, speeds: np.ndarray) -> list[list[float]]:
     """The columns t, mass, entropy, fisher and speed of a path, one entry per slice."""
-    check_reference_support(path, lam)
     entropies, fishers = slice_entropies(path.atoms, lam)
-    return [c.tolist() for c in (path.times, path_masses(path), entropies, fishers, speeds)]
+    return [c.tolist() for c in (path.times, mass(path), entropies, fishers, speeds)]
+
+
+def _write_path_dir(out: str, path: MeasurePath, csv_name: str, header: list[str], columns) -> None:
+    """The directory ``out`` holding ``path.json`` and the table ``csv_name`` of ``columns``."""
+    os.makedirs(out, exist_ok=True)
+    fio.save_measure_path(os.path.join(out, "path.json"), path.times, path.slices)
+    fio.write_csv(os.path.join(out, csv_name), header, zip(*columns))
 
 
 def _cmd_distance(args) -> int:
@@ -123,21 +141,14 @@ def _cmd_distance(args) -> int:
 def _cmd_geodesic(args) -> int:
     if args.steps < 1:
         raise ValueError(f"steps must be at least 1, got {args.steps}")
-    g0 = _load_measure(args.g0)
-    g1 = _load_measure(args.g1)
-    lam = _load_reference(args.reference, g0)
+    g0, g1, lam = _load_pair(args)
     ts = np.linspace(0.0, 1.0, args.steps + 1)
     geodesic = fisher_rao_geodesic if args.metric == "fisher-rao" else hellinger_geodesic
     path = geodesic(g0, g1, ts)
     # Constant speed, d(G_s, G_t) = |s - t| d(G_0, G_1): every slice moves at the distance.
     speeds = np.full(path.n_slices, path.meta["distance"])
-    os.makedirs(args.out, exist_ok=True)
-    fio.save_measure_path(os.path.join(args.out, "path.json"), path.times, path.slices)
-    fio.write_csv(
-        os.path.join(args.out, "path.csv"),
-        ["time", "mass", "entropy", "speed"],
-        [(t, m, e, v) for t, m, e, _, v in zip(*_path_columns(path, lam, speeds))],
-    )
+    t, m, e, _, v = _path_columns(path, lam, speeds)
+    _write_path_dir(args.out, path, "path.csv", ["time", "mass", "entropy", "speed"], [t, m, e, v])
     print(f"wrote {args.out}/path.json and {args.out}/path.csv ({path.n_slices} slices)")
     return EXIT_OK
 
@@ -157,16 +168,12 @@ def _cmd_heatflow(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
-    g0 = _load_measure(args.g0)
-    g1 = _load_measure(args.g1)
-    lam = _load_reference(args.reference, g0)
+    g0, g1, lam = _load_pair(args)
     cfg = SchrodingerConfig(epsilon=args.epsilon, n_steps=args.steps, max_iters=args.max_iters)
     result = solve_bridge(g0, g1, lam, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    fio.save_measure_path(os.path.join(args.out, "path.json"), result.path.times, result.path.slices)
     # A bridge is not a geodesic: its speeds are finite differences.
-    rows = zip(*_path_columns(result.path, lam, metric_speed(result.path, "fisher_rao")))
-    fio.write_csv(os.path.join(args.out, "slices.csv"), ["t", "mass", "entropy", "fisher", "speed"], rows)
+    columns = _path_columns(result.path, lam, metric_speed(result.path, "fisher_rao"))
+    _write_path_dir(args.out, result.path, "slices.csv", ["t", "mass", "entropy", "fisher", "speed"], columns)
     print(f"objective = {result.objective!r}")
     print(f"kinetic = {result.kinetic!r}")
     print(f"fisher_term = {result.fisher_term!r}")
@@ -178,17 +185,12 @@ def _cmd_bridge(args) -> int:
 
 
 def _cmd_gamma_sweep(args) -> int:
-    g0 = _load_measure(args.g0)
-    g1 = _load_measure(args.g1)
-    lam = _load_reference(args.reference, g0)
+    g0, g1, lam = _load_pair(args)
     epsilons = _parse_floats(args.epsilons, "epsilon list")
     cfg = SchrodingerConfig(epsilon=epsilons[0], n_steps=args.steps)
     rows = gamma_sweep(g0, g1, lam, epsilons, cfg, jobs=args.jobs)
     dfr_sq = fisher_rao_distance(g0, g1) ** 2
-    table = [
-        (r.epsilon, 2.0 * r.objective, dfr_sq, r.tv_gap)
-        for r in rows
-    ]
+    table = [(r.epsilon, 2.0 * r.objective, dfr_sq, r.tv_gap) for r in rows]
     fio.write_csv(args.out, ["epsilon", "objective_x2", "dfr_sq", "tv_gap"], table)
     for r in rows:
         status = "converged" if r.converged else "not converged"
@@ -200,9 +202,7 @@ def _cmd_gamma_sweep(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    g0 = _load_measure(args.g0)
-    g1 = _load_measure(args.g1)
-    lam = _load_reference(args.reference, g0)
+    g0, g1, lam = _load_pair(args)
     thetas = _parse_floats(args.theta_grid, "theta grid")
     rows = convexity_experiment(g0, g1, lam, thetas)
     table = [(theta, lhs, rhs, rhs - lhs) for theta, lhs, rhs in rows]
@@ -237,6 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
         "for Hermitian-PSD-matrix-valued measures on finite supports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("g0")
+    pair.add_argument("g1")
+    pair.add_argument("--reference", default=None, help="reference measure file (default: uniform)")
 
     p = sub.add_parser("distance", help="distance between two measure files")
     p.add_argument("g0")
@@ -244,12 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["bures", "hellinger", "fisher-rao", "tv"], default="fisher-rao")
     p.set_defaults(fn=_cmd_distance)
 
-    p = sub.add_parser("geodesic", help="sampled geodesic path (JSON + CSV: time, mass, entropy, speed)")
-    p.add_argument("g0")
-    p.add_argument("g1")
+    p = sub.add_parser("geodesic", parents=[pair], help="sampled geodesic path (JSON + CSV: time, mass, entropy, speed)")
     p.add_argument("--metric", choices=["hellinger", "fisher-rao"], default="fisher-rao")
     p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--reference", default=None, help="reference measure file (default: uniform)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_geodesic)
 
@@ -263,32 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bridge",
+        parents=[pair],
         help="Schrödinger bridge between two sphere measures "
         "(writes path.json and slices.csv: t, mass, entropy, fisher, speed)",
     )
-    p.add_argument("g0")
-    p.add_argument("g1")
-    p.add_argument("--reference", default=None)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--steps", type=int, default=SchrodingerConfig.n_steps)
     p.add_argument("--max-iters", type=int, default=SchrodingerConfig.max_iters)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_bridge)
 
-    p = sub.add_parser("gamma-sweep", help="CSV (epsilon, objective_x2, dfr_sq, tv_gap) over a descending epsilon list")
-    p.add_argument("g0")
-    p.add_argument("g1")
-    p.add_argument("--reference", default=None)
+    p = sub.add_parser(
+        "gamma-sweep", parents=[pair], help="CSV (epsilon, objective_x2, dfr_sq, tv_gap) over a descending epsilon list"
+    )
     p.add_argument("--epsilons", default="0.5,0.2,0.1,0.05", help="comma-separated, descending")
     p.add_argument("--steps", type=int, default=16)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1); the rows do not depend on it")
     p.add_argument("--out", required=True, help="output CSV file")
     p.set_defaults(fn=_cmd_gamma_sweep)
 
-    p = sub.add_parser("convexity", help="CSV (theta, entropy_lhs, bound_rhs, slack) along the geodesic")
-    p.add_argument("g0")
-    p.add_argument("g1")
-    p.add_argument("--reference", default=None)
+    p = sub.add_parser("convexity", parents=[pair], help="CSV (theta, entropy_lhs, bound_rhs, slack) along the geodesic")
     p.add_argument("--theta-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     p.add_argument("--out", required=True, help="output CSV file")
     p.set_defaults(fn=_cmd_convexity)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SingularMatrixError
-from .hpsd import from_spectrum, sym_product, zero_floor
+from .hpsd import singular, spd_inverse, sym_product
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -55,12 +54,12 @@ def entropy_terms(eigs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     ``(...)`` of measures given by their atom eigenvalues ``(..., n, d)``."""
     pos = weights > 0.0
     dens = eigs[..., pos, :] / weights[pos][:, None]
-    singular = zero_floor(dens)[..., 0] == 0.0
-    dens = np.where(singular[..., None], 1.0, dens)
+    flat = singular(dens)
+    dens = np.where(flat[..., None], 1.0, dens)
     fibers = np.zeros(eigs.shape[:-1])
-    fibers[..., pos] = np.where(singular, math.inf, -np.log(dens).sum(axis=-1))
+    fibers[..., pos] = np.where(flat, math.inf, -np.log(dens).sum(axis=-1))
     fisher = (weights[pos] * ((1.0 / dens).sum(axis=-1) - eigs.shape[-1])).sum(axis=-1)
-    return fibers, np.where(singular.any(axis=-1), math.inf, fisher)
+    return fibers, np.where(flat.any(axis=-1), math.inf, fisher)
 
 
 def fiber_entropies(g: MatrixMeasure, lam: ReferenceMeasure) -> np.ndarray:
@@ -138,21 +137,16 @@ def tangent_norm_sq(v: TangentVector) -> float:
 
 def entropy_gradient_potential(g: MatrixMeasure, lam: ReferenceMeasure) -> TangentVector:
     """The entropy gradient as a tangent potential: ``U_i = (G_i / w_i)^{-1}``
-    on positive-weight atoms (requires definite densities there).
+    on positive-weight atoms, whose densities must not be singular
+    (:func:`~frgeo.hpsd.spd_inverse` names the first that is).
 
     Its squared tangent norm equals the Fisher information.
     """
     check_reference_support(g, lam)
-    pos = np.flatnonzero(lam.weights > 0.0)
-    eigs, vecs = np.linalg.eigh(g.atoms[pos] / lam.weights[pos][:, None, None])
-    singular = zero_floor(eigs)[..., 0] == 0.0
-    if singular.any():
-        i = pos[int(np.argmax(singular))]
-        raise SingularMatrixError(
-            f"density at point '{g.support.point_ids[i]}' is singular; gradient potential undefined"
-        )
+    pos = lam.weights > 0.0
     potential = np.zeros_like(g.atoms)
-    potential[pos] = from_spectrum(vecs, 1.0 / eigs)
+    labels = np.asarray(g.support.point_ids)[pos]
+    potential[pos] = spd_inverse(g.atoms[pos] / lam.weights[pos][:, None, None], labels=labels)
     return TangentVector(g, potential)
 
 

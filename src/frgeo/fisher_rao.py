@@ -231,7 +231,3 @@ def tv_comparison_check(g0: MatrixMeasure, g1: MatrixMeasure) -> tuple[float, fl
     mid = tv_distance(g0, g1)
     upper = float(np.sqrt(mass(g0) + mass(g1)) * np.sqrt(dh_sq))
     return lower, mid, upper
-
-
-def path_masses(path: MeasurePath) -> np.ndarray:
-    return np.real(np.trace(path.atoms, axis1=-2, axis2=-1)).sum(axis=-1)

@@ -9,7 +9,7 @@ Every matrix function here runs through a single eigendecomposition backend
 * eigenvalues in ``[-1e-10, 0)`` are clamped to zero when validating PSD-ness,
 * one rank rule, :func:`zero_floor`, for every rank and singularity decision:
   eigenvalues at most ``1e-12 * lambda_max`` of their own matrix are zero, and
-  a matrix is singular when its smallest floored eigenvalue is zero.
+  a matrix is :func:`singular` when its smallest floored eigenvalue is zero.
 
 Every matrix function takes one ``(d, d)`` matrix or a ``(..., d, d)`` stack
 and decomposes each matrix once per call. ``labels`` (one per matrix along the
@@ -66,11 +66,13 @@ def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (v * values[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def _check_nonsingular(w: np.ndarray, what: str) -> None:
-    """Raise :class:`SingularMatrixError` when a matrix of ascending eigenvalues ``w`` is singular."""
-    singular = zero_floor(w)[..., 0] == 0.0
-    if singular.any():
-        lo, hi = w[singular][0, [0, -1]]
+def _check_nonsingular(w: np.ndarray, what: str, labels=None) -> None:
+    """Raise :class:`SingularMatrixError` naming the first singular matrix of ascending eigenvalues ``w``."""
+    bad = singular(w)
+    if bad.any():
+        lo, hi = w[bad][0, [0, -1]]
+        if labels is not None and bad.ndim:
+            what = f"atom at point '{labels[int(np.argmax(bad)) % len(labels)]}'"
         raise SingularMatrixError(f"{what} is singular: eigenvalue {lo:.3e} at or below {RANK_RTOL:.0e} * lambda_max {hi:.3e}")
 
 
@@ -109,6 +111,11 @@ def zero_floor(w: np.ndarray) -> np.ndarray:
     return np.where(w <= RANK_RTOL * w.max(axis=-1, keepdims=True), 0.0, w)
 
 
+def singular(w: np.ndarray) -> np.ndarray:
+    """The rank rule's "is it singular?" for ascending eigenvalues ``w``: the smallest is zero under :func:`zero_floor`."""
+    return zero_floor(w)[..., 0] == 0.0
+
+
 def psd_sqrt(a: np.ndarray, labels=None) -> np.ndarray:
     """Principal square root of a PSD matrix or stack via its eigendecomposition."""
     _, w, v = psd_spectrum(a, labels=labels)
@@ -118,18 +125,19 @@ def psd_sqrt(a: np.ndarray, labels=None) -> np.ndarray:
 def logdet(a: np.ndarray) -> float:
     """Sum of log eigenvalues of a positive-definite matrix.
 
-    Raises :class:`SingularMatrixError` when ``a`` is singular under
-    :func:`zero_floor`, so callers can map singularity to an infinite entropy.
+    Raises :class:`SingularMatrixError` when ``a`` is :func:`singular`, so
+    callers can map singularity to an infinite entropy.
     """
     w = np.linalg.eigvalsh(a)
     _check_nonsingular(w, "matrix")
     return float(np.sum(np.log(w)))
 
 
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a matrix or stack definite under :func:`zero_floor`, else :class:`SingularMatrixError`."""
+def spd_inverse(a: np.ndarray, labels=None) -> np.ndarray:
+    """Inverse of a matrix or stack that is not :func:`singular`, else
+    :class:`SingularMatrixError` naming the first singular matrix."""
     w, v = np.linalg.eigh(a)
-    _check_nonsingular(w, "matrix")
+    _check_nonsingular(w, "matrix", labels)
     return hermitian_part(from_spectrum(v, 1.0 / w))
 
 
@@ -155,8 +163,7 @@ def solve_sylvester_velocity(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     In the eigenbasis of ``g`` the solution is entrywise
     ``u_jk = 2 xi_jk / (w_j + w_k)``. Raises :class:`SingularMatrixError`
-    when ``g`` is singular under :func:`zero_floor` (the velocity is not
-    uniquely defined on the kernel).
+    when ``g`` is :func:`singular` (the velocity is not unique on the kernel).
     """
     if g.shape != xi.shape or g.shape[-1] != g.shape[-2]:
         raise DimensionMismatchError(f"incompatible shapes {g.shape} and {xi.shape}")

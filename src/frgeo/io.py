@@ -259,16 +259,9 @@ def load_measure_path(path: str) -> tuple[list[float], list[MatrixMeasure]]:
     return times, [entry["measure"] for entry in doc]
 
 
-def format_csv_value(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
 def write_csv(path: str, header: Iterable[str], rows: Iterable[Sequence]) -> None:
+    """A CSV table whose cells are floats, each with 17 significant digits."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(format_csv_value(v) for v in row) + "\n")
+            f.write(",".join(format(float(v), ".17g") for v in row) + "\n")

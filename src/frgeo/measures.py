@@ -111,10 +111,6 @@ class ReferenceMeasure:
             )
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n(self) -> int:
-        return self.support.n
-
 
 def uniform_reference(support: Support, dim: int) -> ReferenceMeasure:
     """Uniform reference: every weight equals ``1 / (n * d)``."""
@@ -142,23 +138,27 @@ def check_reference_support(g: MatrixMeasure, lam: ReferenceMeasure) -> None:
         raise SupportMismatchError(f"measure dim {g.dim} != reference dim {lam.dim}")
 
 
-def tv_distance(a: MatrixMeasure, b: MatrixMeasure) -> float:
-    """TV norm of the atomwise difference (which need not be PSD)."""
+def tv_distance(a, b):
+    """TV norm of the atomwise difference (which need not be PSD); of two
+    paths, one value per slice."""
     check_same_support(a, b)
-    return float(np.linalg.norm(a.atoms - b.atoms, axis=(1, 2)).sum())
+    tv = np.linalg.norm(a.atoms - b.atoms, axis=(-2, -1)).sum(axis=-1)
+    return float(tv) if tv.ndim == 0 else tv
 
 
-def mass(g: MatrixMeasure) -> float:
-    """Total trace mass ``sum_i tr G_i``."""
-    return float(np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum())
+def mass(g):
+    """Total trace mass ``sum_i tr G_i``; of a path (an atom stack
+    ``(T, n, d, d)``), one value per slice."""
+    m = np.real(np.trace(g.atoms, axis1=-2, axis2=-1)).sum(axis=-1)
+    return float(m) if m.ndim == 0 else m
 
 
 def check_probability(g, label: str) -> None:
     """Require membership in the unit-trace-mass sphere,
     ``|mass - 1| <= SPHERE_MASS_TOL``, else raise :class:`NotProbabilityError`
-    naming the measure by ``label``. ``g`` may also be a path (an atom stack
-    ``(T, n, d, d)``), whose slices are named by ``label`` and their index."""
-    for k, m in np.ndenumerate(np.real(np.trace(g.atoms, axis1=-2, axis2=-1)).sum(axis=-1)):
+    naming the measure by ``label``. ``g`` may also be a path, whose slices
+    are named by ``label`` and their index."""
+    for k, m in np.ndenumerate(mass(g)):
         if abs(m - 1.0) > SPHERE_MASS_TOL:
             name = " ".join([label, *map(str, k)])
             raise NotProbabilityError(f"{name} has mass {float(m)!r}, expected 1 within {SPHERE_MASS_TOL:.0e}")

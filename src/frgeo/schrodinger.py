@@ -47,6 +47,7 @@ from .measures import (
     check_probability,
     check_reference_support,
     check_same_support,
+    tv_distance,
 )
 from .optim import lbfgs
 
@@ -128,8 +129,8 @@ def _stack_objective(factors: np.ndarray, weights: np.ndarray, epsilon: float) -
     without squaring their condition numbers. An interior density is
     singular (Fisher term ``inf``) when its factor is exactly singular or
     ``tr G tr G^{-1} = |Y|_F^2 |Y^{-1}|_F^2 >= 1 / RANK_RTOL``; as
-    ``cond G <= tr G tr G^{-1} <= d^2 cond G``, that is every density
-    :func:`~frgeo.hpsd.zero_floor` calls singular, and also those with a
+    ``cond G <= tr G tr G^{-1} <= d^2 cond G``, that is every
+    :func:`~frgeo.hpsd.singular` density, and also those with a
     condition number between ``1e12 / d^2`` and ``1e12``."""
     n_steps, d = factors.shape[0] - 1, factors.shape[-1]
     residual, polar = polar_residual(factors[:-1], factors[1:])
@@ -362,7 +363,7 @@ def _sweep_row(
     cfg: SchrodingerConfig,
 ) -> SweepRow:
     result = solve_bridge(g0, g1, lam, cfg)
-    gap = float(np.linalg.norm(result.path.atoms - geodesic.atoms, axis=(-2, -1)).sum(axis=-1).max())
+    gap = float(tv_distance(result.path, geodesic).max())
     return SweepRow(
         cfg.epsilon, result.objective, result.kinetic, result.fisher_term, gap, result.converged
     )

@@ -197,7 +197,7 @@ def _group_fisher_rao(rng: np.random.Generator) -> list[str]:
 
         ts = np.linspace(0.0, 1.0, 7)
         hgeo = fisher_rao.hellinger_geodesic(g0, g1, ts)
-        masses = fisher_rao.path_masses(hgeo)
+        masses = measures.mass(hgeo)
         bad.expect(
             np.all(masses >= 1.0 - 2.0 * ts * (1.0 - ts) - 1e-9), "geodesic mass lower bound"
         )
@@ -262,7 +262,7 @@ def _group_schrodinger(rng: np.random.Generator) -> list[str]:
         abs(res.objective - res.kinetic - res.fisher_term) <= 1e-12 * max(1.0, res.objective),
         "objective decomposition",
     )
-    for k, m in enumerate(fisher_rao.path_masses(res.path)):
+    for k, m in enumerate(measures.mass(res.path)):
         bad.expect(abs(m - 1.0) <= 1e-8, f"slice {k} off sphere")
     bad.expect(np.array_equal(res.path.atoms[[0, -1]], [g0.atoms, g1.atoms]), "bridge endpoints moved")
     times = np.linspace(0.0, 1.0, cfg.n_steps + 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measures import MatrixMeasure, ReferenceMeasure, Support, make_support, uniform_reference
+from .measures import MatrixMeasure, ReferenceMeasure, Support, make_support, mass, uniform_reference
 from .hpsd import hermitian_part
 
 
@@ -61,8 +61,7 @@ def random_probability_measure(
 ) -> MatrixMeasure:
     """Random element of the unit-trace-mass sphere."""
     g = random_measure(rng, n, d, definite=definite, support=support)
-    total = float(np.real(np.trace(g.atoms, axis1=1, axis2=2)).sum())
-    return g.with_atoms(g.atoms / total)
+    return g.with_atoms(g.atoms / mass(g))
 
 
 def random_finite_entropy_measure(

@@ -33,7 +33,6 @@ from frgeo.fisher_rao import (
     fisher_rao_geodesic,
     hellinger_distance_sq,
     hellinger_geodesic,
-    path_masses,
     tv_comparison_check,
 )
 from frgeo.hpsd import hermitian_part, psd_sqrt
@@ -217,7 +216,7 @@ def test_criterion_08_geodesic_structure(fiber_formulas):
 
         ts = np.linspace(0.0, 1.0, 9)
         hgeo = hellinger_geodesic(g0, g1, ts)
-        masses = path_masses(hgeo)
+        masses = mass(hgeo)
         assert np.all(masses >= 1.0 - 2.0 * ts * (1.0 - ts) - 1e-9)
         exact = fiber_formulas.masses(g0, g1, ts)
         assert np.max(np.abs(masses - exact)) <= 1e-14 * max(1.0, float(np.max(np.abs(exact))))
@@ -226,7 +225,7 @@ def test_criterion_08_geodesic_structure(fiber_formulas):
         w, v = np.linalg.eigh(g0.atoms)
         w[:, 0] = 0.0
         gs = g0.with_atoms(hermitian_part((v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))))
-        masses = path_masses(hellinger_geodesic(gs, g1, ts))
+        masses = mass(hellinger_geodesic(gs, g1, ts))
         exact = fiber_formulas.masses(gs, g1, ts)
         assert np.max(np.abs(masses - exact)) <= 1e-14 * max(1.0, float(np.max(np.abs(exact))))
     _report("criterion-08 geodesic structure", "midpoints, mass bound, exact interpolation to 1e-14 from definite and rank-deficient starts")

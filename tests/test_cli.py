@@ -372,6 +372,51 @@ class TestUnwritableOutput:
             assert f.read() == "not a directory\n"
 
 
+class TestReferenceMismatch:
+    """A reference on another support or ``dim`` fails every command that
+    takes one before the command writes anything."""
+
+    @pytest.mark.parametrize(
+        "support, dim, message",
+        [
+            (Support(("p1", "q2")), 2, "measure and reference live on different supports"),
+            (make_support(2), 1, "measure dim 2 != reference dim 1"),
+        ],
+        ids=["support", "dim"],
+    )
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            (["geodesic", "g0", "g1"], "geo"),
+            (["geodesic", "g0", "g1", "--metric", "hellinger"], "geo"),
+            (["heatflow", "g0"], "flow.csv"),
+            (["bridge", "g0", "g1", "--epsilon", "0.3", "--steps", "8"], "bridge"),
+            (["gamma-sweep", "g0", "g1", "--epsilons", "0.5", "--steps", "8"], "sweep.csv"),
+            (["convexity", "g0", "g1"], "conv.csv"),
+        ],
+        ids=["geodesic-fisher-rao", "geodesic-hellinger", "heatflow", "bridge", "gamma-sweep", "convexity"],
+    )
+    def test_exit_3_and_nothing_written(self, workdir, capsys, command, out, support, dim, message):
+        lam = os.path.join(workdir["dir"], "lam_other.json")
+        fio.save_reference(lam, uniform_reference(support, dim))
+        target = os.path.join(workdir["dir"], out)
+        argv = [workdir.get(arg, arg) for arg in command] + ["--reference", lam, "--out", target]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: precondition violated: {message}\n"
+        assert not os.path.exists(target)
+
+    @pytest.mark.parametrize("command", ["geodesic", "bridge", "gamma-sweep", "convexity"])
+    def test_pair_on_two_supports_exit_3(self, rng, workdir, capsys, command):
+        other = os.path.join(workdir["dir"], "other.json")
+        fio.save_measure(other, random_finite_entropy_measure(rng, 3, 2))
+        target = os.path.join(workdir["dir"], "out")
+        argv = [command, workdir["g0"], other, "--out", target] + (["--epsilon", "0.3"] if command == "bridge" else [])
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: precondition violated: measures live on different supports\n"
+        assert not os.path.exists(target)
+
+
 class TestHeatflowCommand:
     def test_writes_table(self, workdir):
         out = os.path.join(workdir["dir"], "flow.csv")

@@ -286,6 +286,14 @@ class TestTangentNormSq:
             f = fisher_information(g, lam)
             assert tangent_norm_sq(v) == pytest.approx(f, rel=1e-9, abs=1e-9)
 
+    def test_gradient_potential_is_exactly_hermitian(self, rng):
+        for _ in range(20):
+            n, d = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+            sup = make_support(n)
+            lam = uniform_reference(sup, d)
+            u = entropy_gradient_potential(random_finite_entropy_measure(rng, n, d, support=sup, lam=lam), lam).potential
+            assert np.array_equal(u, np.conj(np.swapaxes(u, -1, -2)))
+
     def test_realized_vector_traceless(self, rng):
         g = random_probability_measure(rng, 3, 2)
         lam = uniform_reference(g.support, 2)

@@ -23,7 +23,6 @@ from frgeo.fisher_rao import (
     hellinger_distance_sq,
     hellinger_geodesic,
     metric_speed,
-    path_masses,
     tv_comparison_check,
 )
 from frgeo.hpsd import sym_product
@@ -207,7 +206,7 @@ class TestHellingerGeodesic:
             g0 = random_probability_measure(rng, n, d, support=sup)
             g1 = random_probability_measure(rng, n, d, support=sup)
             ts = np.linspace(0.0, 1.0, 9)
-            masses = path_masses(hellinger_geodesic(g0, g1, ts))
+            masses = mass(hellinger_geodesic(g0, g1, ts))
             assert np.all(masses >= 1.0 - 2.0 * ts * (1.0 - ts) - 1e-9)
 
     def test_mass_interpolation_exact(self, rng, fiber_formulas):
@@ -215,7 +214,7 @@ class TestHellingerGeodesic:
         g0 = random_measure(rng, 2, 3, support=sup)
         g1 = random_measure(rng, 2, 3, support=sup)
         ts = np.linspace(0.0, 1.0, 11)
-        masses = path_masses(hellinger_geodesic(g0, g1, ts))
+        masses = mass(hellinger_geodesic(g0, g1, ts))
         expected = fiber_formulas.masses(g0, g1, ts)
         assert np.max(np.abs(masses - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
@@ -238,7 +237,7 @@ class TestHellingerGeodesic:
         size = scale * np.sqrt(d)
         assert np.abs(path.slices[0].atoms - g0.atoms).max() <= 1e-13 * size
         assert np.abs(path.slices[-1].atoms - g1.atoms).max() <= 1e-13 * size
-        masses = path_masses(path)
+        masses = mass(path)
         expected = fiber_formulas.masses(g0, g1, ts)
         assert np.abs(masses - expected).max() <= 2e-14 * (mass(g0) + mass(g1))
 
@@ -399,7 +398,7 @@ class TestFisherRaoGeodesic:
         assert 0.0 < path.meta["distance"] < 1e-15
         assert np.array_equal(path.atoms[0], g0.atoms) and np.array_equal(path.atoms[-1], g1.atoms)
         # The interior slices are normalized; the ends carry the endpoints' own masses.
-        assert np.array_equal(path_masses(path)[1:-1], np.ones(15))
+        assert np.array_equal(mass(path)[1:-1], np.ones(15))
 
     def test_antipodal_raises(self):
         sup = Support(("x",))

@@ -15,7 +15,9 @@ from frgeo.hpsd import (
     logdet,
     psd_spectrum,
     psd_sqrt,
+    RANK_RTOL,
     real_embedding,
+    singular,
     solve_sylvester_velocity,
     spd_inverse,
     sym_product,
@@ -204,6 +206,35 @@ class TestRankRule:
             for f in (logdet, spd_inverse, lambda a: solve_sylvester_velocity(a, xi)):
                 with pytest.raises(SingularMatrixError):
                     f(singular)
+
+    def test_singular_is_the_rank_rule(self):
+        # Ascending eigenvalue rows: a negative or zero smallest eigenvalue,
+        # an all-zero matrix, and the 1e-12 * lambda_max boundary on both sides.
+        edge = RANK_RTOL * 3.0
+        w = np.array(
+            [
+                [-1e-3, 1.0, 3.0],
+                [0.0, 1.0, 3.0],
+                [0.0, 0.0, 0.0],
+                [-1.0, -0.5, -0.1],
+                [edge, 1.0, 3.0],
+                [np.nextafter(edge, 1.0), 1.0, 3.0],
+                [1e-6, 1.0, 3.0],
+            ]
+        )
+        expected = [True, True, True, True, True, False, False]
+        assert singular(w).tolist() == expected
+        assert [bool(singular(row)) for row in w] == expected
+        assert singular(w.reshape(7, 1, 3)).shape == (7, 1)
+
+    def test_spd_inverse_names_the_first_singular_atom(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, 1e-13])]).astype(complex)
+        with pytest.raises(SingularMatrixError, match="^atom at point 'b' is singular: eigenvalue"):
+            spd_inverse(stack, labels=("a", "b", "c"))
+        with pytest.raises(SingularMatrixError, match="^atom at point 'c' is singular"):
+            spd_inverse(stack[[0, 2]][None], labels=("a", "c"))
+        with pytest.raises(SingularMatrixError, match="^matrix is singular"):
+            spd_inverse(stack)
 
 
 class TestStacks:

@@ -16,7 +16,7 @@ from frgeo.exceptions import (
     SupportMismatchError,
     ZeroMassError,
 )
-from frgeo.fisher_rao import fisher_rao_geodesic
+from frgeo.fisher_rao import MeasurePath, fisher_rao_geodesic
 from frgeo.measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -187,6 +187,20 @@ class TestMass:
 
     def test_zero(self):
         assert mass(zeros(make_support(2), 2)) == 0.0
+
+    def test_path_gives_the_slice_values_bit_for_bit(self, rng):
+        # A path's mass and TV distance are those of its slices, exactly.
+        for n, d in ((1, 1), (3, 2), (9, 3)):
+            sup = make_support(n)
+            times = np.linspace(0.0, 1.0, 5)
+            a, b = (
+                MeasurePath(times, sup, np.stack([random_measure(rng, n, d, support=sup).atoms for _ in times]))
+                for _ in "ab"
+            )
+            masses, tvs = mass(a), tv_distance(a, b)
+            assert isinstance(mass(a.slices[0]), float) and isinstance(tv_distance(a.slices[0], b.slices[0]), float)
+            assert masses.tolist() == [mass(g) for g in a.slices]
+            assert tvs.tolist() == [tv_distance(g, h) for g, h in zip(a.slices, b.slices)]
 
 
 class TestLebesgueSplit:

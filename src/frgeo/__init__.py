@@ -4,7 +4,6 @@ entropy with its heat flow and Fisher information, and a dynamical
 Schrödinger-bridge solver."""
 
 from .exceptions import (
-    AntipodalError,
     DimensionMismatchError,
     FRGeoError,
     InfiniteEndpointEntropyError,

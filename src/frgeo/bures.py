@@ -27,6 +27,7 @@ from .hpsd import (
 from .optim import lbfgs
 
 UNIT_TRACE_TOL = 1e-9
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # adj(M)* = conj(M reversed) * _ADJ_SIGNS for 2x2 M
 MAX_ITERS = 20000  # iteration budget of the dynamical solver
 
 
@@ -93,13 +94,27 @@ def spherical_bures(a0: np.ndarray, a1: np.ndarray) -> float:
 
 def polar_residual(y0: np.ndarray, y1: np.ndarray):
     """``(R, W)`` for paired factors of two ``(..., d, d)`` stacks: ``W`` is
-    the unitary polar factor of ``y0* y1`` from one batched SVD, the
-    minimizer of ``|y1 - y0 W|`` over unitaries, and ``R = y1 - y0 W``. For
-    ``a = y0 y0*`` and ``b = y1 y1*``, ``|R|^2 = d_B^2(a, b)`` (Bhatia, Jain
-    & Lim, Expo. Math. 37, 2019), without the cancellation of the trace
-    formula at small distances."""
-    p, _, qh = np.linalg.svd(np.conj(np.swapaxes(y0, -1, -2)) @ y1)
-    w = p @ qh
+    a unitary polar factor of ``M = y0* y1``, a minimizer of ``|y1 - y0 W|``
+    over unitaries, and ``R = y1 - y0 W``. For ``a = y0 y0*`` and
+    ``b = y1 y1*``, ``|R|^2 = d_B^2(a, b)`` (Bhatia, Jain & Lim, Expo. Math.
+    37, 2019), without the trace formula's cancellation at small distances.
+    ``W`` is one batched SVD's, or at ``d = 2`` the closed form
+    ``(M + e^{i arg det M} adj(M)*) / sqrt(|M|_F^2 + 2 |det M|)`` (Higham,
+    *Functions of Matrices*, 2008, ch. 8), with phase 1 where ``det M = 0``
+    (still unitary, with ``W* M`` PSD) and ``W = I`` where ``M = 0``."""
+    m = np.conj(np.swapaxes(y0, -1, -2)) @ y1
+    if m.shape[-1] == 2:
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        det += det == 0.0
+        w = m + (det / np.abs(det))[..., None, None] * (np.conj(m[..., ::-1, ::-1]) * _ADJ_SIGNS)
+        # The numerator's |.|_F^2 is 2 |M|_F^2 + 4 |det M|, 0 only where M = 0.
+        sq = (w * w.conj()).real.sum(axis=(-2, -1), keepdims=True)
+        if not sq.all():
+            w, sq = np.where(sq > 0.0, w, np.eye(2)), np.where(sq > 0.0, sq, 2.0)
+        w = w * np.sqrt(2.0 / sq)
+    else:
+        p, _, qh = np.linalg.svd(m)
+        w = p @ qh
     return y1 - y0 @ w, w
 
 
@@ -112,7 +127,7 @@ def polar_from_roots(a0: np.ndarray, a1: np.ndarray, r0: np.ndarray, r1: np.ndar
 
 def polar_endpoints(a0: np.ndarray, a1: np.ndarray, labels=None):
     """``(a0^{1/2}, Y_1, d_B^2)`` for paired fibers of two ``(..., d, d)``
-    stacks: ``Y_1 = a1^{1/2} U`` with ``U`` the unitary polar factor of
+    stacks: ``Y_1 = a1^{1/2} U`` with ``U`` a unitary polar factor of
     ``a1^{1/2} a0^{1/2}`` (:func:`polar_residual`), and
     ``d_B^2 = |Y_1 - a0^{1/2}|^2`` per fiber. Both roots come from one
     ``eigh`` of the two stacks. Equal fibers give ``Y_1 = a0^{1/2}`` and
@@ -138,9 +153,9 @@ def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeod
     """Geodesic samples between two PSD fibers, or the paired fibers of two ``(n, d, d)`` stacks.
 
     The path is ``a_t = Y_t Y_t*`` with ``Y_t = (1 - t) a0^{1/2} + t a1^{1/2} U``,
-    where ``U`` is the unitary polar factor of ``a1^{1/2} a0^{1/2}`` (one
-    batched SVD). This holds for singular ``a0`` as well, so the endpoints
-    and the mass interpolation are exact on the cone boundary; for definite
+    where ``U`` is a unitary polar factor of ``a1^{1/2} a0^{1/2}``
+    (:func:`polar_residual`). This holds for singular ``a0`` as well, so the
+    endpoints and the mass interpolation are exact on the cone boundary; for definite
     ``a0`` it is the optimal-map path ``M_t a0 M_t``. A fiber equal at both
     ends is exactly ``a0`` at every time. ``points[k]`` is the fiber (or
     stack) at ``ts[k]``; ``velocities[k]`` solves ``(a_t u + u a_t) / 2 =

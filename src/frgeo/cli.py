@@ -101,7 +101,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def _path_columns(path: MeasurePath, lam: ReferenceMeasure, speeds: np.ndarray) -> list[list[float]]:
     """The columns t, mass, entropy, fisher and speed of a path, one entry per slice."""
-    entropies, fishers = slice_entropies(path.atoms, lam)
+    entropies, fishers = slice_entropies(np.linalg.eigvalsh(path.atoms), lam)
     return [c.tolist() for c in (path.times, mass(path), entropies, fishers, speeds)]
 
 

@@ -161,11 +161,11 @@ def von_neumann_entropy(g: MatrixMeasure, lam: ReferenceMeasure) -> float:
     return float(np.dot(lam.weights[pos], xlogx.sum(axis=-1)))
 
 
-def slice_entropies(atoms: np.ndarray, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
+def slice_entropies(eigs: np.ndarray, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
     """:func:`entropy` and :func:`fisher_information` of each slice of an atom
     stack ``(T, n, d, d)`` on the support of ``lam`` (a path's ``atoms``),
-    from one eigenvalue call over the whole stack."""
-    fibers, fishers = entropy_terms(np.linalg.eigvalsh(atoms), lam.weights)
+    given by the atom eigenvalues ``(T, n, d)`` of one call over the stack."""
+    fibers, fishers = entropy_terms(eigs, lam.weights)
     return np.array([np.dot(lam.weights, f) for f in fibers]), fishers
 
 

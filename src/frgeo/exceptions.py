@@ -45,11 +45,6 @@ class ZeroLengthError(FRGeoError):
     """A zero-length path cannot be reparametrized by arc length."""
 
 
-class AntipodalError(FRGeoError):
-    """Sphere endpoints at (numerically) maximal distance: the connecting
-    cone geodesic passes through the apex and has no sphere projection."""
-
-
 class InfiniteEndpointEntropyError(FRGeoError):
     """An endpoint has infinite entropy, so the regularized problem is improper."""
 

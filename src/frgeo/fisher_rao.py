@@ -10,7 +10,7 @@ Fisher-Rao geodesics are built by normalizing the fiberwise Hellinger
 geodesic back to unit mass and reparametrizing to constant speed. Because a
 cone geodesic between two unit-radius points is isometric to a planar chord,
 the reparametrization has a closed form and the construction is exact (up to
-round-off) whenever the endpoints are not antipodal.
+round-off) for every pair: the cone angle is ``d_FR / 2 <= pi / 2``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bures
-from .exceptions import AntipodalError, FRGeoError, ZeroLengthError
+from .exceptions import FRGeoError, ZeroLengthError
 from .hpsd import check_hermitian, hermitian_part, psd_sqrt
 from .measures import MatrixMeasure, Support, check_probability, check_same_support, mass, tv_distance
-
-ANTIPODAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,9 @@ def cone_scaling_check(
 
 def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """Fiberwise Bures geodesic through every atom, at constant Hellinger
-    speed: one polar SVD (:func:`~frgeo.bures.polar_endpoints`) and the
+    speed: one polar step (:func:`~frgeo.bures.polar_endpoints`) and the
     points of :func:`~frgeo.bures.geodesic_factors`. ``meta["distance"]`` is
-    ``d_H(G_0, G_1)``, from the polar residual of that SVD. A fiber equal at
+    ``d_H(G_0, G_1)``, from the polar residual of that step. A fiber equal at
     both ends stays exactly at its atom, so identical endpoints give exactly
     0 and the constant path. The velocities of these slices are those of
     :func:`~frgeo.bures.bures_geodesic` on the two atom stacks."""
@@ -114,13 +112,6 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     return MeasurePath(ts, g0.support, bures.geodesic_factors(g0.atoms, r0, y1, ts)[0], meta)
 
 
-def check_not_antipodal(dfr: float) -> None:
-    """Raise :class:`AntipodalError` for a sphere distance within ``1e-6`` of
-    the diameter ``pi``, where the cone geodesic passes through the apex."""
-    if dfr >= np.pi - ANTIPODAL_TOL:
-        raise AntipodalError(f"endpoints at distance {dfr!r} >= pi - 1e-6: sphere projection undefined")
-
-
 def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     """Constant-speed sphere geodesic between unit-mass measures.
 
@@ -128,8 +119,10 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     geodesics), normalizes each slice back to the sphere and reparametrizes
     time ``t`` to the exact cone-chord parameter
     ``sin(t phi) / (sin(t phi) + sin(phi - t phi))``, ``phi = d_FR / 2``, so
-    that ``d_FR(G_s, G_t) = |s - t| d_FR(G_0, G_1)``. Antipodal endpoints
-    raise :class:`AntipodalError` (:func:`check_not_antipodal`).
+    that ``d_FR(G_s, G_t) = |s - t| d_FR(G_0, G_1)``, for every pair: the
+    cone angle ``phi <= pi / 2`` keeps the chord's mass at least 1/2. At
+    ``d_FR = pi`` with ``d >= 2`` the geodesic need not be unique, as every
+    unitary is a polar factor of ``M = 0``.
     ``meta["distance"]`` is ``d_FR(G_0, G_1)``; the path is constant only where
     it is exactly 0, and times 0 and 1 give ``G_0`` and ``G_1`` bit for bit.
     """
@@ -137,10 +130,9 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     check_probability(g0, "first measure")
     check_probability(g1, "second measure")
     check_same_support(g0, g1)
-    # d_H^2 from the polar residual of the SVD the chord needs anyway.
+    # d_H^2 from the polar residual the chord needs anyway.
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
     dfr = float(fisher_rao_from_hellinger(4.0 * d_sq.sum()))
-    check_not_antipodal(dfr)
     meta = {"metric": "fisher_rao", "spherical": True, "distance": dfr}
     if dfr == 0.0:
         atoms = np.repeat(g0.atoms[None], len(ts), axis=0)
@@ -148,14 +140,14 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
         phi = dfr / 2.0
         chord_ts = np.sin(ts * phi) / (np.sin(ts * phi) + np.sin(phi - ts * phi))
         chord = bures.geodesic_factors(g0.atoms, r0, y1, chord_ts)[0]
-        atoms = chord / np.real(np.trace(chord, axis1=-2, axis2=-1)).sum(axis=-1)[:, None, None, None]
+        atoms = chord / mass(chord)[:, None, None, None]
     atoms[ts <= 0.0], atoms[ts >= 1.0] = g0.atoms, g1.atoms
     return MeasurePath(ts, g0.support, atoms, meta)
 
 
 def _index_distances(path: MeasurePath, lo, hi, metric: str) -> np.ndarray:
     """Metric distances between the slice pairs ``(lo[k], hi[k])`` of a path from one
-    checked square root of its atom stack and one batched polar SVD of the pairs
+    checked square root of its atom stack and one batched polar step of the pairs
     (:func:`~frgeo.bures.polar_from_roots`, oriented as the pairwise route)."""
     if metric not in ("hellinger", "fisher_rao"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -211,7 +203,7 @@ def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
 
     Central differences at interior nodes (second-order on smooth paths),
     one-sided at the endpoints. One ``eigh`` of the slice stack gives the
-    roots, and one batched SVD gives the polar residuals of all pairs.
+    roots, and one batched polar step gives the residuals of all pairs.
     """
     m = path.n_slices
     if m < 2:

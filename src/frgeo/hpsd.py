@@ -118,7 +118,11 @@ def singular(w: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(a: np.ndarray, labels=None) -> np.ndarray:
     """Principal square root of a PSD matrix or stack via its eigendecomposition."""
-    _, w, v = psd_spectrum(a, labels=labels)
+    return spectral_sqrt(*psd_spectrum(a, labels=labels)[1:])
+
+
+def spectral_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`psd_sqrt` of the matrices that :func:`psd_spectrum` decomposed into ``(w, v)``."""
     return hermitian_part(from_spectrum(v, np.sqrt(zero_floor(w))))
 
 

@@ -147,9 +147,9 @@ def tv_distance(a, b):
 
 
 def mass(g):
-    """Total trace mass ``sum_i tr G_i``; of a path (an atom stack
-    ``(T, n, d, d)``), one value per slice."""
-    m = np.real(np.trace(g.atoms, axis1=-2, axis2=-1)).sum(axis=-1)
+    """Total trace mass ``sum_i tr G_i`` of a measure or an atom stack
+    ``(n, d, d)``; of a path or a ``(T, n, d, d)`` stack, one value per slice."""
+    m = np.real(np.trace(getattr(g, "atoms", g), axis1=-2, axis2=-1)).sum(axis=-1)
     return float(m) if m.ndim == 0 else m
 
 

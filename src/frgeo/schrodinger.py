@@ -33,14 +33,8 @@ import numpy as np
 from .bures import check_times, polar_residual
 from .entropy_flow import flow_atoms, slice_entropies
 from .exceptions import FRGeoError, InfiniteEndpointEntropyError
-from .fisher_rao import (
-    MeasurePath,
-    check_not_antipodal,
-    fisher_rao_distance,
-    fisher_rao_from_hellinger,
-    fisher_rao_geodesic,
-)
-from .hpsd import RANK_RTOL, hermitian_part, psd_sqrt, spd_inverse
+from .fisher_rao import MeasurePath, fisher_rao_from_hellinger, fisher_rao_geodesic
+from .hpsd import RANK_RTOL, hermitian_part, psd_spectrum, psd_sqrt, spd_inverse, spectral_sqrt
 from .measures import (
     MatrixMeasure,
     ReferenceMeasure,
@@ -123,8 +117,8 @@ class _Forward(NamedTuple):
 def _stack_objective(factors: np.ndarray, weights: np.ndarray, epsilon: float) -> _Forward:
     """The kinetic and interior Fisher terms of the slices ``G_k = Y_k Y_k*``
     of a factor stack ``(N+1, n, d, d)``, with the pieces the gradient reuses:
-    one batched SVD of the edges gives ``d_B^2 = |R_k|^2`` per atom through
-    :func:`~frgeo.bures.polar_residual`, and one batched ``inv`` of the
+    one batched polar step of the edges gives ``d_B^2 = |R_k|^2`` per atom
+    through :func:`~frgeo.bures.polar_residual`, and one batched ``inv`` of the
     interior positive-weight factors gives ``tr G^{-1} = |Y^{-1}|_F^2``
     without squaring their condition numbers. An interior density is
     singular (Fisher term ``inf``) when its factor is exactly singular or
@@ -164,8 +158,9 @@ def discrete_objective(
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise FRGeoError("discrete objective requires a uniform time grid")
     check_probability(path, "slice")
-    fwd = _stack_objective(psd_sqrt(path.atoms), lam.weights, epsilon)
-    end_fishers = slice_entropies(path.atoms[[0, -1]], lam)[1]
+    _, w, v = psd_spectrum(path.atoms)
+    fwd = _stack_objective(spectral_sqrt(w, v), lam.weights, epsilon)
+    end_fishers = slice_entropies(w[[0, -1]], lam)[1]
     return fwd.kinetic, fwd.fisher_term + 0.25 * epsilon**2 / (path.n_slices - 1) * float(end_fishers.sum())
 
 
@@ -180,7 +175,7 @@ def recovery_sequence(path: MeasurePath, lam: ReferenceMeasure, epsilon: float) 
     """
     _check_epsilon(epsilon)
     check_reference_support(path, lam)
-    _endpoint_entropies(path.atoms[[0, -1]], lam)
+    _endpoint_entropies(np.linalg.eigvalsh(path.atoms[[0, -1]]), lam)
     return path if epsilon == 0.0 else _heat_flow_perturbation(path, lam, epsilon)
 
 
@@ -189,10 +184,10 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be {'finite' if epsilon > 0.0 else 'nonnegative'}, got {epsilon}")
 
 
-def _endpoint_entropies(ends: np.ndarray, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Entropies and Fisher informations of the end slices ``(2, n, d, d)``, from one
-    ``slice_entropies`` call; :class:`InfiniteEndpointEntropyError` names an infinite end."""
-    entropies, fishers = slice_entropies(ends, lam)
+def _endpoint_entropies(eigs: np.ndarray, lam: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and Fisher informations of the end slices, given by their atom eigenvalues
+    ``(2, n, d)``; :class:`InfiniteEndpointEntropyError` names an infinite end."""
+    entropies, fishers = slice_entropies(eigs, lam)
     for label, e in zip(("initial", "final"), entropies):
         if math.isinf(e):
             raise InfiniteEndpointEntropyError(f"{label} endpoint has infinite entropy")
@@ -268,32 +263,32 @@ def solve_bridge(
     explicit ``init_path`` is supplied. That path must have ``n_steps + 1``
     slices on the support of ``g0``, and nothing else of it is checked: its
     times are never read, and its interior atoms start the descent at the
-    uniform grid's interior times. Either way, endpoints that
-    :func:`~frgeo.fisher_rao.check_not_antipodal` rejects raise
-    :class:`AntipodalError`. The shared L-BFGS routine
-    (:func:`frgeo.optim.lbfgs`) descends on the stacked factors along the
-    closed-form gradient :func:`_bridge_gradient` of the objective
-    :func:`_bridge_objective`, preconditioned in time; steps
-    that would make an interior density singular price themselves out
-    through an infinite objective. The descent leaves out the end slices'
-    Fisher term, which no step moves, so that an ill-conditioned endpoint's
-    large constant cannot swamp the stop tests; the result reports it.
+    uniform grid's interior times. Antipodal ends (``d_FR = pi``) are
+    accepted. One :func:`~frgeo.hpsd.psd_spectrum` of the ends and the start's
+    interior gives its factors and the ends' entropies and Fisher terms. The
+    shared L-BFGS routine (:func:`frgeo.optim.lbfgs`) descends on the stacked
+    factors along the closed-form gradient :func:`_bridge_gradient` of the
+    objective :func:`_bridge_objective`, preconditioned in time; steps that
+    would make an interior density singular price themselves out through an
+    infinite objective. The descent leaves out the end slices' Fisher term,
+    which no step moves, so that an ill-conditioned endpoint's large constant
+    cannot swamp the stop tests; the result reports it.
     """
     check_same_support(g0, g1)
     check_reference_support(g0, lam)
-    end_atoms = np.stack([g0.atoms, g1.atoms])
-    end_fishers = _endpoint_entropies(end_atoms, lam)[1]
-
     n_steps = cfg.n_steps
     times = np.linspace(0.0, 1.0, n_steps + 1)
     if init_path is None:
         init_path = _heat_flow_perturbation(fisher_rao_geodesic(g0, g1, times), lam, cfg.epsilon)
     else:
-        check_not_antipodal(fisher_rao_distance(g0, g1))
+        check_probability(g0, "first measure")
+        check_probability(g1, "second measure")
         if init_path.n_slices != n_steps + 1:
             raise FRGeoError(f"init_path has {init_path.n_slices} slices, expected {n_steps + 1}")
         check_same_support(init_path, g0)
-    roots = psd_sqrt(np.concatenate([end_atoms, init_path.atoms[1:-1]]))
+    _, w, v = psd_spectrum(np.concatenate([[g0.atoms, g1.atoms], init_path.atoms[1:-1]]))
+    end_fishers = _endpoint_entropies(w[:2], lam)[1]
+    roots = spectral_sqrt(w, v)
     obj, fwd = _bridge_objective(roots[2:], roots[:2], lam.weights, cfg.epsilon)
     if math.isinf(obj):
         raise FRGeoError("initialization has infinite objective; endpoints too degenerate")
@@ -421,11 +416,11 @@ def convexity_experiment(
     """
     check_same_support(g0, g1)
     check_reference_support(g0, lam)
-    e0, e1 = _endpoint_entropies(np.stack([g0.atoms, g1.atoms]), lam)[0].tolist()
+    e0, e1 = _endpoint_entropies(np.linalg.eigvalsh(np.stack([g0.atoms, g1.atoms])), lam)[0].tolist()
     thetas = sorted(float(t) for t in thetas)
     path = fisher_rao_geodesic(g0, g1, thetas)
     dfr_sq = path.meta["distance"] ** 2
     return [
         (theta, lhs, (1.0 - theta) * e0 + theta * e1 - 0.25 * theta * (1.0 - theta) * dfr_sq)
-        for theta, lhs in zip(thetas, slice_entropies(path.atoms, lam)[0].tolist())
+        for theta, lhs in zip(thetas, slice_entropies(np.linalg.eigvalsh(path.atoms), lam)[0].tolist())
     ]

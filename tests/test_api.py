@@ -5,7 +5,6 @@ import frgeo
 # The public names of the package. A change to this list changes the API,
 # and the change that makes it says why.
 PUBLIC_NAMES = [
-    "AntipodalError",
     "BridgeResult",
     "BuresActionResult",
     "DimensionMismatchError",

@@ -80,6 +80,79 @@ class TestBuresDistanceSq:
             bures_distance_sq(-np.eye(2, dtype=complex), np.eye(2, dtype=complex))
 
 
+def haar_unitaries(rng, shape):
+    """Haar-random unitaries of shape ``(..., d, d)``: QR with the phases of ``R`` taken out."""
+    q, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def svd_polar(m):
+    p, _, qh = np.linalg.svd(m)
+    return p @ qh
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPolarResidual:
+    """The polar step: a closed form at d = 2, the batched SVD otherwise."""
+
+    @staticmethod
+    def polar(m):
+        """``(R, W)`` of :func:`bures.polar_residual` with ``y0 = I``, so that ``y0* y1 = m``."""
+        return bures.polar_residual(np.broadcast_to(np.eye(m.shape[-1]), m.shape), m)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_from_condition_number_1_to_1e12(self, rng, n):
+        # Row k of the (12, n, 2, 2) stack has condition number conds[k].
+        conds = np.logspace(0, 12, 12)[:, None]
+        s1 = rng.uniform(0.1, 1.0, (12, n))
+        m = haar_unitaries(rng, (12, n, 2, 2)) * np.stack([s1, s1 / conds], axis=-1)[..., None, :]
+        m = m @ haar_unitaries(rng, (12, n, 2, 2))
+        r, w = self.polar(m)
+        wh = np.conj(np.swapaxes(w, -1, -2))
+        assert np.abs(wh @ w - np.eye(2)).max() <= 1e-14
+        h = wh @ m
+        assert np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max(axis=(-2, -1)).max() <= 1e-14
+        assert np.linalg.eigvalsh(hermitian_part(h)).min() >= -1e-14
+        # The polar factor's condition number is about cond M, for either route.
+        assert np.all(np.abs(w - svd_polar(m)).max(axis=(-2, -1)) <= 1e-14 * conds)
+        assert np.array_equal(r, m - w)
+        assert np.abs((np.abs(r) ** 2).sum(axis=(-2, -1)) - (np.abs(m - svd_polar(m)) ** 2).sum(axis=(-2, -1))).max() <= 1e-14
+
+    def test_rank_one_zero_and_orthogonal_fibers(self, rng):
+        # det M = 0 takes the phase 1, which still gives a unitary minimizer;
+        # M = 0 gives I. Orthogonal fibers have M = 0 as well.
+        u, v = haar_unitaries(rng, (2, 4, 2, 2))
+        rank_one = rng.uniform(0.1, 2.0, (4, 1, 1)) * u[..., :1] @ np.conj(np.swapaxes(v[..., :1], -1, -2))
+        m = np.concatenate([rank_one, np.zeros((1, 2, 2), dtype=complex)])
+        r, w = self.polar(m)
+        assert np.abs(np.conj(np.swapaxes(w, -1, -2)) @ w - np.eye(2)).max() <= 1e-15
+        assert np.array_equal(w[-1], np.eye(2))
+        assert np.linalg.eigvalsh(hermitian_part(np.conj(np.swapaxes(w, -1, -2)) @ m)).min() >= -1e-15
+        want = (np.abs(m - svd_polar(m)) ** 2).sum(axis=(-2, -1))
+        assert np.abs((np.abs(r) ** 2).sum(axis=(-2, -1)) - want).max() <= 1e-14
+        y0 = np.diag([1.0, 0.0]).astype(complex)
+        y1 = np.diag([0.0, 0.7]) @ haar_unitaries(rng, (2, 2))
+        r, w = bures.polar_residual(y0, y1)
+        assert np.array_equal(w, np.eye(2)) and (np.abs(r) ** 2).sum() == pytest.approx(1.49, abs=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_only_d_2_skips_the_svd(self, rng, monkeypatch, d):
+        m = haar_unitaries(rng, (5, d, d)) * rng.uniform(0.1, 1.0, (5, 1, d))
+        calls = []
+
+        def counted(a, *args, _original=np.linalg.svd, **kwargs):
+            calls.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        r, w = self.polar(m)
+        assert calls == ([] if d == 2 else [(5, d, d)])
+        monkeypatch.undo()
+        assert np.abs(w - svd_polar(m)).max() <= 1e-14
+        assert np.array_equal(r, m - w)
+
+
 class TestSphericalBures:
     def test_identical(self, rng):
         a = random_density(rng, 3)

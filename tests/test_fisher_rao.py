@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from frgeo.bures import bures_distance_sq, bures_geodesic
 from frgeo.exceptions import (
-    AntipodalError,
     FRGeoError,
     NotHermitianError,
     NotProbabilityError,
@@ -400,13 +399,56 @@ class TestFisherRaoGeodesic:
         # The interior slices are normalized; the ends carry the endpoints' own masses.
         assert np.array_equal(mass(path)[1:-1], np.ones(15))
 
-    def test_antipodal_raises(self):
+    def test_antipodal_pair_has_a_constant_speed_geodesic(self):
+        # Orthogonal qubit fibers sit at the diameter pi. The cone angle is
+        # pi / 2, so the chord's midpoint is I / 4, of mass 1/2, not the apex:
+        # the geodesic is the great circle diag(cos^2, sin^2)(t pi / 2).
         sup = Support(("x",))
         g0 = MatrixMeasure(sup, np.diag([1.0, 0.0]).astype(complex)[None])
         g1 = MatrixMeasure(sup, np.diag([0.0, 1.0]).astype(complex)[None])
-        assert fisher_rao_distance(g0, g1) == pytest.approx(np.pi)
-        with pytest.raises(AntipodalError):
-            fisher_rao_geodesic(g0, g1, [0.0, 0.5, 1.0])
+        ts = np.linspace(0.0, 1.0, 5)
+        path = fisher_rao_geodesic(g0, g1, ts)
+        assert path.meta["distance"] == fisher_rao_distance(g0, g1) == pytest.approx(np.pi, abs=1e-15)
+        circle = np.stack([np.cos(ts * np.pi / 2) ** 2, np.sin(ts * np.pi / 2) ** 2], axis=-1)
+        assert np.abs(path.atoms[:, 0] - np.apply_along_axis(np.diag, 1, circle)).max() <= 1e-15
+        steps = [fisher_rao_distance(a, b) for a, b in zip(path.slices[:-1], path.slices[1:])]
+        assert np.allclose(steps, np.pi / 4, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        ("family", "d"), [("proportional", 1), ("proportional", 2), ("proportional", 3), ("orthogonal", 2), ("orthogonal", 3)]
+    )
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0])
+    def test_constant_speed_at_and_near_the_diameter(self, family, d, gap):
+        # Seeded pairs on three points with fidelity sum c = sin(gap / 2), so
+        # d_FR = 2 arccos(c) = pi - gap, and c^2 + s^2 = 1.
+        # "proportional": G1 is c^2 G0 on G0's two points and s^2 Z on the third.
+        # "orthogonal": rank-one fibers y y* and (c y + s z)(c y + s z)*, z orthogonal to y.
+        rng = np.random.default_rng(2027 + d)
+        c = np.sin(gap / 2.0)
+        s = np.sqrt(1.0 - c * c)
+        if family == "proportional":
+            a = random_finite_entropy_measure(rng, 3, d).atoms
+            a0, z = a.copy(), np.zeros_like(a)
+            a0[2], z[2] = 0.0, a[2] / mass(a[2:])
+            a1 = c * c * a0 / mass(a0) + s * s * z
+            a0 = a0 / mass(a0)
+        else:
+            q = np.linalg.qr(rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d)))[0]
+            root_p = np.sqrt(rng.dirichlet(np.ones(3)))[:, None, None]
+            a0, a1 = (f @ np.conj(np.swapaxes(f, -1, -2)) for f in (root_p * q[..., :1], root_p * (c * q[..., :1] + s * q[..., 1:2])))
+        g0, g1 = MatrixMeasure(make_support(3), a0), MatrixMeasure(make_support(3), a1)
+        ts = np.linspace(0.0, 1.0, 9)
+        path = fisher_rao_geodesic(g0, g1, ts)
+        dfr = path.meta["distance"]
+        assert abs(np.pi - dfr - gap) <= 1e-14
+        # Near the diameter the orthogonal family's M = r1 r0 is about c times
+        # its factors, so its polar factor is fixed only to eps / c. The slices
+        # then carry eigenvalues of round-off origin near the rank floor, and
+        # cutting them moved distances by up to 3.4e-12 over 10 seeds at gap
+        # 1e-10, through the closed form (d = 2) and the SVD (d = 3) alike.
+        tol = 1e-13 if family == "proportional" else 1e-11
+        for i, j in zip(*np.triu_indices(len(ts), 1)):
+            assert abs(fisher_rao_distance(path.slices[i], path.slices[j]) - (ts[j] - ts[i]) * dfr) <= tol
 
     def test_midpoint_bisects(self, rng):
         for _ in range(20):
@@ -559,11 +601,14 @@ class TestConstantSpeedReparametrize:
 
     @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
     def test_one_geodesic_per_segment_with_targets(self, rng, monkeypatch, metric):
-        # The arc lengths take one eigh of all slices and one SVD of all
+        # The arc lengths take one eigh of all slices and one polar step of all
         # segments. Each segment holding arc-length targets then makes one
         # geodesic call for all of them: one eigh for the roots of its two
-        # ends and one SVD, with no velocity step. The batch gives the slices of
-        # single-target calls bit for bit.
+        # ends and one polar step, with no velocity step. At d = 2 a polar
+        # step is in closed form, with no SVD. The batch gives the slices of
+        # single-target calls bit for bit. The quadratic warp puts the targets
+        # 1/16, 4/16 and 9/16 of the way on nodes in exact arithmetic; one that
+        # rounds to theta = 0 takes the node itself, without a geodesic call.
         from frgeo import fisher_rao
 
         path = self._warped_geodesic(rng, metric)
@@ -574,7 +619,7 @@ class TestConstantSpeedReparametrize:
         segments = np.searchsorted(cumulative, targets, side="right") - 1
         thetas = (targets - cumulative[segments]) / lengths[segments]
         assert len(set(segments.tolist())) < len(targets)
-        want = [geodesic(path.slices[j], path.slices[j + 1], [t]).slices[0] for j, t in zip(segments, thetas)]
+        want = [path.slices[j] if t <= 0.0 else geodesic(path.slices[j], path.slices[j + 1], [t]).slices[0] for j, t in zip(segments, thetas)]
 
         calls = []
         for name in ("eigh", "eigvalsh", "svd"):
@@ -584,8 +629,7 @@ class TestConstantSpeedReparametrize:
 
             monkeypatch.setattr(np.linalg, name, counted)
         out = constant_speed_reparametrize(path, metric)
-        per_segment = [("eigh", (2, 2, 2, 2)), ("svd", (2, 2, 2))]
-        assert calls == [("eigh", (17, 2, 2, 2)), ("svd", (16, 2, 2, 2))] + per_segment * len(set(segments.tolist()))
+        assert calls == [("eigh", (17, 2, 2, 2))] + [("eigh", (2, 2, 2, 2))] * len(set(segments[thetas > 0.0].tolist()))
         for a, b in zip(out.slices[1:-1], want):
             assert np.array_equal(a.atoms, b.atoms)
 

@@ -7,7 +7,6 @@ import pytest
 from frgeo.bures import bures_geodesic
 from frgeo.entropy_flow import entropy, fisher_information, heat_flow
 from frgeo.exceptions import (
-    AntipodalError,
     FRGeoError,
     InfiniteEndpointEntropyError,
     NotProbabilityError,
@@ -382,9 +381,9 @@ class TestSolveBridge:
 
             monkeypatch.setattr(np.linalg, name, counted)
         fwd = _bridge_objective(factors, ends, lam.weights, 0.2)[1]
-        # The edges' SVD, and the inverses of the one positive-weight atom's
-        # interior factors.
-        assert calls == [("svd", (n_steps, 2, 2, 2)), ("inv", (n_steps - 1, 1, 2, 2))]
+        # The inverses of the one positive-weight atom's interior factors; the
+        # edges' polar factors are in closed form at d = 2.
+        assert calls == [("inv", (n_steps - 1, 1, 2, 2))]
         calls.clear()
         grad = _bridge_gradient(factors, fwd, lam.weights, 0.2)
         assert calls == []
@@ -520,52 +519,71 @@ class TestSolveBridge:
         with pytest.raises(InfiniteEndpointEntropyError):
             solve_bridge(singular, g1, lam, SchrodingerConfig(epsilon=0.1, n_steps=8))
 
-    def test_antipodal_rejected(self):
-        sup = Support(("x",))
-        lam = uniform_reference(sup, 2)
-        g0 = MatrixMeasure(sup, np.diag([1.0, 0.0]).astype(complex)[None])
-        g1 = MatrixMeasure(sup, np.diag([0.0, 1.0]).astype(complex)[None])
-        with pytest.raises((AntipodalError, InfiniteEndpointEntropyError)):
-            solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.1, n_steps=8))
+    def test_antipodal_pairs_are_refused_only_for_their_entropy(self):
+        # The classical disjoint pair (1, 0), (0, 1) is at d_FR = pi, and its
+        # geodesic is the great circle (cos^2, sin^2)(t pi / 2). Its ends, like
+        # orthogonal qubit fibers, have infinite entropy, and that is the only
+        # reason the bridge refuses either pair, cold and warm.
+        ts = np.linspace(0.0, 1.0, 9)
+        e = np.eye(2, dtype=complex)
+        pairs = [(make_support(2), e[0][:, None, None], e[1][:, None, None]), (make_support(1), np.diag(e[0])[None], np.diag(e[1])[None])]
+        for sup, a0, a1 in pairs:
+            g0, g1 = MatrixMeasure(sup, a0), MatrixMeasure(sup, a1)
+            geo = fisher_rao_geodesic(g0, g1, ts)
+            if sup.n == 2:
+                circle = np.stack([np.cos(ts * np.pi / 2) ** 2, np.sin(ts * np.pi / 2) ** 2], axis=-1)
+                assert np.abs(geo.atoms[:, :, 0, 0] - circle).max() <= 1e-15
+            for init in (None, geo):
+                with pytest.raises(InfiniteEndpointEntropyError, match="initial endpoint"):
+                    solve_bridge(g0, g1, uniform_reference(sup, a0.shape[-1]), SchrodingerConfig(epsilon=0.1, n_steps=8), init)
 
-    def test_antipodal_finite_entropy_rejected_cold_and_warm(self):
-        # Finite-entropy endpoints within 1e-6 of the diameter pi.
+    def test_near_antipodal_finite_entropy_pair_converges_cold_and_warm(self):
+        # Finite-entropy ends (1 - a, a) and (a, 1 - a) within 1e-6 of the
+        # diameter: d_FR = 2 arccos(2 sqrt(a (1 - a))), and the geodesic is the
+        # great circle psi(t) of the classical angle psi, g = (cos^2, sin^2)(psi / 2).
         sup = make_support(2)
         lam = uniform_reference(sup, 1)
         a = 2e-14
         g0 = MatrixMeasure(sup, np.array([[[1.0 - a]], [[a]]], dtype=complex))
         g1 = MatrixMeasure(sup, np.array([[[a]], [[1.0 - a]]], dtype=complex))
-        assert np.isfinite(entropy(g0, lam)) and np.pi - fisher_rao_distance(g0, g1) < 1e-6
-        cfg = SchrodingerConfig(epsilon=0.1, n_steps=8)
-        with pytest.raises(AntipodalError) as cold:
-            solve_bridge(g0, g1, lam, cfg)
-        init = MeasurePath(np.linspace(0.0, 1.0, 9), sup, np.stack([g0.atoms] * 8 + [g1.atoms]), {})
-        with pytest.raises(AntipodalError) as warm:
-            solve_bridge(g0, g1, lam, cfg, init_path=init)
-        # One rule: both starts report the same distance in the same words.
-        assert str(warm.value) == str(cold.value)
-        assert str(cold.value).endswith(">= pi - 1e-6: sphere projection undefined")
+        dfr = fisher_rao_distance(g0, g1)
+        assert np.isfinite(entropy(g0, lam)) and 0.0 < np.pi - dfr < 1e-6
+        assert abs(dfr - 2.0 * np.arccos(2.0 * np.sqrt(a * (1.0 - a)))) <= 1e-15
+        ts = np.linspace(0.0, 1.0, 9)
+        psi = 2.0 * np.arcsin(np.sqrt(a)) + ts * dfr
+        circle = np.stack([np.cos(psi / 2) ** 2, np.sin(psi / 2) ** 2], axis=-1)
+        assert np.abs(fisher_rao_geodesic(g0, g1, ts).atoms[:, :, 0, 0] - circle).max() <= 1e-15
+        # Cold at both temperatures, and warm at 0.1 from the path at 0.5.
+        hot = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.5, n_steps=8))
+        cold = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.1, n_steps=8))
+        warm = solve_bridge(g0, g1, lam, SchrodingerConfig(epsilon=0.1, n_steps=8), init_path=hot.path)
+        for res in (hot, cold, warm):
+            assert res.converged and res.stop_reason == "gradient_tol" and 0 < res.iterations <= 10
+            assert 2.0 * res.kinetic >= dfr**2
+        assert warm.kinetic == pytest.approx(cold.kinetic, rel=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("warm", [False, True])
-    def test_endpoint_checks_run_once(self, rng, monkeypatch, warm):
+    def test_endpoint_checks_run_once(self, rng, monkeypatch, warm, d):
         from frgeo import fisher_rao, schrodinger
         from frgeo.optim import LbfgsResult
 
-        g0, g1, lam = finite_entropy_pair(rng)
+        g0, g1, lam = finite_entropy_pair(rng, d=d)
         cfg = SchrodingerConfig(epsilon=0.3, n_steps=8, max_iters=5)
         init = solve_bridge(g0, g1, lam, cfg).path if warm else None
         calls = []
-        # The set-up before the descent, which returns at once here. One
-        # spectrum of the stacked ends gives their entropies and Fisher
-        # informations. The cold path checks the endpoints' mass inside the
-        # geodesic, the warm path inside fisher_rao_distance: one sphere
-        # check per endpoint. Either makes one eigh and one SVD for the
-        # endpoints' polar step, one eigh roots the ends and the start's
-        # interior together, and the first objective makes one SVD and one inv.
+        # The set-up before the descent, which returns at once here. The cold
+        # path checks the endpoints' mass inside the geodesic, the warm path in
+        # solve_bridge: one sphere check per endpoint. The cold geodesic makes
+        # one eigh and one polar step for the endpoints. Then one eigh of the
+        # ends and the start's interior gives the factors and the ends'
+        # entropies and Fisher informations, and the first objective makes one
+        # polar step and one inv. A polar step is an SVD at d = 3 and in closed
+        # form at d = 2.
         monkeypatch.setattr(
             schrodinger, "lbfgs", lambda fun, grad, x, f, aux, **_: LbfgsResult(x, f, aux, np.zeros_like(x), 0, "budget")
         )
-        counted_names = [(schrodinger, "slice_entropies"), (fisher_rao, "check_probability")]
+        counted_names = [(schrodinger, "slice_entropies"), (fisher_rao, "check_probability"), (schrodinger, "check_probability")]
         for module, name in counted_names + [(np.linalg, name) for name in ("eigvalsh", "eigh", "svd", "inv")]:
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
@@ -573,9 +591,8 @@ class TestSolveBridge:
 
             monkeypatch.setattr(module, name, counted)
         solve_bridge(g0, g1, lam, cfg, init_path=init)
-        assert sorted(calls) == [
-            "check_probability", "check_probability", "eigh", "eigh", "eigvalsh", "inv", "slice_entropies", "svd", "svd"
-        ]
+        stages = (["eigh"] + ["svd"] * (d == 3)) * (1 if warm else 2)
+        assert sorted(calls) == sorted(["check_probability"] * 2 + stages + ["inv", "slice_entropies"])
 
     def test_non_convergence_flagged(self, rng):
         g0, g1, lam = finite_entropy_pair(rng)

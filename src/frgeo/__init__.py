@@ -15,7 +15,6 @@ from .exceptions import (
     NotUnitTraceError,
     SingularMatrixError,
     SupportMismatchError,
-    ZeroLengthError,
     ZeroMassError,
 )
 from .hpsd import (
@@ -50,7 +49,6 @@ from .bures import (
 from .fisher_rao import (
     MeasurePath,
     cone_scaling_check,
-    constant_speed_reparametrize,
     fisher_rao_distance,
     fisher_rao_geodesic,
     hellinger_distance_sq,
@@ -71,7 +69,6 @@ from .entropy_flow import (
 )
 from .schrodinger import (
     BridgeResult,
-    GaussianBridgeResult,
     SchrodingerConfig,
     SweepRow,
     convexity_experiment,

@@ -35,17 +35,14 @@ MAX_ITERS = 20000  # iteration budget of the dynamical solver
 class FiberGeodesic:
     """Sampled path between two PSD fibers (or two stacks of fibers).
 
-    ``points[k]`` is the matrix (or stack) at ``times[k]``; ``velocities[k]``
-    solves the continuity equation at that sample where the point is
-    nonsingular, and is None otherwise. ``meta`` records solver details (the
-    dynamical solver's ``mode``); closed-form paths leave it empty.
+    ``points[k]`` is the matrix (or stack) at ``times[k]``; where it is
+    definite, :func:`~frgeo.hpsd.solve_sylvester_velocity` of it and its rate
+    gives the velocity. ``meta`` records solver details (the dynamical
+    solver's ``mode``); closed-form paths leave it empty.
     """
 
-    a0: np.ndarray
-    a1: np.ndarray
     times: np.ndarray
     points: np.ndarray
-    velocities: tuple
     meta: dict = field(default_factory=dict)
 
 
@@ -158,22 +155,15 @@ def bures_geodesic(a0: np.ndarray, a1: np.ndarray, ts, labels=None) -> FiberGeod
     endpoints and the mass interpolation are exact on the cone boundary; for definite
     ``a0`` it is the optimal-map path ``M_t a0 M_t``. A fiber equal at both
     ends is exactly ``a0`` at every time. ``points[k]`` is the fiber (or
-    stack) at ``ts[k]``; ``velocities[k]`` solves ``(a_t u + u a_t) / 2 =
-    d a_t / dt`` when every fiber point there is definite, else is None.
+    stack) at ``ts[k]``. A definite point's velocity is :func:`~frgeo.hpsd.solve_sylvester_velocity`
+    of it and its rate ``2 Herm(dY Y_t*)``, with ``Y_t, dY`` of :func:`geodesic_factors`.
     Times must increase strictly within ``[0, 1]`` (:func:`check_times`);
     ``labels`` name the fibers in a ``NotPSDError``.
     """
     ts = check_times(ts)
     a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
     r0, y1, _ = polar_endpoints(a0, a1, labels)
-    points, y_t, dy = geodesic_factors(a0, r0, y1, ts)
-    rates = 2.0 * hermitian_part(dy @ np.conj(np.swapaxes(y_t, -1, -2)))
-    w, v = np.linalg.eigh(points)
-    definite = ~singular(w).any(axis=tuple(range(1, w.ndim - 1)))
-    us = np.zeros_like(points)
-    us[definite] = solve_sylvester_eigh(w[definite], v[definite], rates[definite])
-    velocities = tuple(u if ok else None for u, ok in zip(us, definite))
-    return FiberGeodesic(a0, a1, ts, points, velocities)
+    return FiberGeodesic(ts, geodesic_factors(a0, r0, y1, ts)[0])
 
 
 def bures_real_embedding_check(a0: np.ndarray, a1: np.ndarray) -> tuple[float, float]:
@@ -246,8 +236,7 @@ def dynamical_bures_solver(a0: np.ndarray, a1: np.ndarray, n_steps: int) -> Bure
     # weighs about dt^2 w / 2 there, which must pass the rank rule.
     q = q[:, w > 2.0 * n_steps**2 * RANK_RTOL * max(w[-1], 0.0)]
     if q.shape[1] == 0:
-        zeros = np.zeros((n_steps + 1,) + a0.shape, dtype=complex)
-        path = FiberGeodesic(a0, a1, times, zeros, tuple([None] * (n_steps + 1)), {"mode": "apex"})
+        path = FiberGeodesic(times, np.zeros((n_steps + 1,) + a0.shape, dtype=complex), {"mode": "apex"})
         return BuresActionResult(0.0, path, True, 0, "gradient_tol")
     qh = np.conj(q.T)
     b0, b1 = hermitian_part(qh @ np.stack([a0, a1]) @ q)
@@ -257,8 +246,7 @@ def dynamical_bures_solver(a0: np.ndarray, a1: np.ndarray, n_steps: int) -> Bure
         lambda fac: _node_action(fac, b0, b1, dt), lambda fac, aux: _factor_gradient(fac, aux[1], dt),
         factors, *_node_action(factors, b0, b1, dt), max_iters=MAX_ITERS,
     )
-    nodes, us = (hermitian_part(q @ x @ qh) for x in res.aux)
+    nodes = hermitian_part(q @ res.aux[0] @ qh)
     nodes[0], nodes[-1] = a0, a1
-    velocities = tuple(us[min(k, n_steps - 1)] for k in range(n_steps + 1))
-    path = FiberGeodesic(a0, a1, times, nodes, velocities, {"mode": "dynamical"})
+    path = FiberGeodesic(times, nodes, {"mode": "dynamical"})
     return BuresActionResult(res.f, path, res.converged, res.iterations, res.stop_reason)

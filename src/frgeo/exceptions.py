@@ -41,10 +41,6 @@ class ZeroMassError(FRGeoError):
     """The cone apex has no sphere representative."""
 
 
-class ZeroLengthError(FRGeoError):
-    """A zero-length path cannot be reparametrized by arc length."""
-
-
 class InfiniteEndpointEntropyError(FRGeoError):
     """An endpoint has infinite entropy, so the regularized problem is improper."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bures
-from .exceptions import FRGeoError, ZeroLengthError
+from .exceptions import FRGeoError
 from .hpsd import check_hermitian, hermitian_part, psd_sqrt
 from .measures import MatrixMeasure, Support, check_probability, check_same_support, mass, tv_distance
 
@@ -32,8 +32,8 @@ class MeasurePath:
     :class:`MatrixMeasure` checks one measure; each access to ``slices``
     builds one measure per time. ``meta`` records construction details
     (metric, sphere flag, endpoint distance, ...). A path carries no
-    velocities: :func:`~frgeo.bures.bures_geodesic` of two atom stacks gives
-    the Hellinger geodesic's.
+    velocities: where a slice is definite, its velocity solves
+    ``(G u + u G) / 2 = dG/dt`` per atom (:func:`~frgeo.hpsd.solve_sylvester_velocity`).
     """
 
     times: np.ndarray
@@ -103,8 +103,8 @@ def hellinger_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath:
     points of :func:`~frgeo.bures.geodesic_factors`. ``meta["distance"]`` is
     ``d_H(G_0, G_1)``, from the polar residual of that step. A fiber equal at
     both ends stays exactly at its atom, so identical endpoints give exactly
-    0 and the constant path. The velocities of these slices are those of
-    :func:`~frgeo.bures.bures_geodesic` on the two atom stacks."""
+    0 and the constant path. A definite slice's velocity is that of
+    :func:`~frgeo.bures.bures_geodesic` (:func:`~frgeo.hpsd.solve_sylvester_velocity`)."""
     ts = bures.check_times(ts)
     check_same_support(g0, g1)
     r0, y1, d_sq = bures.polar_endpoints(g0.atoms, g1.atoms, g0.support.point_ids)
@@ -145,73 +145,29 @@ def fisher_rao_geodesic(g0: MatrixMeasure, g1: MatrixMeasure, ts) -> MeasurePath
     return MeasurePath(ts, g0.support, atoms, meta)
 
 
-def _index_distances(path: MeasurePath, lo, hi, metric: str) -> np.ndarray:
-    """Metric distances between the slice pairs ``(lo[k], hi[k])`` of a path from one
-    checked square root of its atom stack and one batched polar step of the pairs
-    (:func:`~frgeo.bures.polar_from_roots`, oriented as the pairwise route)."""
-    if metric not in ("hellinger", "fisher_rao"):
-        raise ValueError(f"unknown metric {metric!r}")
-    if metric == "fisher_rao":
-        check_probability(path, "path slice")
-    roots = psd_sqrt(path.atoms, labels=path.support.point_ids)
-    # Summed per atom, then per slice: the order of the pairwise route, bit for bit.
-    dh_sq = 4.0 * bures.polar_from_roots(path.atoms[lo], path.atoms[hi], roots[lo], roots[hi])[1].sum(axis=-1)
-    return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
-
-
-def constant_speed_reparametrize(path: MeasurePath, metric: str) -> MeasurePath:
-    """Resample a path by arc length so consecutive distances equalize.
-
-    New slices are placed by geodesic interpolation inside the segment that
-    contains each arc-length target, which is exact when the input traverses
-    a single geodesic (the intended use); one geodesic call per segment
-    places all of its targets. Output times are uniform on the input's time
-    interval. A two-slice path is returned unchanged.
-    """
-    n_seg = path.n_slices - 1
-    if n_seg < 1:
-        raise FRGeoError("need at least two slices to reparametrize")
-    lengths = _index_distances(path, np.arange(n_seg), np.arange(1, n_seg + 1), metric)
-    total = float(lengths.sum())
-    # The polar residual puts a segment length's round-off floor near 1e-16;
-    # a path shorter than 1e-6 per segment is still treated as zero length.
-    if total <= 1e-6 * len(lengths):
-        raise ZeroLengthError(f"path has (numerically) zero length {total:.3e}")
-    if n_seg == 1:
-        return path
-    cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
-    new_times = np.linspace(path.times[0], path.times[-1], path.n_slices)
-    targets = total * np.arange(1, n_seg) / n_seg
-    segments = np.clip(np.searchsorted(cumulative, targets, side="right") - 1, 0, n_seg - 1)
-    seg_len = lengths[segments]
-    thetas = np.where(seg_len <= 1e-15, 0.0, (targets - cumulative[segments]) / np.maximum(seg_len, 1e-15))
-    geodesic = hellinger_geodesic if metric == "hellinger" else fisher_rao_geodesic
-    atoms = path.atoms.copy()
-    atoms[1:-1] = np.where((thetas <= 0.0)[:, None, None, None], path.atoms[segments], path.atoms[segments + 1])
-    inner = (thetas > 0.0) & (thetas < 1.0)
-    for j in np.unique(segments[inner]):
-        rows = inner & (segments == j)
-        g0, g1 = (MatrixMeasure(path.support, path.atoms[k]) for k in (j, j + 1))
-        atoms[1:-1][rows] = geodesic(g0, g1, thetas[rows]).atoms
-    meta = dict(path.meta)
-    meta["reparametrized"] = metric
-    return MeasurePath(new_times, path.support, atoms, meta)
-
-
 def metric_speed(path: MeasurePath, metric: str) -> np.ndarray:
     """Finite-difference metric speeds, one per slice.
 
     Central differences at interior nodes (second-order on smooth paths),
     one-sided at the endpoints. One ``eigh`` of the slice stack gives the
-    roots, and one batched polar step gives the residuals of all pairs.
+    roots, and one batched polar step of the pairs
+    (:func:`~frgeo.bures.polar_from_roots`, oriented as the pairwise route)
+    gives their residuals.
     """
+    if metric not in ("hellinger", "fisher_rao"):
+        raise ValueError(f"unknown metric {metric!r}")
     m = path.n_slices
     if m < 2:
         raise FRGeoError("need at least two slices for a speed")
+    if metric == "fisher_rao":
+        check_probability(path, "path slice")
     # Pairs (0, 1), (k - 1, k + 1) for interior k, and (m - 2, m - 1).
     lo = np.concatenate([[0], np.arange(m - 2), [m - 2]])
     hi = np.concatenate([[1], np.arange(2, m), [m - 1]])
-    dist = _index_distances(path, lo, hi, metric)
+    roots = psd_sqrt(path.atoms, labels=path.support.point_ids)
+    # Summed per atom, then per slice: the order of the pairwise route, bit for bit.
+    dh_sq = 4.0 * bures.polar_from_roots(path.atoms[lo], path.atoms[hi], roots[lo], roots[hi])[1].sum(axis=-1)
+    dist = np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
     return dist / (path.times[hi] - path.times[lo])
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bures import check_times, polar_residual
+from .bures import FiberGeodesic, check_times, polar_residual
 from .entropy_flow import flow_atoms, slice_entropies
 from .exceptions import FRGeoError, InfiniteEndpointEntropyError
 from .fisher_rao import MeasurePath, fisher_rao_from_hellinger, fisher_rao_geodesic
@@ -85,15 +85,6 @@ class SweepRow:
     fisher_term: float
     tv_gap: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class GaussianBridgeResult:
-    """Entropic interpolation between real SPD fibers: ``points[k]`` is the
-    covariance at ``times[k]``."""
-
-    times: np.ndarray
-    points: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +302,7 @@ def solve_bridge(
 # ---------------------------------------------------------------------------
 
 
-def gaussian_bridge_oracle(a0: np.ndarray, a1: np.ndarray, epsilon: float, ts) -> GaussianBridgeResult:
+def gaussian_bridge_oracle(a0: np.ndarray, a1: np.ndarray, epsilon: float, ts) -> FiberGeodesic:
     """Entropic interpolation between definite real matrices at temperature
     ``epsilon``: the covariances of the Schrödinger bridge between centred
     Gaussians under the heat kernel of variance ``sigma^2 = 2 eps`` per unit
@@ -326,6 +317,7 @@ def gaussian_bridge_oracle(a0: np.ndarray, a1: np.ndarray, epsilon: float, ts) -
     ``a0^{1/2} D a0^{-1/2}``. A singular marginal raises
     :class:`SingularMatrixError`, and times that do not increase strictly
     within ``[0, 1]`` raise :class:`FRGeoError` before any arithmetic.
+    ``points[k]`` of the result is ``A_t`` at ``t = times[k]``.
     """
     ts = check_times(ts)
     a0, a1 = np.asarray(a0), np.asarray(a1)
@@ -342,7 +334,7 @@ def gaussian_bridge_oracle(a0: np.ndarray, a1: np.ndarray, epsilon: float, ts) -
     cross = hermitian_part(root @ d @ psd_sqrt(inv_a0))
     t = ts[:, None, None]
     points = (1.0 - t) ** 2 * a0 + t**2 * a1 + t * (1.0 - t) * cross
-    return GaussianBridgeResult(ts, points)
+    return FiberGeodesic(ts, points)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,19 @@ def fiber_geodesic_formula(a0, a1, ts):
     return None
 
 
+def geodesic_velocities(a0, a1, ts, labels=None):
+    """Velocities of ``bures_geodesic(a0, a1, ts, labels)``: per time, ``solve_sylvester_velocity`` of the
+    point and its rate ``2 Herm(dY Y_t*)`` from ``geodesic_factors``, or None where a fiber is singular."""
+    from frgeo import bures, hpsd
+
+    a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
+    r0, y1, _ = bures.polar_endpoints(a0, a1, labels)
+    points, y_t, dy = bures.geodesic_factors(a0, r0, y1, np.asarray(ts, dtype=float))
+    rates = 2.0 * hpsd.hermitian_part(dy @ np.conj(np.swapaxes(y_t, -1, -2)))
+    singular = hpsd.singular(np.linalg.eigvalsh(points)).reshape(len(points), -1).any(axis=1)
+    return tuple(None if s else hpsd.solve_sylvester_velocity(a, r) for a, r, s in zip(points, rates, singular))
+
+
 def check_path_follows_fiber_formulas(g0, g1, ts, points, velocities=None):
     """Assert that a measure path (``points[k]`` the atom stack at ``ts[k]``)
     runs every fiber along :func:`fiber_geodesic_formula` within 1e-12, or,
@@ -128,5 +141,6 @@ def fiber_formulas():
         bures_sq=bures_sq_formula,
         masses=mass_interpolation_values,
         geodesic=fiber_geodesic_formula,
+        velocities=geodesic_velocities,
         check_path=check_path_follows_fiber_formulas,
     )

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "DimensionMismatchError",
     "FRGeoError",
     "FiberGeodesic",
-    "GaussianBridgeResult",
     "InfiniteEndpointEntropyError",
     "MatrixMeasure",
     "MeasureFormatError",
@@ -27,13 +26,11 @@ PUBLIC_NAMES = [
     "SupportMismatchError",
     "SweepRow",
     "TangentVector",
-    "ZeroLengthError",
     "ZeroMassError",
     "bures_distance_sq",
     "bures_geodesic",
     "bures_real_embedding_check",
     "cone_scaling_check",
-    "constant_speed_reparametrize",
     "convexity_experiment",
     "discrete_objective",
     "dynamical_bures_solver",

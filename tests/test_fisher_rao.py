@@ -10,12 +10,10 @@ from frgeo.exceptions import (
     NotProbabilityError,
     NotPSDError,
     SupportMismatchError,
-    ZeroLengthError,
 )
 from frgeo.fisher_rao import (
     MeasurePath,
     cone_scaling_check,
-    constant_speed_reparametrize,
     fisher_rao_distance,
     fisher_rao_from_hellinger,
     fisher_rao_geodesic,
@@ -46,11 +44,13 @@ def zero_like(g):
     return g.with_atoms(np.zeros_like(g.atoms))
 
 
-def kinetic_speeds(geo):
-    """Kinetic speeds ``sqrt(sum_i Re <U_i, G_i U_i>)`` of a ``bures_geodesic``
+def kinetic_speeds(fiber_formulas, a0, a1, ts, labels=None):
+    """Kinetic speeds ``sqrt(sum_i Re <U_i, G_i U_i>)`` along ``bures_geodesic``
     of two atom stacks: the Hellinger speeds, NaN at a time without a velocity."""
+    points = bures_geodesic(a0, a1, ts, labels).points
     return np.array([
-        np.nan if u is None else np.sqrt(np.real(np.vdot(u, g @ u))) for g, u in zip(geo.points, geo.velocities)
+        np.nan if u is None else np.sqrt(np.real(np.vdot(u, g @ u)))
+        for g, u in zip(points, fiber_formulas.velocities(a0, a1, ts, labels))
     ])
 
 
@@ -250,7 +250,7 @@ class TestHellingerGeodesic:
         path = hellinger_geodesic(g0, g1, np.linspace(0.0, 1.0, 17))
         assert path.meta["distance"] == pytest.approx(np.sqrt(hellinger_distance_sq(g0, g1)), rel=1e-14)
 
-    def test_shared_fiber_stays_at_its_atom(self, rng):
+    def test_shared_fiber_stays_at_its_atom(self, rng, fiber_formulas):
         sup = make_support(3)
         g0, g1 = (random_measure(rng, 3, 2, definite=True, support=sup) for _ in range(2))
         g1 = g1.with_atoms(np.concatenate([g1.atoms[:1], g0.atoms[1:2], g1.atoms[2:]]))
@@ -261,9 +261,10 @@ class TestHellingerGeodesic:
         # The stack geodesic of the same atoms has the same points, and the shared fiber's velocity is exactly 0.
         geo = bures_geodesic(g0.atoms, g1.atoms, ts, sup.point_ids)
         assert np.array_equal(geo.points, path.atoms)
-        assert all(u is not None and not u[1].any() and u[0].any() for u in geo.velocities)
+        us = fiber_formulas.velocities(g0.atoms, g1.atoms, ts, sup.point_ids)
+        assert all(u is not None and not u[1].any() and u[0].any() for u in us)
 
-    def test_stack_velocities_solve_the_geodesic_ode(self, rng):
+    def test_stack_velocities_solve_the_geodesic_ode(self, rng, fiber_formulas):
         # Forward differences of the points against (G_k U_k)^Sym: the step
         # residual of a smooth path is O(dt), so halving the step halves it.
         sup = make_support(2)
@@ -274,7 +275,8 @@ class TestHellingerGeodesic:
             ts = np.linspace(0.0, 1.0, steps + 1)
             geo = bures_geodesic(g0.atoms, g1.atoms, ts, sup.point_ids)
             rates = np.diff(geo.points, axis=0) / np.diff(ts)[:, None, None, None]
-            gaps = rates - sym_product(geo.points[:-1], np.stack(geo.velocities[:-1]))
+            us = fiber_formulas.velocities(g0.atoms, g1.atoms, ts, sup.point_ids)
+            gaps = rates - sym_product(geo.points[:-1], np.stack(us[:-1]))
             residuals.append(np.linalg.norm(gaps, axis=(-2, -1)).sum(axis=-1).max())
         assert residuals[0] <= 0.5 * np.sqrt(hellinger_distance_sq(g0, g1))
         assert residuals[1] == pytest.approx(residuals[0] / 2.0, rel=0.1)
@@ -291,24 +293,27 @@ class TestStackedAgainstFibers:
         path = hellinger_geodesic(g0, g1, ts)
         stack = bures_geodesic(g0.atoms, g1.atoms, ts, g0.support.point_ids)
         assert np.array_equal(stack.points, path.atoms)
-        fiber_formulas.check_path(g0, g1, ts, path.atoms, stack.velocities)
+        stack_us = fiber_formulas.velocities(g0.atoms, g1.atoms, ts, g0.support.point_ids)
+        fiber_formulas.check_path(g0, g1, ts, path.atoms, stack_us)
         fibers = [bures_geodesic(g0.atoms[i], g1.atoms[i], ts) for i in range(g0.n)]
+        fiber_us = [fiber_formulas.velocities(g0.atoms[i], g1.atoms[i], ts) for i in range(g0.n)]
         for k in range(len(ts)):
             points = np.stack([fp.points[k] for fp in fibers])
             assert np.abs(path.slices[k].atoms - points).max() <= 1e-12
         # The exact rank-1 -> rank-2 geodesic is singular at every t, so
         # neither that fiber nor any slice of the stack has a velocity.
-        assert all(u is None for u in fibers[1].velocities)
-        assert all(u is None for u in stack.velocities)
+        assert all(u is None for u in fiber_us[1])
+        assert all(u is None for u in stack_us)
         # The zero start has none at t = 0 only; the definite pair has one everywhere.
-        assert fibers[0].velocities[0] is None
-        assert all(u is not None for fp in fibers[::2] for u in fp.velocities[1:])
+        assert fiber_us[0][0] is None
+        assert all(u is not None for us in fiber_us[::2] for u in us[1:])
         definite = MatrixMeasure(make_support(2), g0.atoms[::2]), MatrixMeasure(make_support(2), g1.atoms[::2])
         geo = bures_geodesic(definite[0].atoms, definite[1].atoms, ts)
-        fiber_formulas.check_path(*definite, ts, geo.points, geo.velocities)
+        geo_us = fiber_formulas.velocities(definite[0].atoms, definite[1].atoms, ts)
+        fiber_formulas.check_path(*definite, ts, geo.points, geo_us)
         for k in range(1, len(ts)):
-            us = np.stack([fp.velocities[k] for fp in fibers[::2]])
-            assert np.abs(geo.velocities[k] - us).max() <= 1e-12 * max(1.0, np.abs(us).max())
+            us = np.stack([fiber_u[k] for fiber_u in fiber_us[::2]])
+            assert np.abs(geo_us[k] - us).max() <= 1e-12 * max(1.0, np.abs(us).max())
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), d=st.integers(1, 3))
@@ -373,19 +378,20 @@ class TestFisherRaoGeodesic:
         assert path.meta["distance"] == 0.0
 
     @pytest.mark.parametrize("steps", [1, 16])
-    def test_identical_stacks_have_zero_velocity_or_none(self, steps):
+    def test_identical_stacks_have_zero_velocity_or_none(self, steps, fiber_formulas):
         g0 = random_finite_entropy_measure(np.random.default_rng(7), 8, 3)
         ts = np.linspace(0.0, 1.0, steps + 1)
         # Definite fibers: a zero velocity at every time.
         geo = bures_geodesic(g0.atoms, g0.atoms.copy(), ts, g0.support.point_ids)
         assert np.array_equal(geo.points, np.broadcast_to(g0.atoms, geo.points.shape))
-        assert len(geo.velocities) == len(ts)
-        assert all(u.shape == g0.atoms.shape and not u.any() for u in geo.velocities)
+        us = fiber_formulas.velocities(g0.atoms, g0.atoms.copy(), ts, g0.support.point_ids)
+        assert len(us) == len(ts)
+        assert all(u.shape == g0.atoms.shape and not u.any() for u in us)
         # A singular fiber admits no velocity at any time.
         singular = np.concatenate([g0.atoms[:-1], np.diag([0.5, 0.0, 0.0]).astype(complex)[None]])
         geo = bures_geodesic(singular, singular.copy(), ts, g0.support.point_ids)
         assert np.array_equal(geo.points, np.broadcast_to(singular, geo.points.shape))
-        assert geo.velocities == (None,) * len(ts)
+        assert fiber_formulas.velocities(singular, singular.copy(), ts, g0.support.point_ids) == (None,) * len(ts)
 
     def test_pair_one_ulp_apart_ends_exactly_at_both_endpoints(self):
         # d_FR is about 7e-16: any positive distance takes the chord, not the constant path.
@@ -507,134 +513,14 @@ class TestFisherRaoGeodesic:
                 assert d == pytest.approx((ts[j] - ts[i]) * dfr, rel=1e-5, abs=1e-9)
 
 
-class TestConstantSpeedReparametrize:
-    def _warped_geodesic(self, rng, metric):
-        sup = make_support(2)
-        g0 = random_probability_measure(rng, 2, 2, definite=True, support=sup)
-        g1 = random_probability_measure(rng, 2, 2, definite=True, support=sup)
-        warped = np.linspace(0.0, 1.0, 17) ** 2
-        warped[0], warped[-1] = 0.0, 1.0
-        if metric == "hellinger":
-            inner = hellinger_geodesic(g0, g1, warped)
-        else:
-            inner = fisher_rao_geodesic(g0, g1, warped)
-        return MeasurePath(np.linspace(0, 1, 17), inner.support, inner.atoms)
-
-    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
-    def test_quadratic_warp_equalizes(self, rng, metric):
-        path = self._warped_geodesic(rng, metric)
-        out = constant_speed_reparametrize(path, metric)
-        speeds = metric_speed(out, metric)
-
-        def consecutive(p):
-            if metric == "hellinger":
-                return [
-                    np.sqrt(hellinger_distance_sq(p.slices[k], p.slices[k + 1]))
-                    for k in range(p.n_slices - 1)
-                ]
-            return [
-                fisher_rao_distance(p.slices[k], p.slices[k + 1])
-                for k in range(p.n_slices - 1)
-            ]
-
-        before = consecutive(path)
-        after = consecutive(out)
-        spread = (max(after) - min(after)) / max(np.mean(after), 1e-300)
-        assert spread <= 0.01
-        assert sum(after) == pytest.approx(sum(before), rel=1e-6)
-        n = len(after)
-        energy_before = sum(x * x for x in before) * n
-        energy_after = sum(x * x for x in after) * n
-        assert energy_after <= energy_before + 1e-12
-
-    def test_already_constant_unchanged(self, rng):
-        sup = make_support(2)
-        g0 = random_probability_measure(rng, 2, 2, support=sup)
-        g1 = random_probability_measure(rng, 2, 2, support=sup)
-        path = fisher_rao_geodesic(g0, g1, np.linspace(0, 1, 9))
-        out = constant_speed_reparametrize(path, "fisher_rao")
-        worst = max(tv_distance(a, b) for a, b in zip(path.slices, out.slices))
-        assert worst <= 1e-6
-
-    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
-    def test_builds_measures_only_at_ends_of_segments_with_targets(self, rng, monkeypatch, metric):
-        # The stack is hermitized once, so the two ends of each segment that
-        # holds targets are built from its atoms, and no other slice is.
-        from frgeo import fisher_rao
-
-        path = self._warped_geodesic(rng, metric)
-        want = constant_speed_reparametrize(path, metric)
-        built = []
-
-        def counted(support, atoms):
-            built.append(atoms)
-            return MatrixMeasure(support, atoms)
-
-        monkeypatch.setattr(fisher_rao, "MatrixMeasure", counted)
-        monkeypatch.setattr(MeasurePath, "slices", property(lambda _: pytest.fail("slices built")))
-        out = constant_speed_reparametrize(path, metric)
-        assert np.array_equal(out.atoms, want.atoms)
-        lengths = fisher_rao._index_distances(path, np.arange(16), np.arange(1, 17), metric)
-        cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
-        targets = lengths.sum() * np.arange(1, 16) / 16
-        segments = np.searchsorted(cumulative, targets, side="right") - 1
-        thetas = (targets - cumulative[segments]) / lengths[segments]
-        with_targets = np.unique(segments[(thetas > 0.0) & (thetas < 1.0)])
-        assert 0 < len(with_targets) < 16
-        ends = [k for j in with_targets for k in (j, j + 1)]
-        assert len(built) == len(ends)
-        for atoms, k in zip(built, ends):
-            assert atoms.base is path.atoms and np.array_equal(atoms, path.atoms[k])
-
-    def test_two_slice_unchanged(self, rng):
-        sup = make_support(1)
-        g0 = random_probability_measure(rng, 1, 2, support=sup)
-        g1 = random_probability_measure(rng, 1, 2, support=sup)
-        path = MeasurePath(np.array([0.0, 1.0]), sup, np.stack([g0.atoms, g1.atoms]))
-        assert constant_speed_reparametrize(path, "hellinger") is path
-
-    def test_zero_length(self, rng):
-        g = random_probability_measure(rng, 2, 2)
-        path = MeasurePath(np.array([0.0, 0.5, 1.0]), g.support, np.stack([g.atoms] * 3))
-        with pytest.raises(ZeroLengthError):
-            constant_speed_reparametrize(path, "hellinger")
-
-    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
-    def test_one_geodesic_per_segment_with_targets(self, rng, monkeypatch, metric):
-        # The arc lengths take one eigh of all slices and one polar step of all
-        # segments. Each segment holding arc-length targets then makes one
-        # geodesic call for all of them: one eigh for the roots of its two
-        # ends and one polar step, with no velocity step. At d = 2 a polar
-        # step is in closed form, with no SVD. The batch gives the slices of
-        # single-target calls bit for bit. The quadratic warp puts the targets
-        # 1/16, 4/16 and 9/16 of the way on nodes in exact arithmetic; one that
-        # rounds to theta = 0 takes the node itself, without a geodesic call.
-        from frgeo import fisher_rao
-
-        path = self._warped_geodesic(rng, metric)
-        geodesic = hellinger_geodesic if metric == "hellinger" else fisher_rao_geodesic
-        lengths = fisher_rao._index_distances(path, np.arange(16), np.arange(1, 17), metric)
-        cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
-        targets = lengths.sum() * np.arange(1, 16) / 16
-        segments = np.searchsorted(cumulative, targets, side="right") - 1
-        thetas = (targets - cumulative[segments]) / lengths[segments]
-        assert len(set(segments.tolist())) < len(targets)
-        want = [path.slices[j] if t <= 0.0 else geodesic(path.slices[j], path.slices[j + 1], [t]).slices[0] for j, t in zip(segments, thetas)]
-
-        calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            def counted(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        out = constant_speed_reparametrize(path, metric)
-        assert calls == [("eigh", (17, 2, 2, 2))] + [("eigh", (2, 2, 2, 2))] * len(set(segments[thetas > 0.0].tolist()))
-        for a, b in zip(out.slices[1:-1], want):
-            assert np.array_equal(a.atoms, b.atoms)
-
-
 class TestMetricSpeed:
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_one_slice_has_no_speed(self, rng, metric):
+        g = random_probability_measure(rng, 2, 2)
+        path = MeasurePath(np.array([0.5]), g.support, g.atoms[None])
+        with pytest.raises(FRGeoError, match="need at least two slices for a speed"):
+            metric_speed(path, metric)
+
     def test_constant_path_zero(self, rng):
         g = random_probability_measure(rng, 2, 2)
         path = MeasurePath(np.array([0.0, 0.5, 1.0]), g.support, np.stack([g.atoms] * 3))
@@ -657,34 +543,33 @@ class TestMetricSpeed:
         speeds = metric_speed(path, "fisher_rao")
         assert np.max(np.abs(speeds - dfr)) <= 0.02 * dfr
 
-    def test_kinetic_speed_matches_fd(self, rng):
+    def test_kinetic_speed_matches_fd(self, rng, fiber_formulas):
         sup = make_support(2)
         g0 = random_measure(rng, 2, 2, definite=True, support=sup)
         g1 = random_measure(rng, 2, 2, definite=True, support=sup)
         ts = np.linspace(0, 1, 33)
         fd = metric_speed(hellinger_geodesic(g0, g1, ts), "hellinger")
-        kin = kinetic_speeds(bures_geodesic(g0.atoms, g1.atoms, ts, sup.point_ids))
+        kin = kinetic_speeds(fiber_formulas, g0.atoms, g1.atoms, ts, sup.point_ids)
         ok = ~np.isnan(kin)
         assert ok.all()
         assert np.max(np.abs(fd[ok] - kin[ok])) <= 0.05 * max(np.max(kin), 1e-12)
 
-    def test_kinetic_speed_is_nan_where_no_velocity_is_attached(self, rng):
+    def test_kinetic_speed_is_nan_where_no_velocity_is_attached(self, rng, fiber_formulas):
         # From the zero measure the stack is singular at t = 0 only.
         g1 = random_measure(rng, 2, 2, definite=True)
-        geo = bures_geodesic(zero_like(g1).atoms, g1.atoms, np.linspace(0.0, 1.0, 5))
-        kin = kinetic_speeds(geo)
+        kin = kinetic_speeds(fiber_formulas, zero_like(g1).atoms, g1.atoms, np.linspace(0.0, 1.0, 5))
         assert np.isnan(kin[0]) and np.all(np.isfinite(kin[1:]))
 
-    def test_kinetic_speed_is_the_hellinger_distance(self, rng):
+    def test_kinetic_speed_is_the_hellinger_distance(self, rng, fiber_formulas):
         # A geodesic moves at its distance, so the kinetic speed is d_H at every time.
         sup = make_support(3)
         g0, g1 = (random_measure(rng, 3, 2, definite=True, support=sup) for _ in range(2))
-        kin = kinetic_speeds(bures_geodesic(g0.atoms, g1.atoms, np.linspace(0.0, 1.0, 9), sup.point_ids))
+        kin = kinetic_speeds(fiber_formulas, g0.atoms, g1.atoms, np.linspace(0.0, 1.0, 9), sup.point_ids)
         assert np.abs(kin - np.sqrt(hellinger_distance_sq(g0, g1))).max() <= 1e-12 * kin.max()
 
-    def test_kinetic_speed_of_one_fiber_is_twice_its_bures_distance(self, rng):
+    def test_kinetic_speed_of_one_fiber_is_twice_its_bures_distance(self, rng, fiber_formulas):
         a0, a1 = random_psd(rng, 3), random_psd(rng, 3)
-        kin = kinetic_speeds(bures_geodesic(a0, a1, np.linspace(0.0, 1.0, 9)))
+        kin = kinetic_speeds(fiber_formulas, a0, a1, np.linspace(0.0, 1.0, 9))
         assert kin.shape == (9,)
         assert np.abs(kin - 2.0 * np.sqrt(bures_distance_sq(a0, a1))).max() <= 1e-12 * kin.max()
 
@@ -706,24 +591,79 @@ class TestMetricSpeed:
         assert speed0 == pytest.approx(np.sqrt(f), rel=1e-3)
 
 
-def _oracle_distances(path, lo, hi, metric):
-    """Distances between the slice pairs ``(lo[k], hi[k])`` of a path from
-    ``bures_distance_sq`` on the start and end stacks."""
-    stack = path.atoms
-    dh_sq = 4.0 * bures_distance_sq(stack[lo], stack[hi], path.support.point_ids).sum(axis=-1)
-    return np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
+class TestGeodesicsMoveAtConstantSpeed:
+    """A Hellinger or Fisher-Rao geodesic moves at its distance at every time,
+    so sampled at any grid it is already its own constant-speed, minimal-energy
+    parametrization."""
+
+    GEODESICS = {"hellinger": hellinger_geodesic, "fisher_rao": fisher_rao_geodesic}
+
+    @staticmethod
+    def _distance(g0, g1, metric):
+        if metric == "hellinger":
+            return np.sqrt(hellinger_distance_sq(g0, g1))
+        return fisher_rao_distance(g0, g1)
+
+    def _pair(self, rng):
+        sup = make_support(3)
+        return tuple(random_probability_measure(rng, 3, 2, support=sup) for _ in range(2))
+
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_speed_on_an_uneven_grid_is_the_distance(self, rng, metric):
+        g0, g1 = self._pair(rng)
+        ts = np.sort(np.r_[0.0, rng.uniform(0.0, 1.0, 11), 1.0])
+        path = self.GEODESICS[metric](g0, g1, ts)
+        dist = self._distance(g0, g1, metric)
+        assert np.abs(metric_speed(path, metric) - dist).max() <= 1e-9 * dist
+
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_quadratic_warp_reads_its_time_derivative(self, rng, metric):
+        # The geodesic at s = t^2 on a uniform t grid: central differences of
+        # t^2 are exact, so the speeds are 2 t D inside, h D and (2 - h) D at the ends.
+        g0, g1 = self._pair(rng)
+        ts = np.linspace(0.0, 1.0, 17)
+        h = ts[1]
+        inner = self.GEODESICS[metric](g0, g1, ts**2)
+        path = MeasurePath(ts, inner.support, inner.atoms)
+        dist = self._distance(g0, g1, metric)
+        want = np.r_[h, 2.0 * ts[1:-1], 2.0 - h] * dist
+        assert np.abs(metric_speed(path, metric) - want).max() <= 1e-9 * dist
+
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_two_slices_move_at_their_distance(self, rng, metric):
+        g0, g1 = self._pair(rng)
+        path = MeasurePath(np.array([0.0, 1.0]), g0.support, np.stack([g0.atoms, g1.atoms]))
+        speeds = metric_speed(path, metric)
+        assert speeds.shape == (2,) and speeds[0] == speeds[1]
+        assert speeds[0] == pytest.approx(self._distance(g0, g1, metric), rel=1e-12)
+
+    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
+    def test_segments_have_the_length_and_energy_of_the_distance(self, rng, metric):
+        # Sum d_k = D (the geodesic is minimizing) and sum d_k^2 / dt_k = D^2
+        # (Cauchy-Schwarz holds with equality only at constant speed).
+        g0, g1 = self._pair(rng)
+        ts = np.linspace(0.0, 1.0, 13) ** 3
+        path = self.GEODESICS[metric](g0, g1, ts)
+        lengths = np.array([self._distance(a, b, metric) for a, b in zip(path.slices, path.slices[1:])])
+        dist = self._distance(g0, g1, metric)
+        assert lengths.sum() == pytest.approx(dist, rel=1e-10)
+        assert (lengths**2 / np.diff(ts)).sum() == pytest.approx(dist**2, rel=1e-9)
 
 
 def _oracle_speeds(path, metric):
+    """Finite-difference speeds of a path from ``bures_distance_sq`` on the
+    start and end stacks of its slice pairs."""
     m = path.n_slices
     lo = np.r_[0, np.arange(m - 2), m - 2]
     hi = np.r_[1, np.arange(2, m), m - 1]
-    return _oracle_distances(path, lo, hi, metric) / (path.times[hi] - path.times[lo])
+    dh_sq = 4.0 * bures_distance_sq(path.atoms[lo], path.atoms[hi], path.support.point_ids).sum(axis=-1)
+    dist = np.sqrt(dh_sq) if metric == "hellinger" else fisher_rao_from_hellinger(dh_sq)
+    return dist / (path.times[hi] - path.times[lo])
 
 
 class TestOneDecompositionPerSlice:
-    """Speeds and arc lengths decompose every slice once; they match the
-    pairwise ``bures_distance_sq`` route on stacks bit for bit."""
+    """Speeds decompose every slice once; they match the pairwise
+    ``bures_distance_sq`` route on stacks bit for bit."""
 
     def _paths(self, rng):
         sup = make_support(4)
@@ -747,19 +687,6 @@ class TestOneDecompositionPerSlice:
         for name, path in self._paths(rng).items():
             assert np.array_equal(metric_speed(path, metric), _oracle_speeds(path, metric)), name
 
-    @pytest.mark.parametrize("metric", ["hellinger", "fisher_rao"])
-    def test_reparametrized_paths_match_pairwise_oracle(self, rng, monkeypatch, metric):
-        from frgeo import fisher_rao
-
-        paths = self._paths(rng)
-        got = {name: constant_speed_reparametrize(path, metric) for name, path in paths.items()}
-        monkeypatch.setattr(fisher_rao, "_index_distances", _oracle_distances)
-        for name, path in paths.items():
-            want = constant_speed_reparametrize(path, metric)
-            assert np.array_equal(got[name].times, want.times), name
-            for a, b in zip(got[name].slices, want.slices):
-                assert np.array_equal(a.atoms, b.atoms), name
-
     def test_rank_deficient_end_slices_agree_to_roundoff(self, rng):
         sup = make_support(4)
         for _ in range(20):
@@ -779,10 +706,10 @@ class TestOneDecompositionPerSlice:
         bad = MeasurePath(path.times, sup, atoms)
         with pytest.raises(NotPSDError, match="'p2'"):
             metric_speed(bad, "hellinger")
-        with pytest.raises(NotPSDError, match="'p2'"):
-            constant_speed_reparametrize(bad, "hellinger")
 
-    def test_one_eigh_and_one_svd_per_speed(self, rng, monkeypatch):
+    @staticmethod
+    def _count_decompositions(monkeypatch):
+        """Record ``(name, shape)`` of every ``eigh``, ``eigvalsh`` and ``svd`` call from here on."""
         calls = []
 
         def counted(name, fn):
@@ -792,14 +719,22 @@ class TestOneDecompositionPerSlice:
 
             return wrapped
 
-        path = self._paths(rng)["definite"]
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        return calls
+
+    def test_one_eigh_and_one_svd_per_speed(self, rng, monkeypatch):
+        path = self._paths(rng)["definite"]
+        calls = self._count_decompositions(monkeypatch)
         metric_speed(path, "fisher_rao")
         assert calls == [("eigh", (9, 4, 3, 3)), ("svd", (9, 4, 3, 3))]
-        calls.clear()
-        constant_speed_reparametrize(path, "fisher_rao")
-        assert calls[:2] == [("eigh", (9, 4, 3, 3)), ("svd", (8, 4, 3, 3))]
+
+    def test_unknown_metric_is_refused_before_any_decomposition(self, rng, monkeypatch):
+        path = self._paths(rng)["definite"]
+        calls = self._count_decompositions(monkeypatch)
+        with pytest.raises(ValueError, match="unknown metric 'bures'"):
+            metric_speed(path, "bures")
+        assert calls == []
 
 
 class TestTvComparison:
